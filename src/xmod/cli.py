@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 import time
 from fractions import Fraction
@@ -61,16 +60,21 @@ def _read_file(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _default_work_cap() -> int:
-    raw = os.environ.get("XMOD_WORK_CAP")
-    if raw is None:
-        return DEFAULT_WORK_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise FormatError(f"XMOD_WORK_CAP must be an integer, got {raw!r}") from None
+def _work_cap(flag: int | None) -> int:
+    """The step budget: --work-cap if given, else XMOD_WORK_CAP, else the default."""
+    if flag is not None:
+        source, value = "--work-cap", flag
+    else:
+        raw = os.environ.get("XMOD_WORK_CAP")
+        if raw is None:
+            return DEFAULT_WORK_CAP
+        try:
+            value = int(raw)
+        except ValueError:
+            raise FormatError(f"XMOD_WORK_CAP must be an integer, got {raw!r}") from None
+        source = "XMOD_WORK_CAP"
     if value < 1:
-        raise FormatError("XMOD_WORK_CAP must be positive")
+        raise FormatError(f"{source} must be positive")
     return value
 
 
@@ -109,7 +113,10 @@ def cmd_compile(args) -> int:
 
 
 def _load_target(path: str) -> tuple:
-    """Return (presentation, default one_handles) from a pres or movie file."""
+    """Return (presentation, default one_handles) from a pres or movie file.
+
+    A pres file is validated where it is counted, by ``compile_presentation``.
+    """
     text = _read_file(path)
     first = ""
     for raw in text.splitlines():
@@ -119,13 +126,6 @@ def _load_target(path: str) -> tuple:
             break
     if first == "pres v1":
         pres = parse_presentation_text(text)
-        report = validate_presentation(pres)
-        if not report.ok:
-            first_violation = report.violations[0]
-            raise XmodError(
-                f"presentation in {path} violates {first_violation[0]} "
-                f"at witness {first_violation[1]}"
-            )
         return pres, len(pres.generators)
     script = parse_movie_script(text, name=path)
     compiled = compile_movie(script)
@@ -296,8 +296,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on usage errors, matching the parse-error code
         return int(exc.code or 0)
     try:
-        if hasattr(args, "work_cap") and args.work_cap is None:
-            args.work_cap = _default_work_cap()
+        if hasattr(args, "work_cap"):
+            args.work_cap = _work_cap(args.work_cap)
         if getattr(args, "one_handles", None) is not None and args.one_handles < 0:
             raise FormatError("--one-handles must be nonnegative")
         return args.func(args)

@@ -17,12 +17,11 @@ All arithmetic is exact; counts are arbitrary-precision integers.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .crossed import FiniteCrossedModule, boundary_fibers
+from .crossed import FiniteCrossedModule, _is_prime, boundary_fibers
 from .errors import (
     EvaluationError,
     FastPathUnavailable,
@@ -109,19 +108,53 @@ class _Budget:
             )
 
 
-def _require_valid(pres: CrossedPresentation) -> None:
+Letters = tuple[tuple[int, int], ...]
+Term = tuple[Letters, int, int]
+
+
+@dataclass(frozen=True)
+class CompiledPresentation:
+    """A validated presentation with every id replaced by its position.
+
+    ``boundaries[i]`` is the boundary word of cell i as (generator position,
+    sign) letters; ``relations[r]`` is relation r as (compiled conjugator,
+    cell position, sign) terms, empty relations included.  Only
+    ``compile_presentation`` builds one, so holding one means the
+    presentation passed ``validate_presentation``.
+    """
+
+    generators: tuple[str, ...]
+    cells: tuple[str, ...]
+    boundaries: tuple[Letters, ...]
+    relations: tuple[tuple[Term, ...], ...]
+
+
+def compile_presentation(pres: CrossedPresentation) -> CompiledPresentation:
+    """Validate ``pres`` once and index it for the counting engines."""
     report = validate_presentation(pres)
     if not report.ok:
+        name, witness = report.violations[0]
         raise InvalidPresentationError(
-            f"presentation is invalid: {report.violations[0]}"
+            f"presentation violates {name} at witness {witness}"
         )
+    gen_pos = {g: i for i, g in enumerate(pres.generators)}
+    cell_pos = {c: i for i, c in enumerate(pres.cells)}
+
+    def letters(word: FreeWord) -> Letters:
+        return tuple((gen_pos[gen], sign) for gen, sign in word.letters)
+
+    return CompiledPresentation(
+        pres.generators,
+        pres.cells,
+        tuple(letters(pres.cell_boundary[c]) for c in pres.cells),
+        tuple(
+            tuple((letters(w), cell_pos[cell], sign) for w, cell, sign in relation.terms)
+            for relation in pres.relations
+        ),
+    )
 
 
-def _compile_word(word: FreeWord, position: dict[str, int]) -> tuple[tuple[int, int], ...]:
-    return tuple((position[gen], sign) for gen, sign in word.letters)
-
-
-def _eval_compiled(compiled, phi_tuple, base) -> int:
+def _eval_compiled(compiled: Letters, phi_tuple, base) -> int:
     out = base.identity
     for pos, sign in compiled:
         value = phi_tuple[pos]
@@ -134,67 +167,41 @@ def count_homomorphisms(
     cm: FiniteCrossedModule,
     *,
     work_cap: int = DEFAULT_WORK_CAP,
-    partition: int | None = None,
 ) -> int:
     """Count homomorphisms by backtracking over cells within each phi.
 
     Base generators are assigned in declaration order, then cells in
     declaration order; each cell's candidates are the fiber elements over
     phi of its boundary word, and a relation is checked as soon as its last
-    cell is assigned.  ``partition`` fixes the value of the first base
-    generator, so summing over all partitions reproduces the full count.
+    cell is assigned.
     """
-    _require_valid(pres)
+    compiled = compile_presentation(pres)
     base, fiber = cm.base, cm.fiber
-    gens, cells = pres.generators, pres.cells
-    gen_pos = {g: i for i, g in enumerate(gens)}
-    cell_pos = {c: i for i, c in enumerate(cells)}
+    n_gens, n_cells = len(compiled.generators), len(compiled.cells)
     fibers = boundary_fibers(cm)
     budget = _Budget(work_cap)
 
-    bnd_words = [_compile_word(pres.cell_boundary[c], gen_pos) for c in cells]
-    # Relation r becomes (terms, depth): terms are (compiled conjugator,
-    # cell position, sign); depth is the last cell position it mentions.
-    relations = []
-    for relation in pres.relations:
-        if not relation.terms:
-            continue
-        terms = tuple(
-            (_compile_word(w, gen_pos), cell_pos[cell], sign)
-            for w, cell, sign in relation.terms
-        )
-        depth = max(pos for _, pos, _ in terms)
-        relations.append((terms, depth))
-    by_depth: list[list[tuple]] = [[] for _ in cells]
-    for terms, depth in relations:
-        by_depth[depth].append(terms)
+    # Relations grouped by depth, the last cell position they mention, in
+    # declaration order; an empty relation always holds and is dropped.
+    by_depth: list[list[tuple[Term, ...]]] = [[] for _ in range(n_cells)]
+    for terms in compiled.relations:
+        if terms:
+            by_depth[max(pos for _, pos, _ in terms)].append(terms)
     # First depth at or beyond which no relation can still fire; unconstrained
     # suffixes contribute a plain product of candidate counts.
     free_tail = 0
-    for depth in range(len(cells)):
+    for depth in range(n_cells):
         if by_depth[depth]:
             free_tail = depth + 1
 
-    if partition is not None:
-        if not gens:
-            raise ValueError("cannot partition a presentation with no generators")
-        if not 0 <= partition < base.order:
-            raise ValueError(f"partition value {partition} out of range")
-        phi_space = (
-            (partition,) + rest
-            for rest in product(base.elements, repeat=len(gens) - 1)
-        )
-    else:
-        phi_space = product(base.elements, repeat=len(gens))
-
     total = 0
-    psi = [0] * len(cells)
-    for phi_tuple in phi_space:
-        budget.spend(1 + len(gens))
+    psi = [0] * n_cells
+    for phi_tuple in product(base.elements, repeat=n_gens):
+        budget.spend(1 + n_gens)
         candidates = []
         empty = False
-        for compiled in bnd_words:
-            target = _eval_compiled(compiled, phi_tuple, base)
+        for word in compiled.boundaries:
+            target = _eval_compiled(word, phi_tuple, base)
             block = fibers[target]
             if not block:
                 empty = True
@@ -203,7 +210,7 @@ def count_homomorphisms(
         if empty:
             continue
         # Evaluate each relation's conjugators and action rows once per phi.
-        checks: list[list[tuple]] = [[] for _ in cells]
+        checks: list[list[tuple]] = [[] for _ in range(n_cells)]
         for depth, terms_list in enumerate(by_depth):
             for terms in terms_list:
                 prepared = tuple(
@@ -249,9 +256,11 @@ def count_homomorphisms_naive(
     """Reference oracle: enumerate every (phi, psi) pair with no pruning.
 
     The full product space must fit under the cap, otherwise a
-    ``NaiveCapExceeded`` is raised up front.
+    ``NaiveCapExceeded`` is raised up front.  Words are evaluated from the
+    presentation itself, not from its compiled form, so that the engines
+    are checked against an independent evaluation.
     """
-    _require_valid(pres)
+    compile_presentation(pres)
     base, fiber = cm.base, cm.fiber
     gens, cells = pres.generators, pres.cells
     space = base.order ** len(gens) * fiber.order ** len(cells)
@@ -281,10 +290,17 @@ def count_homomorphisms_naive(
     return total
 
 
-def _elementary_abelian_shape(
+def _linear_shape(
     cm: FiniteCrossedModule,
 ) -> tuple[int, list[int], dict[int, tuple[int, ...]]]:
-    """Return (p, basis, coordinates) for an elementary abelian fiber, or raise."""
+    """(p, basis, coordinates) of the fiber where the linear fast path applies.
+
+    Raises ``FastPathUnavailable`` with the reason unless the boundary is
+    constantly the base identity and the fiber is elementary abelian.
+    """
+    identity = cm.base.identity
+    if any(value != identity for value in cm.boundary):
+        raise FastPathUnavailable("boundary is not constantly the base identity")
     fiber = cm.fiber
     n = fiber.order
     if n == 1:
@@ -301,7 +317,7 @@ def _elementary_abelian_shape(
             k += 1
         orders.append(k)
     nontrivial = sorted(set(orders) - {1})
-    if len(nontrivial) != 1 or not _is_prime_int(nontrivial[0]):
+    if len(nontrivial) != 1 or not _is_prime(nontrivial[0]):
         raise FastPathUnavailable("fiber is not elementary abelian")
     p = nontrivial[0]
 
@@ -328,24 +344,10 @@ def _elementary_abelian_shape(
     return p, basis, full
 
 
-def _is_prime_int(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def fastpath_applicable(cm: FiniteCrossedModule) -> bool:
     """True iff the linear fast path's preconditions hold for this target."""
-    identity = cm.base.identity
-    if any(value != identity for value in cm.boundary):
-        return False
     try:
-        _elementary_abelian_shape(cm)
+        _linear_shape(cm)
     except FastPathUnavailable:
         return False
     return True
@@ -365,26 +367,12 @@ def count_linear_fastpath(
     declaration order, then basis vector), and the phi contributes
     p**(unknowns - rank) by Gaussian elimination.
     """
-    _require_valid(pres)
+    compiled = compile_presentation(pres)
     base = cm.base
     identity = base.identity
-    if any(value != identity for value in cm.boundary):
-        raise FastPathUnavailable("boundary is not constantly the base identity")
-    p, basis, coords = _elementary_abelian_shape(cm)
+    p, basis, coords = _linear_shape(cm)
     d = len(basis)
     budget = _Budget(work_cap)
-
-    gens, cells = pres.generators, pres.cells
-    gen_pos = {g: i for i, g in enumerate(gens)}
-    cell_pos = {c: i for i, c in enumerate(cells)}
-    bnd_words = [_compile_word(pres.cell_boundary[c], gen_pos) for c in cells]
-    relations = [
-        tuple(
-            (_compile_word(w, gen_pos), cell_pos[cell], sign)
-            for w, cell, sign in relation.terms
-        )
-        for relation in pres.relations
-    ]
 
     # Action of g as a d x d matrix over F_p, columns indexed by basis vectors.
     matrices = []
@@ -392,17 +380,18 @@ def count_linear_fastpath(
         cols = [coords[cm.act(g, b)] for b in basis]
         matrices.append([[cols[j][i] for j in range(d)] for i in range(d)])
 
-    unknowns = len(cells) * d
+    n_gens = len(compiled.generators)
+    unknowns = len(compiled.cells) * d
     total = 0
-    for phi_tuple in product(base.elements, repeat=len(gens)):
-        budget.spend(1 + len(gens))
+    for phi_tuple in product(base.elements, repeat=n_gens):
+        budget.spend(1 + n_gens)
         if any(
-            _eval_compiled(compiled, phi_tuple, base) != identity
-            for compiled in bnd_words
+            _eval_compiled(word, phi_tuple, base) != identity
+            for word in compiled.boundaries
         ):
             continue
         rows: list[list[int]] = []
-        for terms in relations:
+        for terms in compiled.relations:
             block = [[0] * unknowns for _ in range(d)]
             for w, pos, sign in terms:
                 g = _eval_compiled(w, phi_tuple, base)
@@ -447,9 +436,7 @@ def _rank_mod_p(rows: list[list[int]], p: int, budget: _Budget) -> int:
     return rank
 
 
-def select_method(
-    pres: CrossedPresentation, cm: FiniteCrossedModule, requested: str = "auto"
-) -> str:
+def select_method(cm: FiniteCrossedModule, requested: str = "auto") -> str:
     """Resolve 'auto' to the linear fast path when applicable, else backtracking."""
     if requested == "auto":
         return METHOD_LINEAR if fastpath_applicable(cm) else METHOD_BACKTRACKING
@@ -465,7 +452,7 @@ def count_with_method(
     *,
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> tuple[int, str]:
-    resolved = select_method(pres, cm, method)
+    resolved = select_method(cm, method)
     if resolved == METHOD_NAIVE:
         return count_homomorphisms_naive(pres, cm, work_cap=work_cap), resolved
     if resolved == METHOD_LINEAR:
@@ -482,10 +469,7 @@ def invariant(
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> Fraction:
     """The exact rational count / (#fiber)**one_handles."""
-    if one_handles < 0:
-        raise ValueError("one_handles must be nonnegative")
-    count, _ = count_with_method(pres, cm, method, work_cap=work_cap)
-    return Fraction(count, cm.fiber.order**one_handles)
+    return count_report(pres, cm, one_handles, method, work_cap=work_cap).invariant
 
 
 def count_report(
@@ -512,16 +496,3 @@ def format_count_report(report: CountReport, elapsed_ms: int) -> str:
         f"elapsed_ms {elapsed_ms}\n"
     )
 
-
-def timed_count_report(
-    pres: CrossedPresentation,
-    cm: FiniteCrossedModule,
-    one_handles: int,
-    method: str = "auto",
-    *,
-    work_cap: int = DEFAULT_WORK_CAP,
-) -> tuple[CountReport, int]:
-    start = time.perf_counter()
-    report = count_report(pres, cm, one_handles, method, work_cap=work_cap)
-    elapsed_ms = round((time.perf_counter() - start) * 1000)
-    return report, elapsed_ms

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FormatError, XmodError
-from .groups import FiniteGroup, find_identity, group_violations
+from .groups import FiniteGroup, group_violations
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,6 @@ class FiniteCrossedModule:
 
     def act(self, g: int, e: int) -> int:
         return self.action[g][e]
-
-    def bdy(self, e: int) -> int:
-        return self.boundary[e]
 
 
 def validate_crossed_module(cm: FiniteCrossedModule) -> ValidationReport:

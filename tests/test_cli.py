@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import xmod
+from xmod import cli, counting, movies
 from xmod.battery import standard_battery
 from xmod.cli import main
 from xmod.crossed import FiniteCrossedModule, format_crossed_module_text
@@ -269,6 +272,34 @@ def test_work_cap_env_must_be_numeric(cli_files, capsys, monkeypatch):
     assert "XMOD_WORK_CAP" in err
 
 
+@pytest.mark.parametrize("command", ["count", "invariant", "examples", "selftest"])
+def test_work_cap_flag_must_be_positive(command, cli_files, capsys):
+    targets = [cli_files["spun_hopf"], cli_files["ga_z2_p2"]]
+    argv = [command, *(targets if command in ("count", "invariant") else []), "--work-cap", "0"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --work-cap must be positive\n"
+
+
+@pytest.mark.parametrize("target, calls", [("sphere.pres", 1), ("spun_hopf", 2)])
+def test_invariant_validation_count(target, calls, cli_files, capsys, monkeypatch):
+    # A movie is validated by compile_movie and again where it is counted;
+    # a pres file only where it is counted.
+    seen = []
+    original = counting.validate_presentation
+
+    def counted(pres):
+        seen.append(pres)
+        return original(pres)
+
+    for module in (cli, counting, movies):
+        monkeypatch.setattr(module, "validate_presentation", counted)
+    code, _, _ = run_cli(capsys, "invariant", cli_files[target], cli_files["ga_z2_p2"])
+    assert code == 0
+    assert len(seen) == calls
+
+
 # ---------------------------------------------------------------------------
 # examples / selftest
 # ---------------------------------------------------------------------------
@@ -323,3 +354,24 @@ def test_module_entry_point(cli_files):
     )
     assert result.returncode == 0
     assert "trivial1 ga_z3_p2 3/8" in result.stdout
+
+
+def test_benchmark_tracer_still_fits(cli_files, capsys, monkeypatch):
+    # The per-layer benchmark wraps these functions by name and reads their
+    # positional arguments; a renamed or re-signed layer must fail here.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.loop import WRAPPED, Tracer
+
+    tracer = Tracer()
+    patches = tracer.patches(xmod)
+    assert len(patches) == len(WRAPPED)
+    for module, attr, _, wrapped in patches:
+        monkeypatch.setattr(module, attr, wrapped)
+    for argv in (
+        ["invariant", cli_files["spun_hopf"], cli_files["conj_s3"]],
+        ["invariant", cli_files["sphere.pres"], cli_files["ga_z2_p2"]],
+        ["compile", cli_files["trivial1"]],
+    ):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert tracer.errors == []
+    assert {span[0] for span in tracer.spans} == {name for _, _, name, _ in WRAPPED}

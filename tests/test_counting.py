@@ -1,14 +1,15 @@
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
+from xmod import counting
 from xmod.battery import group_algebra_z2, group_algebra_z3
 from xmod.counting import (
     Assignment,
     CountReport,
+    compile_presentation,
     count_homomorphisms,
     count_homomorphisms_naive,
     count_linear_fastpath,
@@ -38,6 +39,7 @@ from xmod.presentations import (
     CrossedPresentation,
     CrossedWord,
     free_product,
+    parse_presentation_text,
 )
 from xmod.words import EMPTY_WORD, FreeWord, parse_word
 
@@ -101,6 +103,45 @@ def test_evaluate_spun_hopf_style_term():
 
 
 # ---------------------------------------------------------------------------
+# Compiled presentations
+# ---------------------------------------------------------------------------
+
+
+def test_compile_presentation_indexes_ids():
+    pres = CrossedPresentation(
+        ("X", "Y"),
+        ("e", "f"),
+        {"e": word("X Y^-1"), "f": EMPTY_WORD},
+        (
+            CrossedWord(),
+            CrossedWord(
+                ((EMPTY_WORD, "e", 1), (word("Y"), "f", 1), (EMPTY_WORD, "e", -1))
+            ),
+        ),
+    )
+    compiled = compile_presentation(pres)
+    assert compiled.generators == ("X", "Y")
+    assert compiled.cells == ("e", "f")
+    assert compiled.boundaries == (((0, 1), (1, -1)), ())
+    assert compiled.relations == ((), (((), 0, 1), (((1, 1),), 1, 1), ((), 0, -1)))
+
+
+def test_count_report_validates_once(monkeypatch, battery_by_name):
+    calls = []
+    original = counting.validate_presentation
+
+    def counted(pres):
+        calls.append(pres)
+        return original(pres)
+
+    monkeypatch.setattr(counting, "validate_presentation", counted)
+    for method in ("auto", "backtracking", "naive", "linear"):
+        calls.clear()
+        count_report(sphere(), battery_by_name["ga_z2_p2"], 1, method)
+        assert len(calls) == 1, method
+
+
+# ---------------------------------------------------------------------------
 # Backtracking counts against closed forms
 # ---------------------------------------------------------------------------
 
@@ -154,12 +195,9 @@ def test_relation_can_cut_count():
 def test_invalid_presentation_is_rejected():
     bad = CrossedPresentation(("X",), ("e",), {"e": word("Z")})
     cm = group_algebra_z2()
-    with pytest.raises(InvalidPresentationError):
-        count_homomorphisms(bad, cm)
-    with pytest.raises(InvalidPresentationError):
-        count_homomorphisms_naive(bad, cm)
-    with pytest.raises(InvalidPresentationError):
-        count_linear_fastpath(bad, cm)
+    for engine in (count_homomorphisms, count_homomorphisms_naive, count_linear_fastpath):
+        with pytest.raises(InvalidPresentationError, match="violates boundary.unknown_generator"):
+            engine(bad, cm)
 
 
 def test_relation_order_does_not_change_count(compiled_fixtures, battery_by_name):
@@ -181,6 +219,36 @@ def test_work_cap_raises():
         count_homomorphisms(pres, cm, work_cap=10)
 
 
+# Exact step counts are machine-independent cost gates: each case succeeds
+# with ``work_cap=steps`` and stops with ``steps - 1``.
+EMPTY_RELATION_PRES = (
+    "pres v1\ngens X\ncells e\nbnd e = 1\n"
+    "rel =\nrel = (1 ; e ; +) (X ; e ; -)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "engine, target, module, steps",
+    [
+        (count_homomorphisms, "spun_hopf", "conj_s3", 684),
+        (count_homomorphisms, "spun_trefoil", "ga_z3_p2", 819),
+        (count_linear_fastpath, "spun_hopf", "ga_z2_p2", 120),
+        # The empty relation is still charged by the linear engine.
+        (count_linear_fastpath, EMPTY_RELATION_PRES, "ga_z2_p2", 20),
+    ],
+)
+def test_exact_step_counts(engine, target, module, steps, compiled_fixtures, battery_by_name):
+    if target in compiled_fixtures:
+        pres = compiled_fixtures[target].presentation
+    else:
+        pres = parse_presentation_text(target)
+    cm = battery_by_name[module]
+    expected = count_homomorphisms_naive(pres, cm)
+    assert engine(pres, cm, work_cap=steps) == expected
+    with pytest.raises(WorkCapExceeded):
+        engine(pres, cm, work_cap=steps - 1)
+
+
 def test_naive_cap_is_checked_up_front():
     pres = free_product(sphere(), sphere())
     cm = build_conjugation_crossed_module(build_symmetric_group(3))
@@ -188,45 +256,6 @@ def test_naive_cap_is_checked_up_front():
     with pytest.raises(NaiveCapExceeded):
         count_homomorphisms_naive(pres, cm, work_cap=1000)
     assert count_homomorphisms_naive(pres, cm, work_cap=1296) == 36
-
-
-# ---------------------------------------------------------------------------
-# Partitioned counting
-# ---------------------------------------------------------------------------
-
-
-def test_partition_sums_to_total(battery):
-    pres = free_product(sphere(), sphere())
-    for _, cm in battery:
-        total = count_homomorphisms(pres, cm)
-        parts = [
-            count_homomorphisms(pres, cm, partition=g)
-            for g in range(cm.base.order)
-        ]
-        assert sum(parts) == total
-
-
-def test_partition_requires_generators():
-    cm = group_algebra_z2()
-    with pytest.raises(ValueError):
-        count_homomorphisms(CrossedPresentation((), (), {}), cm, partition=0)
-    with pytest.raises(ValueError):
-        count_homomorphisms(sphere(), cm, partition=9)
-
-
-def test_partition_under_thread_pool_is_deterministic(compiled_fixtures, battery_by_name):
-    pres = compiled_fixtures["spun_trefoil"].presentation
-    cm = battery_by_name["ga_z3_p2"]
-    expected = count_homomorphisms(pres, cm)
-    for _ in range(3):
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            parts = list(
-                pool.map(
-                    lambda g: count_homomorphisms(pres, cm, partition=g),
-                    range(cm.base.order),
-                )
-            )
-        assert sum(parts) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +333,11 @@ def test_fastpath_trivial_fiber():
 
 
 def test_select_method(battery_by_name):
-    pres = sphere()
-    assert select_method(pres, battery_by_name["ga_z2_p2"]) == "linear"
-    assert select_method(pres, battery_by_name["conj_s3"]) == "backtracking"
-    assert select_method(pres, battery_by_name["conj_s3"], "naive") == "naive"
+    assert select_method(battery_by_name["ga_z2_p2"]) == "linear"
+    assert select_method(battery_by_name["conj_s3"]) == "backtracking"
+    assert select_method(battery_by_name["conj_s3"], "naive") == "naive"
     with pytest.raises(ValueError):
-        select_method(pres, battery_by_name["conj_s3"], "magic")
+        select_method(battery_by_name["conj_s3"], "magic")
 
 
 def test_count_with_method_reports_resolution(battery_by_name):
