@@ -33,9 +33,9 @@ fixed band's label, M the mover's):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .errors import MovieParseError, ReplayError, XmodError
+from .errors import MovieParseError, ReplayError, UnknownIdError, XmodError
 from .presentations import (
     CrossedPresentation,
     CrossedWord,
@@ -349,166 +349,200 @@ def parse_movie_script(text: str, name: str = "movie") -> MovieScript:
 # ---------------------------------------------------------------------------
 
 
-def _live_arc(state: DiagramState, arc: str) -> FreeWord:
+class _Replay:
+    """The working state one replay folds its events into, in place.
+
+    ``known`` and ``cell_ids`` hold the ids of ``generators`` and ``cells``,
+    so every freshness check is a set lookup and each event costs time
+    independent of how many came before it.
+    """
+
+    __slots__ = ("arcs", "bands", "births", "generators", "known", "cells",
+                 "cell_ids", "cell_boundary", "relations", "finished")
+
+    def __init__(self, state: DiagramState):
+        self.arcs = dict(state.arcs)
+        self.bands = dict(state.bands)
+        self.births = state.births
+        self.generators = list(state.generators)
+        self.known = set(state.generators)
+        self.cells = list(state.cells)
+        self.cell_ids = set(state.cells)
+        self.cell_boundary = dict(state.cell_boundary)
+        self.relations = list(state.relations)
+        self.finished = state.finished
+
+    def freeze(self) -> DiagramState:
+        return DiagramState(
+            self.arcs, self.bands, self.births, tuple(self.generators),
+            tuple(self.cells), self.cell_boundary, tuple(self.relations),
+            self.finished,
+        )
+
+    def boundary_word(self, cell: str) -> FreeWord:
+        # Lets boundary_of_crossed_word read the cells without a
+        # CrossedPresentation, which would copy every boundary.
+        try:
+            return self.cell_boundary[cell]
+        except KeyError:
+            raise UnknownIdError(f"unknown cell {cell!r}") from None
+
+
+def _live_arc(work: _Replay, arc: str) -> FreeWord:
     try:
-        return state.arcs[arc]
+        return work.arcs[arc]
     except KeyError:
         raise XmodError(f"arc {arc!r} is not live") from None
 
 
-def _live_band(state: DiagramState, band: str) -> tuple[CrossedWord, str]:
+def _live_band(work: _Replay, band: str) -> tuple[CrossedWord, str]:
     try:
-        return state.bands[band]
+        return work.bands[band]
     except KeyError:
         raise XmodError(f"band {band!r} is not live") from None
 
 
-def _band_boundary(state: DiagramState, label: CrossedWord) -> FreeWord:
-    helper = CrossedPresentation(
-        state.generators, state.cells, state.cell_boundary
-    )
-    return boundary_of_crossed_word(helper, label)
+def _step(work: _Replay, event: Event) -> None:
+    """Apply one event to ``work`` in place.
 
-
-def apply_event(state: DiagramState, event: Event) -> DiagramState:
-    """Apply one event to a diagram state; pure, returns a new state."""
-    if state.finished:
+    Checks may follow mutations of the same event, so a raising step leaves
+    ``work`` part-way; callers copy their input or discard ``work``.
+    """
+    if work.finished:
         raise XmodError("script already ended")
     if isinstance(event, Birth):
-        if event.arc in state.generators:
+        if event.arc in work.known:
             raise XmodError(f"generator {event.arc!r} already exists")
-        if event.arc in state.arcs:
+        if event.arc in work.cell_ids:
+            raise XmodError(f"generator {event.arc!r} collides with a cell")
+        if event.arc in work.arcs:
             raise XmodError(f"arc {event.arc!r} is already live")
-        arcs = dict(state.arcs)
-        arcs[event.arc] = FreeWord(((event.arc, 1),))
-        return replace(
-            state,
-            arcs=arcs,
-            births=state.births + 1,
-            generators=state.generators + (event.arc,),
-        )
-    if isinstance(event, WirtingerCross):
-        over = _live_arc(state, event.over)
-        into = _live_arc(state, event.under_in)
-        if event.under_out in state.arcs:
+        work.arcs[event.arc] = FreeWord(((event.arc, 1),))
+        work.births += 1
+        work.generators.append(event.arc)
+        work.known.add(event.arc)
+    elif isinstance(event, WirtingerCross):
+        over = _live_arc(work, event.over)
+        into = _live_arc(work, event.under_in)
+        if event.under_out in work.arcs:
             raise XmodError(f"arc {event.under_out!r} is already live")
         if event.sign > 0:
             label = over.inverse() * into * over
         else:
             label = over * into * over.inverse()
-        arcs = dict(state.arcs)
-        arcs[event.under_out] = label
-        return replace(state, arcs=arcs)
-    if isinstance(event, StrandBandCross):
-        band_label, owner = _live_band(state, event.band)
-        strand = _live_arc(state, event.strand)
+        work.arcs[event.under_out] = label
+    elif isinstance(event, StrandBandCross):
+        band_label, owner = _live_band(work, event.band)
+        strand = _live_arc(work, event.strand)
         if event.rule in (1, 3):
-            if event.out in state.arcs:
+            if event.out in work.arcs:
                 raise XmodError(f"arc {event.out!r} is already live")
-            b = _band_boundary(state, band_label)
+            b = boundary_of_crossed_word(work, band_label)
             if event.rule == 1:
                 label = b * strand * b.inverse()
             else:
                 label = b.inverse() * strand * b
-            arcs = dict(state.arcs)
-            arcs[event.out] = label
-            return replace(state, arcs=arcs)
-        mover = strand if event.rule == 6 else strand.inverse()
-        bands = dict(state.bands)
-        bands[event.band] = (band_label.act(mover), owner)
-        return replace(state, bands=bands)
-    if isinstance(event, BandBandCross):
-        mover_label, owner = _live_band(state, event.mover)
-        fixed_label, _ = _live_band(state, event.fixed)
+            work.arcs[event.out] = label
+        else:
+            mover = strand if event.rule == 6 else strand.inverse()
+            work.bands[event.band] = (band_label.act(mover), owner)
+    elif isinstance(event, BandBandCross):
+        mover_label, owner = _live_band(work, event.mover)
+        fixed_label, _ = _live_band(work, event.fixed)
         if event.mover == event.fixed:
             raise XmodError("a band cannot cross itself")
         if event.rule == 2:
             moved = fixed_label * mover_label * fixed_label.inverse()
         else:
             moved = fixed_label.inverse() * mover_label * fixed_label
-        bands = dict(state.bands)
-        bands[event.mover] = (moved, owner)
-        return replace(state, bands=bands)
-    if isinstance(event, SaddleEvent):
-        u_label = _live_arc(state, event.u[0])
-        v_label = _live_arc(state, event.v[0])
-        if event.cell in state.cells:
+        work.bands[event.mover] = (moved, owner)
+    elif isinstance(event, SaddleEvent):
+        u_label = _live_arc(work, event.u[0])
+        v_label = _live_arc(work, event.v[0])
+        if event.cell in work.cell_ids:
             raise XmodError(f"cell {event.cell!r} already exists")
-        if event.cell in state.generators:
+        if event.cell in work.known:
             raise XmodError(f"cell id {event.cell!r} collides with a generator")
-        if event.band in state.bands:
+        if event.band in work.bands:
             raise XmodError(f"band {event.band!r} is already live")
         wu = u_label if event.u[1] > 0 else u_label.inverse()
         wv = v_label if event.v[1] > 0 else v_label.inverse()
         if len(set(event.merged)) != len(event.merged):
             raise XmodError("merged arc ids must be distinct")
-        arcs = dict(state.arcs)
-        del arcs[event.u[0]]
-        arcs.pop(event.v[0], None)
+        # The consumed arcs go first, so a merged arc may reuse their ids.
+        del work.arcs[event.u[0]]
+        work.arcs.pop(event.v[0], None)
         inherited = (u_label, v_label)
         for index, arc in enumerate(event.merged):
-            if arc in arcs:
+            if arc in work.arcs:
                 raise XmodError(f"arc {arc!r} is already live")
-            arcs[arc] = inherited[index]
-        bands = dict(state.bands)
-        bands[event.band] = (CrossedWord(((EMPTY_WORD, event.cell, 1),)), event.cell)
-        cell_boundary = dict(state.cell_boundary)
-        cell_boundary[event.cell] = wu * wv.inverse()
-        return replace(
-            state,
-            arcs=arcs,
-            bands=bands,
-            cells=state.cells + (event.cell,),
-            cell_boundary=cell_boundary,
+            work.arcs[arc] = inherited[index]
+        work.bands[event.band] = (
+            CrossedWord(((EMPTY_WORD, event.cell, 1),)), event.cell
         )
-    if isinstance(event, DeathEvent):
+        work.cells.append(event.cell)
+        work.cell_ids.add(event.cell)
+        work.cell_boundary[event.cell] = wu * wv.inverse()
+    elif isinstance(event, DeathEvent):
         if len(set(event.circle)) != len(event.circle):
             raise XmodError("death circle lists an arc twice")
-        arcs = dict(state.arcs)
         for arc in event.circle:
-            if arc not in arcs:
+            if arc not in work.arcs:
                 raise XmodError(f"arc {arc!r} is not live")
-            del arcs[arc]
+            del work.arcs[arc]
         # A disk meeting no bands yields the empty relation, which is omitted.
         if not event.spanner:
-            return replace(state, arcs=arcs)
+            return
         relation = CrossedWord()
-        known = set(state.generators)
         for band, conjugator, sign in event.spanner:
-            label, _ = _live_band(state, band)
-            unknown = sorted(conjugator.generators() - known)
+            label, _ = _live_band(work, band)
+            unknown = sorted(conjugator.generators() - work.known)
             if unknown:
                 raise XmodError(
                     f"spanner conjugator uses unknown generator {unknown[0]!r}"
                 )
             moved = label.act(conjugator)
             relation = relation * (moved if sign > 0 else moved.inverse())
-        boundary = _band_boundary(state, relation)
+        boundary = boundary_of_crossed_word(work, relation)
         if not boundary.is_empty:
             raise XmodError(
                 f"death relation has nontrivial boundary {boundary}"
             )
-        return replace(state, arcs=arcs, relations=state.relations + (relation,))
-    if isinstance(event, EndEvent):
-        return replace(state, finished=True)
-    raise XmodError(f"unknown event type {type(event).__name__}")
+        work.relations.append(relation)
+    elif isinstance(event, EndEvent):
+        work.finished = True
+    else:
+        raise XmodError(f"unknown event type {type(event).__name__}")
+
+
+def apply_event(state: DiagramState, event: Event) -> DiagramState:
+    """Apply one event to a diagram state; pure, returns a new state.
+
+    ``compile_movie`` runs the same step on one working state per movie.
+    """
+    work = _Replay(state)
+    _step(work, event)
+    return work.freeze()
 
 
 def compile_movie(script: MovieScript) -> CompiledComplement:
-    """Replay a movie and return its presentation and one-handle count."""
-    state = DiagramState()
+    """Replay a movie and return its presentation and one-handle count.
+
+    The events are folded into one working state, so replay takes time
+    linear in the number of events.
+    """
+    work = _Replay(DiagramState())
     for index, event in enumerate(script.events):
         try:
-            state = apply_event(state, event)
-        except ReplayError:
-            raise
+            _step(work, event)
         except XmodError as exc:
             raise ReplayError(str(exc), event_index=index,
                               line=getattr(event, "line", None)) from exc
-    if not state.finished:
+    if not work.finished:
         raise ReplayError("script has no 'end' event", event_index=len(script.events))
     presentation = CrossedPresentation(
-        state.generators, state.cells, dict(state.cell_boundary), state.relations
+        tuple(work.generators), tuple(work.cells), work.cell_boundary,
+        tuple(work.relations),
     )
     report = validate_presentation(presentation)
     if not report.ok:
@@ -516,4 +550,4 @@ def compile_movie(script: MovieScript) -> CompiledComplement:
             f"compiled presentation is invalid: {report.violations[0]}",
             event_index=len(script.events) - 1,
         )
-    return CompiledComplement(presentation, state.births)
+    return CompiledComplement(presentation, work.births)

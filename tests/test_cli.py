@@ -117,11 +117,16 @@ def test_compile_golden(cli_files, capsys, tmp_path):
 
 
 def test_compile_replay_error_exit_1(capsys, tmp_path):
-    path = tmp_path / "dup.movie"
-    path.write_text("birth X\nbirth X\nend\n", encoding="utf-8")
-    code, _, err = run_cli(capsys, "compile", str(path))
-    assert code == 1
-    assert "already" in err
+    path = tmp_path / "bad.movie"
+    for text, message in (
+        ("birth X\nbirth X\nend\n", "event 1 (line 2): generator 'X' already exists"),
+        ("birth X\nsaddle cell=e u=X v=X band=b merged=c1,c2\nbirth e\nend\n",
+         "event 2 (line 3): generator 'e' collides with a cell"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "compile", str(path))
+        assert code == 1
+        assert message in err
 
 
 def test_compile_parse_error_exit_2(capsys, tmp_path):

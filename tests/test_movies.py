@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from xmod.errors import MovieParseError, ReplayError
+from xmod import movies
+from xmod.errors import MovieParseError, ReplayError, XmodError
 from xmod.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from xmod.movies import (
     Birth,
+    DeathEvent,
     DiagramState,
     EndEvent,
     MovieScript,
@@ -15,8 +21,8 @@ from xmod.movies import (
     compile_movie,
     parse_movie_script,
 )
-from xmod.presentations import validate_presentation
-from xmod.words import FreeWord, parse_word
+from xmod.presentations import CrossedPresentation, validate_presentation
+from xmod.words import EMPTY_WORD, FreeWord, parse_word
 
 
 def word(text: str) -> FreeWord:
@@ -115,6 +121,17 @@ def test_birth_rejects_duplicate():
     with pytest.raises(Exception) as info:
         replay("birth X\nbirth X")
     assert "already" in str(info.value)
+
+
+def test_birth_rejects_cell_id():
+    script = parse_movie_script(
+        "birth X\nsaddle cell=e u=X v=X band=b merged=c1,c2\nbirth e\n"
+        "death circle=c1 spanner=[]\nend\n"
+    )
+    with pytest.raises(ReplayError) as info:
+        compile_movie(script)
+    assert (info.value.event_index, info.value.line) == (2, 3)
+    assert str(info.value) == "event 2 (line 3): generator 'e' collides with a cell"
 
 
 def test_wirtinger_positive_and_negative():
@@ -312,6 +329,96 @@ def test_apply_event_after_end_rejected():
         apply_event(state, Birth("X", 2))
 
 
+# Uses every sb and bb rule, a conjugated spanner and an empty one.
+ALL_RULES = """
+birth X
+birth Y
+saddle cell=e u=X v=Y band=be merged=c1,c2
+saddle cell=f u=c1 v=c1 band=bf merged=d1,d2
+sb 1 band=be strand=c2 out=g1
+sb 3 band=be strand=g1 out=g2
+sb 4 band=bf strand=g2
+sb 6 band=be strand=d1
+bb 2 mover=bf fixed=be
+bb 5 mover=be fixed=bf
+death circle=d2 spanner=[(bf,1,+)]
+death circle=g1,g2 spanner=[(be,X Y,+);(bf,Y^-1,-);(be,X Y,-)]
+death circle=c2,d1 spanner=[]
+end
+"""
+
+
+def test_compile_equals_fold_of_apply_event():
+    scripts = [load_fixture(name) for name in FIXTURE_NAMES]
+    scripts.append(parse_movie_script(ALL_RULES))
+    for script in scripts:
+        compiled = compile_movie(script)
+        state = DiagramState()
+        for event in script.events:
+            state = apply_event(state, event)
+        assert state.finished, script.name
+        assert compiled.presentation == CrossedPresentation(
+            state.generators, state.cells, state.cell_boundary, state.relations
+        ), script.name
+        assert compiled.one_handles == state.births, script.name
+    assert len(scripts[-1].events) == 14 and len(state.relations) == 2
+
+
+def test_compile_fails_where_apply_event_fails():
+    bad = [
+        "birth X\nsaddle cell=e u=X v=X band=b merged=c1,c2\nbirth e\nend\n",
+        "birth X\nsaddle cell=X u=X v=X band=b merged=c1,c2\nend\n",
+        "birth X\nbirth c1\nsaddle cell=e u=X v=X band=b merged=c1,c2\nend\n",
+        "birth X\nsb 1 band=b strand=X out=Z\nend\n",
+        "birth X\nsaddle cell=e u=X v=X band=b merged=c1,c2\nbb 5 mover=b fixed=b\nend\n",
+        "birth X\ndeath circle=X,X spanner=[]\nend\n",
+        "birth X\nbirth Y\nsaddle cell=e u=X v=Y band=b merged=c1,c2\n"
+        "death circle=c1 spanner=[(b,1,+)]\nend\n",
+    ]
+    for text in bad:
+        script = parse_movie_script(text)
+        state = DiagramState()
+        for index, event in enumerate(script.events):
+            try:
+                state = apply_event(state, event)
+            except XmodError as exc:
+                expected = f"event {index} (line {event.line}): {exc}"
+                break
+        else:
+            pytest.fail(text)
+        with pytest.raises(ReplayError) as info:
+            compile_movie(script)
+        assert str(info.value) == expected, text
+
+
+def snapshot(state: DiagramState) -> tuple:
+    return (dict(state.arcs), dict(state.bands), dict(state.cell_boundary),
+            state.births, state.generators, state.cells, state.relations,
+            state.finished)
+
+
+def test_apply_event_leaves_its_input_unchanged():
+    state = DiagramState()
+    for event in parse_movie_script(ALL_RULES).events:
+        before = snapshot(state)
+        after = apply_event(state, event)
+        assert snapshot(state) == before
+        state = after
+    # Each failing event changes the working copy before its check fires:
+    # the saddle consumes X before d1 is found live, the death removes X
+    # before the band is found dead.
+    state = replay("birth X\nbirth Y\nsaddle cell=e u=Y v=Y band=b merged=d1,d2")
+    before = snapshot(state)
+    for bad in (
+        SaddleEvent("f", ("X", 1), ("X", 1), "b2", ("d1",), 4),
+        DeathEvent(("X",), (("nope", EMPTY_WORD, 1),), 4),
+        Birth("e", 4),
+    ):
+        with pytest.raises(XmodError):
+            apply_event(state, bad)
+        assert snapshot(state) == before
+
+
 # ---------------------------------------------------------------------------
 # Fixture presentations, pinned
 # ---------------------------------------------------------------------------
@@ -345,3 +452,27 @@ def test_spun_trefoil_presentation(compiled_fixtures):
     )
     assert pres.cell_boundary["f"] == word("")
     assert len(pres.relations) == 1
+
+
+def test_replay_builds_no_state_per_event(monkeypatch):
+    # Replay must stay linear in the number of events: the presentation
+    # types are built a fixed number of times per movie, not per event.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.inputs import long_movie
+
+    def constructions(events: int) -> Counter:
+        script = parse_movie_script(long_movie(random.Random(1), events))
+        assert len(script.events) > events
+        counts: Counter = Counter()
+        with monkeypatch.context() as patch:
+            for name in ("DiagramState", "CrossedPresentation"):
+                def counted(*args, _name=name, _cls=getattr(movies, name), **kwargs):
+                    counts[_name] += 1
+                    return _cls(*args, **kwargs)
+                patch.setattr(movies, name, counted)
+            compile_movie(script)
+        return counts
+
+    small = constructions(500)
+    assert small == constructions(4000)
+    assert small["CrossedPresentation"] >= 1
