@@ -17,10 +17,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 from xmod.counting import (
+    METHOD_LINEAR,
     count_homomorphisms,
     count_homomorphisms_naive,
     count_linear_fastpath,
-    fastpath_applicable,
+    select_method,
 )
 from xmod.fuzz import random_instances
 from xmod.presentations import format_presentation_text
@@ -45,7 +46,7 @@ def run(config: FuzzConfig) -> int:
         fast = count_homomorphisms(pres, cm)
         slow = count_homomorphisms_naive(pres, cm)
         counts = {"backtracking": fast, "naive": slow}
-        if fastpath_applicable(cm):
+        if select_method(cm) == METHOD_LINEAR:
             counts["linear"] = count_linear_fastpath(pres, cm)
             linear_hits += 1
         if len(set(counts.values())) != 1:

@@ -17,21 +17,9 @@ from .crossed import (
 from .groups import build_cyclic_group, build_symmetric_group
 
 
-def conjugation_s3() -> FiniteCrossedModule:
-    return build_conjugation_crossed_module(build_symmetric_group(3))
-
-
-def group_algebra_z2() -> FiniteCrossedModule:
-    return build_group_algebra_crossed_module(build_cyclic_group(2), 2)
-
-
-def group_algebra_z3() -> FiniteCrossedModule:
-    return build_group_algebra_crossed_module(build_cyclic_group(3), 2)
-
-
 def standard_battery() -> tuple[tuple[str, FiniteCrossedModule], ...]:
     return (
-        ("conj_s3", conjugation_s3()),
-        ("ga_z2_p2", group_algebra_z2()),
-        ("ga_z3_p2", group_algebra_z3()),
+        ("conj_s3", build_conjugation_crossed_module(build_symmetric_group(3))),
+        ("ga_z2_p2", build_group_algebra_crossed_module(build_cyclic_group(2), 2)),
+        ("ga_z3_p2", build_group_algebra_crossed_module(build_cyclic_group(3), 2)),
     )

@@ -19,12 +19,14 @@ from . import fixtures
 from .battery import standard_battery
 from .counting import (
     DEFAULT_WORK_CAP,
+    METHOD_LINEAR,
+    METHODS,
     count_homomorphisms,
     count_homomorphisms_naive,
     count_linear_fastpath,
     count_report,
-    fastpath_applicable,
     format_count_report,
+    select_method,
 )
 from .crossed import (
     FiniteCrossedModule,
@@ -45,6 +47,7 @@ from .presentations import (
     parse_presentation_text,
     validate_presentation,
 )
+from .words import content_lines
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -118,12 +121,7 @@ def _load_target(path: str) -> tuple:
     A pres file is validated where it is counted, by ``compile_presentation``.
     """
     text = _read_file(path)
-    first = ""
-    for raw in text.splitlines():
-        content = raw.split("#", 1)[0].strip()
-        if content:
-            first = content
-            break
+    first = next((content for _, content in content_lines(text)), "")
     if first == "pres v1":
         pres = parse_presentation_text(text)
         return pres, len(pres.generators)
@@ -220,7 +218,7 @@ def _selftest_checks(seed: int, work_cap: int):
             slow = count_homomorphisms_naive(pres, cm, work_cap=work_cap)
             if fast != slow:
                 return False
-            if fastpath_applicable(cm):
+            if select_method(cm) == METHOD_LINEAR:
                 if count_linear_fastpath(pres, cm, work_cap=work_cap) != fast:
                     return False
         return True
@@ -263,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("module", help="crossed module file (xmod v1 format)")
         p.add_argument(
             "--method",
-            choices=("auto", "backtracking", "naive", "linear"),
+            choices=("auto", *METHODS),
             default="auto",
         )
         p.add_argument("--one-handles", type=int, default=None,

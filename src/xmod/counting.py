@@ -344,15 +344,6 @@ def _linear_shape(
     return p, basis, full
 
 
-def fastpath_applicable(cm: FiniteCrossedModule) -> bool:
-    """True iff the linear fast path's preconditions hold for this target."""
-    try:
-        _linear_shape(cm)
-    except FastPathUnavailable:
-        return False
-    return True
-
-
 def count_linear_fastpath(
     pres: CrossedPresentation,
     cm: FiniteCrossedModule,
@@ -439,25 +430,14 @@ def _rank_mod_p(rows: list[list[int]], p: int, budget: _Budget) -> int:
 def select_method(cm: FiniteCrossedModule, requested: str = "auto") -> str:
     """Resolve 'auto' to the linear fast path when applicable, else backtracking."""
     if requested == "auto":
-        return METHOD_LINEAR if fastpath_applicable(cm) else METHOD_BACKTRACKING
+        try:
+            _linear_shape(cm)
+        except FastPathUnavailable:
+            return METHOD_BACKTRACKING
+        return METHOD_LINEAR
     if requested not in METHODS:
         raise ValueError(f"unknown method {requested!r}")
     return requested
-
-
-def count_with_method(
-    pres: CrossedPresentation,
-    cm: FiniteCrossedModule,
-    method: str = "auto",
-    *,
-    work_cap: int = DEFAULT_WORK_CAP,
-) -> tuple[int, str]:
-    resolved = select_method(cm, method)
-    if resolved == METHOD_NAIVE:
-        return count_homomorphisms_naive(pres, cm, work_cap=work_cap), resolved
-    if resolved == METHOD_LINEAR:
-        return count_linear_fastpath(pres, cm, work_cap=work_cap), resolved
-    return count_homomorphisms(pres, cm, work_cap=work_cap), resolved
 
 
 def invariant(
@@ -482,7 +462,15 @@ def count_report(
 ) -> CountReport:
     if one_handles < 0:
         raise ValueError("one_handles must be nonnegative")
-    count, resolved = count_with_method(pres, cm, method, work_cap=work_cap)
+    resolved = select_method(cm, method)
+    # Engines are looked up at call time, so a wrapper patched onto this
+    # module sees every call.
+    engine = {
+        METHOD_BACKTRACKING: count_homomorphisms,
+        METHOD_NAIVE: count_homomorphisms_naive,
+        METHOD_LINEAR: count_linear_fastpath,
+    }[resolved]
+    count = engine(pres, cm, work_cap=work_cap)
     value = Fraction(count, cm.fiber.order**one_handles)
     return CountReport(count, one_handles, value, resolved)
 

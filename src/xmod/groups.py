@@ -1,9 +1,12 @@
 """Finite groups as explicit multiplication tables.
 
 Elements are the indices 0..order-1.  The table is trusted for shape at
-construction time only; the group axioms are checked by ``group_violations``
-(and, for crossed modules, by ``validate_crossed_module``), so a structurally
-well-formed table that is not a group can still be represented and reported.
+construction time only; the group axioms are checked by ``group_violations``,
+so a structurally well-formed table that is not a group can still be
+represented and reported.  That exhaustive check runs where a table comes in:
+the crossed-module builders run it on their input group, and
+``validate_crossed_module`` on both tables of a module read from a file.  The
+builders below make groups by construction and do not run it.
 """
 from __future__ import annotations
 
@@ -16,7 +19,6 @@ from itertools import permutations
 class FiniteGroup:
     order: int
     product: tuple[tuple[int, ...], ...]
-    element_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         n = self.order
@@ -28,8 +30,6 @@ class FiniteGroup:
             for value in row:
                 if not 0 <= value < n:
                     raise ValueError(f"product entry {value} out of range 0..{n - 1}")
-        if self.element_names is not None and len(self.element_names) != n:
-            raise ValueError("element_names length does not match order")
 
     @cached_property
     def identity(self) -> int:
@@ -66,11 +66,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
-    def name_of(self, a: int) -> str:
-        if self.element_names is not None:
-            return self.element_names[a]
-        return str(a)
-
 
 def find_identity(group: FiniteGroup) -> int | None:
     for e in range(group.order):
@@ -104,7 +99,7 @@ def build_cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group order must be at least 1")
     product = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return FiniteGroup(n, product, tuple(str(i) for i in range(n)))
+    return FiniteGroup(n, product)
 
 
 def build_symmetric_group(n: int) -> FiniteGroup:
@@ -119,5 +114,4 @@ def build_symmetric_group(n: int) -> FiniteGroup:
     product = tuple(
         tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
     )
-    names = tuple("".join(str(i) for i in p) for p in perms)
-    return FiniteGroup(len(perms), product, names)
+    return FiniteGroup(len(perms), product)

@@ -42,7 +42,7 @@ from .presentations import (
     boundary_of_crossed_word,
     validate_presentation,
 )
-from .words import EMPTY_WORD, FreeWord, parse_word, valid_name
+from .words import EMPTY_WORD, FreeWord, content_lines, parse_word, valid_name
 
 ArcRef = tuple[str, int]  # (arc id, +1 or -1 for a reversed reading)
 SpannerTerm = tuple[str, FreeWord, int]  # (band id, conjugator, sign)
@@ -212,10 +212,7 @@ def parse_movie_script(text: str, name: str = "movie") -> MovieScript:
     """Parse the movie DSL.  Syntax only; ids are resolved during replay."""
     events: list[Event] = []
     saw_end = False
-    for line, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if not content:
-            continue
+    for line, content in content_lines(text):
         if saw_end:
             raise MovieParseError("content after 'end'", line=line)
         tokens = content.split()

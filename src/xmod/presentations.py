@@ -16,6 +16,7 @@ from .errors import FormatError, UnknownIdError
 from .words import (
     EMPTY_WORD,
     FreeWord,
+    content_lines,
     format_word,
     parse_word,
     valid_name,
@@ -263,11 +264,7 @@ def _parse_crossed_word(text: str, lineno: int, field: str) -> CrossedWord:
 
 
 def parse_presentation_text(text: str) -> CrossedPresentation:
-    lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if content:
-            lines.append((lineno, content))
+    lines = list(content_lines(text))
     if not lines:
         raise FormatError("empty input", line=1, field="header")
 

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import FormatError, UnknownIdError
+from .errors import FormatError
 
 Letter = tuple[str, int]
 
@@ -21,9 +21,26 @@ NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.'-]*\Z")
 # Token standing for the empty word in every text format.
 EMPTY_WORD_TOKEN = "1"
 
+# Largest |n| a word token ``X^n`` may carry in text.  The token expands to
+# |n| letters before any work cap applies, at about 0.5 s per 10**6 letters.
+MAX_EXPONENT = 1000
+
 
 def valid_name(name: str) -> bool:
     return bool(NAME_RE.match(name))
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, content) for each line that has content.
+
+    ``#`` starts a comment that runs to the end of the line, whitespace is
+    stripped, and lines left empty are skipped.  Every text format reads its
+    input through this.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("#", 1)[0].strip()
+        if content:
+            yield lineno, content
 
 
 def _expanded(letters: Iterable[tuple[str, int]]) -> Iterator[Letter]:
@@ -78,19 +95,10 @@ class FreeWord:
 EMPTY_WORD = FreeWord()
 
 
-def reduce_free_word(
-    letters: Iterable[tuple[str, int]], generators: Iterable[str] | None = None
-) -> FreeWord:
-    """Freely reduce a raw letter sequence.
-
-    Exponents of any size are accepted and expanded.  When ``generators``
-    is given, letters outside it raise ``UnknownIdError``.
-    """
-    universe = None if generators is None else set(generators)
+def reduce_free_word(letters: Iterable[tuple[str, int]]) -> FreeWord:
+    """Freely reduce a raw letter sequence; exponents of any size are expanded."""
     out: list[Letter] = []
     for gen, sign in _expanded(letters):
-        if universe is not None and gen not in universe:
-            raise UnknownIdError(f"unknown generator {gen!r}")
         if out and out[-1] == (gen, -sign):
             out.pop()
         else:
@@ -98,13 +106,11 @@ def reduce_free_word(
     return FreeWord(tuple(out))
 
 
-def parse_word(
-    text: str,
-    generators: Iterable[str] | None = None,
-    line: int | None = None,
-    field: str | None = None,
-) -> FreeWord:
-    """Parse a word from space-separated tokens ``X``, ``X^-1``, ``X^3``, ``1``."""
+def parse_word(text: str, line: int | None = None, field: str | None = None) -> FreeWord:
+    """Parse a word from space-separated tokens ``X``, ``X^-1``, ``X^3``, ``1``.
+
+    An exponent above ``MAX_EXPONENT`` in absolute value is a ``FormatError``.
+    """
     raw: list[tuple[str, int]] = []
     for token in text.split():
         if token == EMPTY_WORD_TOKEN:
@@ -119,13 +125,15 @@ def parse_word(
                 raise FormatError(
                     f"bad exponent in token {token!r}", line=line, field=field
                 ) from None
+            if abs(exp) > MAX_EXPONENT:
+                raise FormatError(
+                    f"exponent in token {token!r} exceeds {MAX_EXPONENT} in absolute value",
+                    line=line, field=field,
+                )
         else:
             exp = 1
         raw.append((base, exp))
-    try:
-        return reduce_free_word(raw, generators)
-    except UnknownIdError as exc:
-        raise FormatError(str(exc), line=line, field=field) from None
+    return reduce_free_word(raw)
 
 
 def format_word(word: FreeWord) -> str:

@@ -1,11 +1,20 @@
-"""Shared fixtures: the module battery and compiled movie fixtures."""
+"""Shared fixtures: the module battery and compiled movie fixtures.
+
+``scripts/`` is put on the import path so that tests can import the scripts
+as modules.
+"""
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from xmod.battery import standard_battery
 from xmod.fixtures import FIXTURE_NAMES, load_fixture
 from xmod.movies import compile_movie
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 
 @pytest.fixture(scope="session")

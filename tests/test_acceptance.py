@@ -14,11 +14,12 @@ from fractions import Fraction
 
 from xmod.battery import standard_battery
 from xmod.counting import (
+    METHOD_LINEAR,
     count_homomorphisms,
     count_homomorphisms_naive,
     count_linear_fastpath,
-    fastpath_applicable,
     invariant,
+    select_method,
 )
 from xmod.crossed import FiniteCrossedModule, validate_crossed_module
 from xmod.fuzz import random_instances, random_presentation
@@ -286,7 +287,7 @@ def test_criterion_09_oracle_equivalence():
             fast = count_homomorphisms(pres, cm)
             slow = count_homomorphisms_naive(pres, cm)
             assert fast == slow, module_name
-            if fastpath_applicable(cm):
+            if select_method(cm) == METHOD_LINEAR:
                 assert count_linear_fastpath(pres, cm) == slow, module_name
                 linear_checked += 1
         assert linear_checked > 0

@@ -12,6 +12,7 @@ from xmod.battery import standard_battery
 from xmod.cli import main
 from xmod.crossed import FiniteCrossedModule, format_crossed_module_text
 from xmod.fixtures import fixture_text
+from xmod.words import MAX_EXPONENT
 
 
 @pytest.fixture(scope="session")
@@ -220,6 +221,22 @@ def test_invariant_rejects_negative_one_handles(cli_files, capsys):
     )
     assert code == 2
     assert "nonnegative" in err
+
+
+def test_invariant_exponent_bound(cli_files, capsys, tmp_path):
+    path = tmp_path / "power.pres"
+    path.write_text(f"pres v1\ngens X\ncells e\nbnd e = X^{MAX_EXPONENT}\n",
+                    encoding="utf-8")
+    code, out, _ = run_cli(capsys, "invariant", str(path), cli_files["conj_s3"])
+    assert code == 0
+    assert report_lines(out)[0] == "count 6"
+
+    token = f"X^{MAX_EXPONENT + 1}"
+    path.write_text(f"pres v1\ngens X\ncells e\nbnd e = {token}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "invariant", str(path), cli_files["conj_s3"])
+    assert code == 2 and out == ""
+    assert err == (f"error: line 4: [bnd] exponent in token {token!r} exceeds "
+                   f"{MAX_EXPONENT} in absolute value\n")
 
 
 def test_invariant_invalid_presentation_exit_1(cli_files, capsys):

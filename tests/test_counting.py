@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from xmod import counting
-from xmod.battery import group_algebra_z2, group_algebra_z3
 from xmod.counting import (
+    METHOD_BACKTRACKING,
+    METHOD_LINEAR,
     Assignment,
     CountReport,
     compile_presentation,
@@ -14,10 +15,8 @@ from xmod.counting import (
     count_homomorphisms_naive,
     count_linear_fastpath,
     count_report,
-    count_with_method,
     evaluate_crossed_word,
     evaluate_free_word,
-    fastpath_applicable,
     format_count_report,
     invariant,
     select_method,
@@ -78,10 +77,10 @@ def test_evaluate_unassigned_raises():
         )
 
 
-def test_evaluate_crossed_word_group_algebra():
+def test_evaluate_crossed_word_group_algebra(battery_by_name):
     # In the group-algebra target over Z2 with p=2: psi(f) = delta_0, phi(X)=1.
     # The word (1; f; +)(X; f; +) evaluates to delta_0 + delta_1 = index 3.
-    cm = group_algebra_z2()
+    cm = battery_by_name["ga_z2_p2"]
     delta0 = ga_index((1, 0), 2)
     assignment = Assignment({"X": 1}, {"f": delta0})
     crossed = CrossedWord(((EMPTY_WORD, "f", 1), (word("X"), "f", 1)))
@@ -91,10 +90,10 @@ def test_evaluate_crossed_word_group_algebra():
     assert evaluate_crossed_word(crossed, assignment, cm) == cm.fiber.identity
 
 
-def test_evaluate_spun_hopf_style_term():
+def test_evaluate_spun_hopf_style_term(battery_by_name):
     # Mixed-cell relation in the Z3 group-algebra target: with phi(X)=1,
     # phi(Y)=0 the word (1; f; +)(X; f; -) shifts then cancels one delta.
-    cm = group_algebra_z3()
+    cm = battery_by_name["ga_z3_p2"]
     f = ga_index((0, 1, 0), 2)
     assignment = Assignment({"X": 1, "Y": 0}, {"f": f, "h": f})
     crossed = CrossedWord(((EMPTY_WORD, "f", 1), (word("X"), "f", -1)))
@@ -172,7 +171,7 @@ def test_no_generators_no_cells(battery):
         assert count_homomorphisms(pres, cm) == 1
 
 
-def test_relation_can_cut_count():
+def test_relation_can_cut_count(battery_by_name):
     # Two cells over the same boundary, relation e = f pointwise.
     pres = CrossedPresentation(
         ("X",),
@@ -185,16 +184,16 @@ def test_relation_can_cut_count():
     # is automatic; count equals the base order.
     assert count_homomorphisms(pres, cm) == 6
 
-    ga = group_algebra_z2()
+    ga = battery_by_name["ga_z2_p2"]
     # Boundary is identity-only: phi(X) must make the boundary word land on
     # the identity... X evaluates to phi(X), so only phi(X)=0 contributes,
     # and then e = f cuts 16 pairs to 4.
     assert count_homomorphisms(pres, ga) == 4
 
 
-def test_invalid_presentation_is_rejected():
+def test_invalid_presentation_is_rejected(battery_by_name):
     bad = CrossedPresentation(("X",), ("e",), {"e": word("Z")})
-    cm = group_algebra_z2()
+    cm = battery_by_name["ga_z2_p2"]
     for engine in (count_homomorphisms, count_homomorphisms_naive, count_linear_fastpath):
         with pytest.raises(InvalidPresentationError, match="violates boundary.unknown_generator"):
             engine(bad, cm)
@@ -269,7 +268,7 @@ def test_engines_agree_on_fixtures(compiled_fixtures, battery):
             fast = count_homomorphisms(compiled.presentation, cm)
             slow = count_homomorphisms_naive(compiled.presentation, cm)
             assert fast == slow, (name, module_name)
-            if fastpath_applicable(cm):
+            if select_method(cm) == METHOD_LINEAR:
                 linear = count_linear_fastpath(compiled.presentation, cm)
                 assert linear == slow, (name, module_name)
 
@@ -280,9 +279,9 @@ def test_engines_agree_on_fixtures(compiled_fixtures, battery):
 
 
 def test_fastpath_applicability(battery_by_name):
-    assert fastpath_applicable(battery_by_name["ga_z2_p2"])
-    assert fastpath_applicable(battery_by_name["ga_z3_p2"])
-    assert not fastpath_applicable(battery_by_name["conj_s3"])
+    assert select_method(battery_by_name["ga_z2_p2"]) == METHOD_LINEAR
+    assert select_method(battery_by_name["ga_z3_p2"]) == METHOD_LINEAR
+    assert select_method(battery_by_name["conj_s3"]) == METHOD_BACKTRACKING
 
 
 def test_fastpath_rejects_trivial_action_z4_fiber():
@@ -293,7 +292,7 @@ def test_fastpath_rejects_trivial_action_z4_fiber():
     cm = FiniteCrossedModule(
         z1, z4, (0, 0, 0, 0), (tuple(range(4)),)
     )
-    assert not fastpath_applicable(cm)
+    assert select_method(cm) == METHOD_BACKTRACKING
     with pytest.raises(FastPathUnavailable):
         count_linear_fastpath(sphere(), cm)
 
@@ -322,7 +321,7 @@ def test_fastpath_trivial_fiber():
     z2 = build_cyclic_group(2)
     z1 = build_cyclic_group(1)
     cm = FiniteCrossedModule(z2, z1, (0,), ((0,), (0,)))
-    assert fastpath_applicable(cm)
+    assert select_method(cm) == METHOD_LINEAR
     pres = CrossedPresentation(("X",), ("e",), {"e": EMPTY_WORD})
     assert count_linear_fastpath(pres, cm) == 2
 
@@ -341,12 +340,10 @@ def test_select_method(battery_by_name):
 
 
 def test_count_with_method_reports_resolution(battery_by_name):
-    count, resolved = count_with_method(sphere(), battery_by_name["ga_z3_p2"])
-    assert count == 8 and resolved == "linear"
-    count, resolved = count_with_method(
-        sphere(), battery_by_name["ga_z3_p2"], "backtracking"
-    )
-    assert count == 8 and resolved == "backtracking"
+    report = count_report(sphere(), battery_by_name["ga_z3_p2"], 1)
+    assert report.count == 8 and report.method == "linear"
+    report = count_report(sphere(), battery_by_name["ga_z3_p2"], 1, "backtracking")
+    assert report.count == 8 and report.method == "backtracking"
 
 
 def test_invariant_fraction(battery):

@@ -4,8 +4,11 @@ import random
 from itertools import permutations
 
 import pytest
+from knottedness_report import ReportConfig, module_bank
 
+from xmod.battery import standard_battery
 from xmod.crossed import (
+    MAX_FIBER_ORDER,
     FiniteCrossedModule,
     boundary_fibers,
     build_conjugation_crossed_module,
@@ -17,7 +20,13 @@ from xmod.crossed import (
     validate_crossed_module,
 )
 from xmod.errors import FormatError
-from xmod.groups import FiniteGroup, build_cyclic_group, build_symmetric_group
+from xmod.fuzz import module_pool
+from xmod.groups import (
+    FiniteGroup,
+    build_cyclic_group,
+    build_symmetric_group,
+    group_violations,
+)
 
 
 def test_conjugation_on_trivial_group():
@@ -91,6 +100,57 @@ def test_group_algebra_rejects_bad_p_and_overflow():
         build_group_algebra_crossed_module(build_cyclic_group(2), 4)
     with pytest.raises(ValueError):
         build_group_algebra_crossed_module(build_cyclic_group(6), 5)
+    n = MAX_FIBER_ORDER.bit_length()  # least n with 2**n above the bound
+    with pytest.raises(ValueError) as info:
+        build_group_algebra_crossed_module(build_cyclic_group(n), 2)
+    assert str(info.value) == f"fiber order 2^{n} exceeds the bound {MAX_FIBER_ORDER}"
+
+
+def builder_made_modules():
+    """Every crossed module the package, its scripts and its benchmark build."""
+    made = [("battery", name, cm) for name, cm in standard_battery()]
+    made += [("fuzz", name, cm) for name, cm in module_pool()]
+    made += [("report", name, cm) for name, cm in module_bank(ReportConfig())
+             if name.startswith("conj_z")]
+    bench = {
+        "conj_s4": build_conjugation_crossed_module(build_symmetric_group(4)),
+        "ga_z5_p2": build_group_algebra_crossed_module(build_cyclic_group(5), 2),
+        "ga_s3_p2": build_group_algebra_crossed_module(build_symmetric_group(3), 2),
+        "ga_z4_p3": build_group_algebra_crossed_module(build_cyclic_group(4), 3),
+    }
+    made += [("bench", name, cm) for name, cm in bench.items()]
+    return [pytest.param(cm, id=f"{source}-{name}") for source, name, cm in made]
+
+
+@pytest.mark.parametrize("cm", builder_made_modules())
+def test_builder_made_module_validates(cm):
+    # The builders do not run the axiom check; this is where it runs on them.
+    assert validate_crossed_module(cm).ok
+
+
+# A loop of order 5: identity 0, every element its own inverse, each row and
+# column a permutation, yet not a group (a group of order 5 is cyclic).
+LOOP5 = (
+    (0, 1, 2, 3, 4),
+    (1, 0, 3, 4, 2),
+    (2, 4, 0, 1, 3),
+    (3, 2, 4, 0, 1),
+    (4, 3, 1, 2, 0),
+)
+
+
+def test_builders_refuse_a_non_group():
+    loop = FiniteGroup(5, LOOP5)
+    violations = group_violations(loop)
+    assert violations
+    assert {axiom for axiom, _ in violations} == {"associativity"}
+    message = f"input table violates associativity at witness {violations[0][1]}"
+    with pytest.raises(ValueError) as info:
+        build_conjugation_crossed_module(loop)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        build_group_algebra_crossed_module(loop, 2)
+    assert str(info.value) == message
 
 
 def test_ga_index_round_trip():
@@ -152,13 +212,13 @@ def corrupt_one_entry(cm: FiniteCrossedModule, rng: random.Random) -> FiniteCros
         rows = [list(row) for row in cm.base.product]
         i, j = rng.randrange(nG), rng.randrange(nG)
         rows[i][j] = rng.choice([v for v in range(nG) if v != rows[i][j]])
-        base = FiniteGroup(nG, tuple(tuple(r) for r in rows), cm.base.element_names)
+        base = FiniteGroup(nG, tuple(tuple(r) for r in rows))
         return FiniteCrossedModule(base, cm.fiber, cm.boundary, cm.action)
     if kind == "fiber":
         rows = [list(row) for row in cm.fiber.product]
         i, j = rng.randrange(nE), rng.randrange(nE)
         rows[i][j] = rng.choice([v for v in range(nE) if v != rows[i][j]])
-        fiber = FiniteGroup(nE, tuple(tuple(r) for r in rows), cm.fiber.element_names)
+        fiber = FiniteGroup(nE, tuple(tuple(r) for r in rows))
         return FiniteCrossedModule(cm.base, fiber, cm.boundary, cm.action)
     if kind == "boundary":
         table = list(cm.boundary)

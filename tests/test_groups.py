@@ -87,8 +87,3 @@ def test_no_identity_reported():
     with pytest.raises(ValueError):
         broken.identity
 
-
-def test_element_names():
-    g = build_symmetric_group(3)
-    assert g.name_of(g.identity) == "012"
-    assert build_cyclic_group(3).name_of(2) == "2"

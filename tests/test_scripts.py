@@ -1,0 +1,17 @@
+"""Smoke tests of the scripts under ``scripts/``, imported as modules."""
+from __future__ import annotations
+
+import fuzz_oracles
+import knottedness_report
+
+
+def test_fuzz_oracles_finds_no_mismatch(capsys):
+    assert fuzz_oracles.main(["--count", "25"]) == 0
+    assert "25 instances, 0 mismatches" in capsys.readouterr().out
+
+
+def test_knottedness_report_separates_the_knotted_fixtures(capsys):
+    assert knottedness_report.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "spun_hopf: separated from two_tori by ga_z2_p2, ga_z3_p2" in lines
+    assert "spun_trefoil: separated from trivial1 by ga_z3_p2" in lines

@@ -3,10 +3,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from xmod.errors import FormatError, UnknownIdError
+from xmod.errors import FormatError
 from xmod.words import (
     EMPTY_WORD,
+    MAX_EXPONENT,
     FreeWord,
+    content_lines,
     format_word,
     parse_word,
     reduce_free_word,
@@ -30,11 +32,6 @@ def test_reduce_expands_exponents():
     assert reduce_free_word([("X", 3)]) == FreeWord((("X", 1),) * 3)
     assert reduce_free_word([("X", 2), ("X", -2)]) == EMPTY_WORD
     assert reduce_free_word([("X", 0)]) == EMPTY_WORD
-
-
-def test_reduce_rejects_unknown_generator():
-    with pytest.raises(UnknownIdError):
-        reduce_free_word([("X", 1)], generators=["Y"])
 
 
 def test_constructor_rejects_unreduced():
@@ -92,10 +89,25 @@ def test_parse_bad_token():
         parse_word("=bad")
 
 
-def test_parse_unknown_generator_names_line():
-    with pytest.raises(FormatError) as info:
-        parse_word("Q", generators=["X"], line=12)
-    assert info.value.line == 12
+def test_parse_exponent_bound():
+    assert parse_word(f"X^{MAX_EXPONENT}") == FreeWord((("X", 1),) * MAX_EXPONENT)
+    assert parse_word(f"X^-{MAX_EXPONENT}") == FreeWord((("X", -1),) * MAX_EXPONENT)
+    for token in (f"X^{MAX_EXPONENT + 1}", f"X^-{MAX_EXPONENT + 1}"):
+        with pytest.raises(FormatError) as info:
+            parse_word(f"Y {token}", line=12, field="bnd")
+        assert info.value.line == 12 and info.value.field == "bnd"
+        assert str(info.value) == (
+            f"line 12: [bnd] exponent in token {token!r} exceeds "
+            f"{MAX_EXPONENT} in absolute value"
+        )
+
+
+def test_content_lines():
+    text = "# head\n\n  a b  # tail\n#\nc\n   \n"
+    assert list(content_lines(text)) == [(3, "a b"), (5, "c")]
+    assert list(content_lines("")) == []
+    # Lines are split as str.splitlines splits them, so numbers match it.
+    assert list(content_lines("a\r\nb\rc")) == [(1, "a"), (2, "b"), (3, "c")]
 
 
 def test_format_round_trip():
