@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from xmod.battery import standard_battery
@@ -31,33 +30,29 @@ BASELINES = {
     "two_tori": None,
 }
 
-
-@dataclass
-class ReportConfig:
-    fixtures: list[str] = field(default_factory=lambda: list(FIXTURE_NAMES))
-    work_cap: int = DEFAULT_WORK_CAP
-    extra_cyclic: tuple[int, ...] = (2, 3, 4)
+# Orders of the cyclic groups whose conjugation modules join the battery.
+EXTRA_CYCLIC = (2, 3, 4)
 
 
-def module_bank(config: ReportConfig):
+def module_bank():
     bank = list(standard_battery())
-    for n in config.extra_cyclic:
+    for n in EXTRA_CYCLIC:
         bank.append((f"conj_z{n}", build_conjugation_crossed_module(build_cyclic_group(n))))
     return bank
 
 
-def build_table(config: ReportConfig):
-    bank = module_bank(config)
-    compiled = {name: compile_movie(load_fixture(name)) for name in config.fixtures}
+def build_table(fixtures: list[str], work_cap: int):
+    bank = module_bank()
+    compiled = {name: compile_movie(load_fixture(name)) for name in fixtures}
     table: dict[str, dict[str, Fraction]] = {}
-    for name in config.fixtures:
+    for name in fixtures:
         row = {}
         for module_name, cm in bank:
             row[module_name] = invariant(
                 compiled[name].presentation,
                 cm,
                 compiled[name].one_handles,
-                work_cap=config.work_cap,
+                work_cap=work_cap,
             )
         table[name] = row
     return bank, table
@@ -105,9 +100,8 @@ def main(argv=None) -> int:
     if unknown:
         print(f"unknown fixtures: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    config = ReportConfig(fixtures=fixtures, work_cap=args.work_cap)
     start = time.perf_counter()
-    bank, table = build_table(config)
+    bank, table = build_table(fixtures, args.work_cap)
     print_table(bank, table)
     print_separations(table)
     print(f"\n{len(table)} surfaces x {len(bank)} targets "

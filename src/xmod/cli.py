@@ -37,7 +37,6 @@ from .errors import (
     CapExceeded,
     FastPathUnavailable,
     FormatError,
-    ReplayError,
     XmodError,
 )
 from .fuzz import random_instances
@@ -47,7 +46,7 @@ from .presentations import (
     parse_presentation_text,
     validate_presentation,
 )
-from .words import content_lines
+from .words import LineReader
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -121,7 +120,7 @@ def _load_target(path: str) -> tuple:
     A pres file is validated where it is counted, by ``compile_presentation``.
     """
     text = _read_file(path)
-    first = next((content for _, content in content_lines(text)), "")
+    first = next((content for _, content in LineReader(text)), "")
     if first == "pres v1":
         pres = parse_presentation_text(text)
         return pres, len(pres.generators)
@@ -305,9 +304,6 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, FastPathUnavailable, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ReplayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
     except XmodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

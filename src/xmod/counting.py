@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .crossed import FiniteCrossedModule, _is_prime, boundary_fibers
+from .crossed import FiniteCrossedModule, boundary_fibers
 from .errors import (
     EvaluationError,
     FastPathUnavailable,
@@ -290,60 +290,6 @@ def count_homomorphisms_naive(
     return total
 
 
-def _linear_shape(
-    cm: FiniteCrossedModule,
-) -> tuple[int, list[int], dict[int, tuple[int, ...]]]:
-    """(p, basis, coordinates) of the fiber where the linear fast path applies.
-
-    Raises ``FastPathUnavailable`` with the reason unless the boundary is
-    constantly the base identity and the fiber is elementary abelian.
-    """
-    identity = cm.base.identity
-    if any(value != identity for value in cm.boundary):
-        raise FastPathUnavailable("boundary is not constantly the base identity")
-    fiber = cm.fiber
-    n = fiber.order
-    if n == 1:
-        return 2, [], {fiber.identity: ()}
-    for e in range(n):
-        for f in range(e + 1, n):
-            if fiber.mul(e, f) != fiber.mul(f, e):
-                raise FastPathUnavailable("fiber is not abelian")
-    orders = []
-    for e in range(n):
-        k, x = 1, e
-        while x != fiber.identity:
-            x = fiber.mul(x, e)
-            k += 1
-        orders.append(k)
-    nontrivial = sorted(set(orders) - {1})
-    if len(nontrivial) != 1 or not _is_prime(nontrivial[0]):
-        raise FastPathUnavailable("fiber is not elementary abelian")
-    p = nontrivial[0]
-
-    basis: list[int] = []
-    coords: dict[int, tuple[int, ...]] = {fiber.identity: ()}
-    for e in range(n):
-        if e in coords:
-            continue
-        # e is outside the current span; extend every known element by powers
-        # of the new basis vector.
-        basis.append(e)
-        extended = {}
-        for known, vec in coords.items():
-            x = known
-            for j in range(p):
-                extended[x] = vec + (j,)
-                x = fiber.mul(x, e)
-        coords = extended
-    d = len(basis)
-    if p**d != n:
-        raise FastPathUnavailable("fiber span does not exhaust the fiber")
-    # Pad early coordinates so every vector has full length d.
-    full = {e: vec + (0,) * (d - len(vec)) for e, vec in coords.items()}
-    return p, basis, full
-
-
 def count_linear_fastpath(
     pres: CrossedPresentation,
     cm: FiniteCrossedModule,
@@ -361,7 +307,10 @@ def count_linear_fastpath(
     compiled = compile_presentation(pres)
     base = cm.base
     identity = base.identity
-    p, basis, coords = _linear_shape(cm)
+    shape = cm.linear_shape
+    if isinstance(shape, str):
+        raise FastPathUnavailable(shape)
+    p, basis, coords = shape
     d = len(basis)
     budget = _Budget(work_cap)
 
@@ -430,11 +379,7 @@ def _rank_mod_p(rows: list[list[int]], p: int, budget: _Budget) -> int:
 def select_method(cm: FiniteCrossedModule, requested: str = "auto") -> str:
     """Resolve 'auto' to the linear fast path when applicable, else backtracking."""
     if requested == "auto":
-        try:
-            _linear_shape(cm)
-        except FastPathUnavailable:
-            return METHOD_BACKTRACKING
-        return METHOD_LINEAR
+        return METHOD_BACKTRACKING if isinstance(cm.linear_shape, str) else METHOD_LINEAR
     if requested not in METHODS:
         raise ValueError(f"unknown method {requested!r}")
     return requested

@@ -19,10 +19,11 @@ makes both of their tables valid by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import FormatError
 from .groups import FiniteGroup, group_violations
-from .words import content_lines
+from .words import LineReader, parse_integer, parse_integers
 
 # Largest fiber the group-algebra builder makes.  Its cost grows about 4x per
 # doubling of the fiber order: best of 3 on a 2-core VM, 0.17 s at 256,
@@ -64,6 +65,59 @@ class FiniteCrossedModule:
 
     def act(self, g: int, e: int) -> int:
         return self.action[g][e]
+
+    @cached_property
+    def linear_shape(self) -> tuple | str:
+        """``(p, basis, coords)`` for the linear counting fast path, or why it fails.
+
+        The fast path needs a boundary that is constantly the base identity
+        and an elementary abelian fiber of exponent p; ``coords[e]`` is fiber
+        element e in ``basis``.  Worked out once per module, on first use.
+        """
+        identity = self.base.identity
+        if any(value != identity for value in self.boundary):
+            return "boundary is not constantly the base identity"
+        fiber = self.fiber
+        n = fiber.order
+        if n == 1:
+            return 2, (), ((),)
+        for e in range(n):
+            for f in range(e + 1, n):
+                if fiber.mul(e, f) != fiber.mul(f, e):
+                    return "fiber is not abelian"
+        orders = []
+        for e in range(n):
+            k, x = 1, e
+            while x != fiber.identity:
+                x = fiber.mul(x, e)
+                k += 1
+            orders.append(k)
+        nontrivial = sorted(set(orders) - {1})
+        if len(nontrivial) != 1 or not _is_prime(nontrivial[0]):
+            return "fiber is not elementary abelian"
+        p = nontrivial[0]
+
+        basis: list[int] = []
+        coords: dict[int, tuple[int, ...]] = {fiber.identity: ()}
+        for e in range(n):
+            if e in coords:
+                continue
+            # e is outside the current span; extend every known element by
+            # powers of the new basis vector.
+            basis.append(e)
+            extended = {}
+            for known, vec in coords.items():
+                x = known
+                for j in range(p):
+                    extended[x] = vec + (j,)
+                    x = fiber.mul(x, e)
+            coords = extended
+        d = len(basis)
+        if p**d != n:
+            return "fiber span does not exhaust the fiber"
+        # Pad early coordinates so every vector has full length d.
+        return p, tuple(basis), tuple(coords[e] + (0,) * (d - len(coords[e]))
+                                      for e in range(n))
 
 
 def validate_crossed_module(cm: FiniteCrossedModule) -> ValidationReport:
@@ -237,49 +291,25 @@ def build_group_algebra_crossed_module(group: FiniteGroup, p: int) -> FiniteCros
 # ---------------------------------------------------------------------------
 
 
-class _Lines:
-    def __init__(self, text: str):
-        self.text = text
-        self.items = content_lines(text)
-
-    def next(self, field: str) -> tuple[int, str]:
-        item = next(self.items, None)
-        if item is None:
-            raise FormatError("unexpected end of input",
-                              line=len(self.text.splitlines()), field=field)
-        return item
-
-
-def _parse_row(line: str, lineno: int, field: str, width: int, bound: int) -> tuple[int, ...]:
-    tokens = line.split()
-    values = []
-    for token in tokens:
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise FormatError(f"expected an integer, got {token!r}",
-                              line=lineno, field=field) from None
-    if len(values) != width:
-        raise FormatError(f"expected {width} entries, got {len(values)}",
-                          line=lineno, field=field)
-    for value in values:
-        if not 0 <= value < bound:
-            raise FormatError(f"index {value} out of range 0..{bound - 1}",
-                              line=lineno, field=field)
-    return tuple(values)
-
-
-def _parse_table(lines: _Lines, field: str, rows: int, width: int, bound: int):
+def _parse_table(lines: LineReader, field: str, rows: int, width: int, bound: int):
     out = []
     for _ in range(rows):
         lineno, content = lines.next(field)
-        out.append(_parse_row(content, lineno, field, width, bound))
+        values = parse_integers(content, lineno, field)
+        if len(values) != width:
+            raise FormatError(f"expected {width} entries, got {len(values)}",
+                              line=lineno, field=field)
+        for value in values:
+            if not 0 <= value < bound:
+                raise FormatError(f"index {value} out of range 0..{bound - 1}",
+                                  line=lineno, field=field)
+        out.append(values)
     return tuple(out)
 
 
 def parse_crossed_module_text(text: str) -> FiniteCrossedModule:
     """Parse the crossed-module text format.  Strict; does not check axioms."""
-    lines = _Lines(text)
+    lines = LineReader(text)
 
     lineno, header = lines.next("header")
     if header != "xmod v1":
@@ -296,11 +326,7 @@ def parse_crossed_module_text(text: str) -> FiniteCrossedModule:
             if len(tokens) != 2:
                 raise FormatError(f"expected '{keyword} <order>'",
                                   line=lineno, field=keyword)
-            try:
-                order = int(tokens[1])
-            except ValueError:
-                raise FormatError(f"bad order {tokens[1]!r}",
-                                  line=lineno, field=keyword) from None
+            order = parse_integer(tokens[1], "order", lineno, keyword)
             if order < 1:
                 raise FormatError("order must be positive", line=lineno, field=keyword)
             return order
@@ -319,9 +345,7 @@ def parse_crossed_module_text(text: str) -> FiniteCrossedModule:
     (boundary,) = _parse_table(lines, "boundary", 1, fiber_order, base_order)
     section("action", with_order=False)
     action = _parse_table(lines, "action", base_order, fiber_order, fiber_order)
-    trailing = next(lines.items, None)
-    if trailing is not None:
-        lineno, content = trailing
+    for lineno, content in lines:
         raise FormatError(f"unexpected trailing content {content!r}",
                           line=lineno, field="trailer")
     return FiniteCrossedModule(base, fiber, boundary, action)

@@ -23,10 +23,6 @@ class FormatError(XmodError):
         super().__init__(prefix + message)
 
 
-class MovieParseError(FormatError):
-    """A movie script line could not be parsed."""
-
-
 class ReplayError(XmodError):
     """Replaying a movie event failed.  Carries event index and line."""
 

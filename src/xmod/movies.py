@@ -35,14 +35,22 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import MovieParseError, ReplayError, UnknownIdError, XmodError
+from .errors import FormatError, ReplayError, UnknownIdError, XmodError
 from .presentations import (
     CrossedPresentation,
     CrossedWord,
     boundary_of_crossed_word,
     validate_presentation,
 )
-from .words import EMPTY_WORD, FreeWord, content_lines, parse_word, valid_name
+from .words import (
+    EMPTY_WORD,
+    FreeWord,
+    LineReader,
+    parse_id,
+    parse_integer,
+    parse_sign,
+    parse_word,
+)
 
 ArcRef = tuple[str, int]  # (arc id, +1 or -1 for a reversed reading)
 SpannerTerm = tuple[str, FreeWord, int]  # (band id, conjugator, sign)
@@ -143,27 +151,13 @@ class CompiledComplement:
 _SPANNER_RE = re.compile(r"spanner=\[(.*)\]\Z")
 
 
-def _parse_sign(token: str, line: int) -> int:
-    if token in ("+", "+1"):
-        return 1
-    if token in ("-", "-1"):
-        return -1
-    raise MovieParseError(f"bad sign {token!r}", line=line)
-
-
-def _parse_name(token: str, line: int, what: str) -> str:
-    if not valid_name(token):
-        raise MovieParseError(f"bad {what} id {token!r}", line=line)
-    return token
-
-
 def _parse_arc_ref(token: str, line: int) -> ArcRef:
     base, caret, exp = token.partition("^")
-    name = _parse_name(base, line, "arc")
+    name = parse_id(base, "arc", line)
     if not caret:
         return (name, 1)
     if exp != "-1":
-        raise MovieParseError(
+        raise FormatError(
             f"arc reference exponent must be -1, got {token!r}", line=line
         )
     return (name, -1)
@@ -175,13 +169,13 @@ def _keyed(tokens: list[str], line: int, required: tuple[str, ...],
     for token in tokens:
         key, eq, value = token.partition("=")
         if not eq or key not in required + optional:
-            raise MovieParseError(f"unexpected argument {token!r}", line=line)
+            raise FormatError(f"unexpected argument {token!r}", line=line)
         if key in out:
-            raise MovieParseError(f"duplicate argument {key!r}", line=line)
+            raise FormatError(f"duplicate argument {key!r}", line=line)
         out[key] = value
     for key in required:
         if key not in out:
-            raise MovieParseError(f"missing argument {key}=", line=line)
+            raise FormatError(f"missing argument {key}=", line=line)
     return out
 
 
@@ -193,17 +187,17 @@ def _parse_spanner(text: str, line: int) -> tuple[SpannerTerm, ...]:
     for chunk in body.split(";"):
         chunk = chunk.strip()
         if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise MovieParseError(
+            raise FormatError(
                 f"spanner term must be (band,word,sign), got {chunk!r}", line=line
             )
         parts = chunk[1:-1].split(",")
         if len(parts) != 3:
-            raise MovieParseError(
+            raise FormatError(
                 f"spanner term must have 3 fields, got {chunk!r}", line=line
             )
-        band = _parse_name(parts[0].strip(), line, "band")
+        band = parse_id(parts[0].strip(), "band", line)
         word = parse_word(parts[1], line=line, field="spanner")
-        sign = _parse_sign(parts[2].strip(), line)
+        sign = parse_sign(parts[2].strip(), line)
         terms.append((band, word, sign))
     return tuple(terms)
 
@@ -212,98 +206,78 @@ def parse_movie_script(text: str, name: str = "movie") -> MovieScript:
     """Parse the movie DSL.  Syntax only; ids are resolved during replay."""
     events: list[Event] = []
     saw_end = False
-    for line, content in content_lines(text):
+    lines = LineReader(text)
+    for line, content in lines:
         if saw_end:
-            raise MovieParseError("content after 'end'", line=line)
+            raise FormatError("content after 'end'", line=line)
         tokens = content.split()
         keyword = tokens[0]
         if keyword == "birth":
             if len(tokens) != 2:
-                raise MovieParseError("birth takes exactly one arc id", line=line)
-            events.append(Birth(_parse_name(tokens[1], line, "arc"), line))
+                raise FormatError("birth takes exactly one arc id", line=line)
+            events.append(Birth(parse_id(tokens[1], "arc", line), line))
         elif keyword == "cross":
             if len(tokens) != 5:
-                raise MovieParseError(
-                    "cross takes a sign and over=, in=, out=", line=line
-                )
-            sign = _parse_sign(tokens[1], line)
+                raise FormatError("cross takes a sign and over=, in=, out=", line=line)
+            sign = parse_sign(tokens[1], line)
             args = _keyed(tokens[2:], line, ("over", "in", "out"))
             events.append(
                 WirtingerCross(
                     sign,
-                    _parse_name(args["over"], line, "arc"),
-                    _parse_name(args["in"], line, "arc"),
-                    _parse_name(args["out"], line, "arc"),
+                    parse_id(args["over"], "arc", line),
+                    parse_id(args["in"], "arc", line),
+                    parse_id(args["out"], "arc", line),
                     line,
                 )
             )
-        elif keyword == "sb":
+        elif keyword in ("sb", "bb"):
             if len(tokens) < 2:
-                raise MovieParseError("sb takes a rule id", line=line)
-            try:
-                rule = int(tokens[1])
-            except ValueError:
-                raise MovieParseError(f"bad rule id {tokens[1]!r}", line=line) from None
-            if rule in (1, 3):
-                args = _keyed(tokens[2:], line, ("band", "strand", "out"))
-                out = _parse_name(args["out"], line, "arc")
-            elif rule in (4, 6):
-                args = _keyed(tokens[2:], line, ("band", "strand"))
-                out = None
-            elif rule in (2, 5):
-                raise MovieParseError(
-                    f"rule {rule} is a band/band rule; use bb", line=line
+                raise FormatError(f"{keyword} takes a rule id", line=line)
+            rule = parse_integer(tokens[1], "rule id", line)
+            if not 1 <= rule <= 6:
+                raise FormatError(f"unknown {keyword} rule {rule}", line=line)
+            if keyword == "sb" and rule in (2, 5):
+                raise FormatError(f"rule {rule} is a band/band rule; use bb", line=line)
+            if keyword == "bb" and rule not in (2, 5):
+                raise FormatError(f"rule {rule} is a strand/band rule; use sb", line=line)
+            if keyword == "bb":
+                args = _keyed(tokens[2:], line, ("mover", "fixed"))
+                events.append(
+                    BandBandCross(
+                        rule,
+                        parse_id(args["mover"], "band", line),
+                        parse_id(args["fixed"], "band", line),
+                        line,
+                    )
                 )
             else:
-                raise MovieParseError(f"unknown sb rule {rule}", line=line)
-            events.append(
-                StrandBandCross(
-                    rule,
-                    _parse_name(args["band"], line, "band"),
-                    _parse_name(args["strand"], line, "arc"),
-                    out,
-                    line,
+                keys = ("band", "strand", "out") if rule in (1, 3) else ("band", "strand")
+                args = _keyed(tokens[2:], line, keys)
+                out = parse_id(args["out"], "arc", line) if "out" in keys else None
+                events.append(
+                    StrandBandCross(
+                        rule,
+                        parse_id(args["band"], "band", line),
+                        parse_id(args["strand"], "arc", line),
+                        out,
+                        line,
+                    )
                 )
-            )
-        elif keyword == "bb":
-            if len(tokens) < 2:
-                raise MovieParseError("bb takes a rule id", line=line)
-            try:
-                rule = int(tokens[1])
-            except ValueError:
-                raise MovieParseError(f"bad rule id {tokens[1]!r}", line=line) from None
-            if rule in (1, 3, 4, 6):
-                raise MovieParseError(
-                    f"rule {rule} is a strand/band rule; use sb", line=line
-                )
-            if rule not in (2, 5):
-                raise MovieParseError(f"unknown bb rule {rule}", line=line)
-            args = _keyed(tokens[2:], line, ("mover", "fixed"))
-            events.append(
-                BandBandCross(
-                    rule,
-                    _parse_name(args["mover"], line, "band"),
-                    _parse_name(args["fixed"], line, "band"),
-                    line,
-                )
-            )
         elif keyword == "saddle":
             args = _keyed(tokens[1:], line, ("cell", "u", "v", "band", "merged"))
             merged = tuple(
-                _parse_name(part, line, "arc")
+                parse_id(part, "arc", line)
                 for part in args["merged"].split(",")
                 if part
             )
             if not 1 <= len(merged) <= 2:
-                raise MovieParseError(
-                    "merged= must list one or two fresh arcs", line=line
-                )
+                raise FormatError("merged= must list one or two fresh arcs", line=line)
             events.append(
                 SaddleEvent(
-                    _parse_name(args["cell"], line, "cell"),
+                    parse_id(args["cell"], "cell", line),
                     _parse_arc_ref(args["u"], line),
                     _parse_arc_ref(args["v"], line),
-                    _parse_name(args["band"], line, "band"),
+                    parse_id(args["band"], "band", line),
                     merged,
                     line,
                 )
@@ -311,33 +285,32 @@ def parse_movie_script(text: str, name: str = "movie") -> MovieScript:
         elif keyword == "death":
             match = _SPANNER_RE.search(content)
             if match is None:
-                raise MovieParseError("death needs spanner=[...]", line=line)
+                raise FormatError("death needs spanner=[...]", line=line)
             spanner = _parse_spanner(match.group(1), line)
             head = content[: match.start()].strip()
             head_tokens = head.split()
             if len(head_tokens) != 2 or head_tokens[0] != "death":
-                raise MovieParseError(
+                raise FormatError(
                     "death takes circle=<arcs> and spanner=[...]", line=line
                 )
             key, eq, value = head_tokens[1].partition("=")
             if key != "circle" or not eq or not value:
-                raise MovieParseError("death needs circle=<arc,...>", line=line)
+                raise FormatError("death needs circle=<arc,...>", line=line)
             circle = tuple(
-                _parse_name(part, line, "arc") for part in value.split(",") if part
+                parse_id(part, "arc", line) for part in value.split(",") if part
             )
             if not circle:
-                raise MovieParseError("death circle is empty", line=line)
+                raise FormatError("death circle is empty", line=line)
             events.append(DeathEvent(circle, spanner, line))
         elif keyword == "end":
             if len(tokens) != 1:
-                raise MovieParseError("end takes no arguments", line=line)
+                raise FormatError("end takes no arguments", line=line)
             events.append(EndEvent(line))
             saw_end = True
         else:
-            raise MovieParseError(f"unknown event {keyword!r}", line=line)
+            raise FormatError(f"unknown event {keyword!r}", line=line)
     if not saw_end:
-        last = len(text.splitlines())
-        raise MovieParseError("missing 'end' event", line=max(last, 1))
+        raise lines.end_error("missing 'end' event")
     return MovieScript(name, tuple(events))
 
 

@@ -16,8 +16,10 @@ from .errors import FormatError, UnknownIdError
 from .words import (
     EMPTY_WORD,
     FreeWord,
-    content_lines,
+    LineReader,
     format_word,
+    parse_id,
+    parse_sign,
     parse_word,
     valid_name,
 )
@@ -247,60 +249,42 @@ def _parse_crossed_word(text: str, lineno: int, field: str) -> CrossedWord:
                 f"expected '(word ; cell ; sign)', got {chunk.strip()!r}",
                 line=lineno, field=field,
             )
-        word = parse_word(parts[0], line=lineno, field=field)
-        cell = parts[1].strip()
-        if not valid_name(cell):
-            raise FormatError(f"bad cell id {cell!r}", line=lineno, field=field)
-        sign_text = parts[2].strip()
-        if sign_text in ("+", "+1"):
-            sign = 1
-        elif sign_text in ("-", "-1"):
-            sign = -1
-        else:
-            raise FormatError(f"bad sign {sign_text!r}", line=lineno, field=field)
-        terms.append((word, cell, sign))
+        terms.append((
+            parse_word(parts[0], line=lineno, field=field),
+            parse_id(parts[1].strip(), "cell", lineno, field),
+            parse_sign(parts[2].strip(), lineno, field),
+        ))
         pos = close + 1
     return CrossedWord(tuple(terms))
 
 
 def parse_presentation_text(text: str) -> CrossedPresentation:
-    lines = list(content_lines(text))
-    if not lines:
-        raise FormatError("empty input", line=1, field="header")
-
-    def expect(index: int, field: str) -> tuple[int, str]:
-        if index >= len(lines):
-            raise FormatError("unexpected end of input",
-                              line=lines[-1][0], field=field)
-        return lines[index]
-
-    lineno, header = expect(0, "header")
+    lines = LineReader(text)
+    first = next(iter(lines), None)
+    if first is None:
+        raise lines.end_error("empty input", "header")
+    lineno, header = first
     if header != "pres v1":
         raise FormatError(f"expected 'pres v1' header, got {header!r}",
                           line=lineno, field="header")
 
-    lineno, gens_line = expect(1, "gens")
+    lineno, gens_line = lines.next("gens")
     tokens = gens_line.split()
     if not tokens or tokens[0] != "gens":
         raise FormatError("expected 'gens' line", line=lineno, field="gens")
-    generators = tuple(tokens[1:])
-    for name in generators:
-        if not valid_name(name):
-            raise FormatError(f"bad generator id {name!r}", line=lineno, field="gens")
+    generators = tuple(
+        parse_id(name, "generator", lineno, "gens") for name in tokens[1:]
+    )
 
-    lineno, cells_line = expect(2, "cells")
+    lineno, cells_line = lines.next("cells")
     tokens = cells_line.split()
     if not tokens or tokens[0] != "cells":
         raise FormatError("expected 'cells' line", line=lineno, field="cells")
-    cells = tuple(tokens[1:])
-    for name in cells:
-        if not valid_name(name):
-            raise FormatError(f"bad cell id {name!r}", line=lineno, field="cells")
+    cells = tuple(parse_id(name, "cell", lineno, "cells") for name in tokens[1:])
 
     cell_boundary: dict[str, FreeWord] = {}
-    index = 3
     for cell in cells:
-        lineno, line = expect(index, "bnd")
+        lineno, line = lines.next("bnd")
         head, eq, rest = line.partition("=")
         tokens = head.split()
         if len(tokens) != 2 or tokens[0] != "bnd" or not eq:
@@ -312,17 +296,14 @@ def parse_presentation_text(text: str) -> CrossedPresentation:
                 line=lineno, field="bnd",
             )
         cell_boundary[cell] = parse_word(rest, line=lineno, field="bnd")
-        index += 1
 
     relations: list[CrossedWord] = []
-    while index < len(lines):
-        lineno, line = expect(index, "rel")
+    for lineno, line in lines:
         head, eq, rest = line.partition("=")
         if head.split() != ["rel"] or not eq:
             raise FormatError(f"expected 'rel = ...' line, got {line!r}",
                               line=lineno, field="rel")
         relations.append(_parse_crossed_word(rest, lineno, "rel"))
-        index += 1
 
     return CrossedPresentation(generators, cells, cell_boundary, tuple(relations))
 

@@ -18,6 +18,13 @@ Letter = tuple[str, int]
 # used by the text formats (whitespace, = , ; ( ) [ ] # ^) are excluded.
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.'-]*\Z")
 
+# An integer token is an optional sign and ASCII digits.  ``int`` alone would
+# also take "1_0", Unicode digits and surrounding whitespace.
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
+
+# Sign tokens of relation terms, spanner terms and crossings.
+_SIGNS = {"+": 1, "+1": 1, "-": -1, "-1": -1}
+
 # Token standing for the empty word in every text format.
 EMPTY_WORD_TOKEN = "1"
 
@@ -30,17 +37,90 @@ def valid_name(name: str) -> bool:
     return bool(NAME_RE.match(name))
 
 
-def content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, content) for each line that has content.
+class LineReader:
+    """The content lines of one text, read in order by a parser.
 
     ``#`` starts a comment that runs to the end of the line, whitespace is
-    stripped, and lines left empty are skipped.  Every text format reads its
-    input through this.
+    stripped, and lines left empty are skipped.  Iterating yields (1-based
+    line number, content) for the lines not read yet.  Running out is
+    reported at the last line of the text, or at line 1 if it has none.
+    Every text format reads its input through this.
     """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if content:
-            yield lineno, content
+
+    def __init__(self, text: str):
+        self._lines = text.splitlines()
+        self._items = self._content()
+
+    def _content(self) -> Iterator[tuple[int, str]]:
+        for lineno, raw in enumerate(self._lines, start=1):
+            content = raw.split("#", 1)[0].strip()
+            if content:
+                yield lineno, content
+
+    def __iter__(self) -> Iterator[tuple[int, str]]:
+        return self._items
+
+    def next(self, field: str) -> tuple[int, str]:
+        """The next content line; ``FormatError`` at the end of the text."""
+        item = next(self._items, None)
+        if item is None:
+            raise self.end_error("unexpected end of input", field)
+        return item
+
+    def end_error(self, message: str, field: str | None = None) -> FormatError:
+        return FormatError(message, line=len(self._lines) or 1, field=field)
+
+
+def _integer_or_none(token: str) -> int | None:
+    if _INTEGER_RE.match(token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
+def parse_integer(token: str, what: str, line: int | None = None,
+                  field: str | None = None) -> int:
+    """The value of an integer token; else ``FormatError`` "bad <what> <token>"."""
+    value = _integer_or_none(token)
+    if value is None:
+        raise FormatError(f"bad {what} {token!r}", line=line, field=field)
+    return value
+
+
+def parse_integers(text: str, line: int | None = None,
+                   field: str | None = None) -> tuple[int, ...]:
+    """The values of a row of integer tokens; else ``FormatError``."""
+    tokens = text.split()
+    # On ASCII text without "_", int() accepts exactly the integer tokens, so
+    # a well-formed table row pays no per-entry check.
+    if text.isascii() and "_" not in text:
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:
+            pass
+    values = tuple(map(_integer_or_none, tokens))
+    if None in values:
+        bad = tokens[values.index(None)]
+        raise FormatError(f"expected an integer, got {bad!r}", line=line, field=field)
+    return values
+
+
+def parse_sign(token: str, line: int | None = None, field: str | None = None) -> int:
+    """+1 or -1 from ``+``, ``+1``, ``-`` or ``-1``; else ``FormatError``."""
+    try:
+        return _SIGNS[token]
+    except KeyError:
+        raise FormatError(f"bad sign {token!r}", line=line, field=field) from None
+
+
+def parse_id(token: str, what: str, line: int | None = None,
+             field: str | None = None) -> str:
+    """``token`` if it is a valid id; else ``FormatError`` "bad <what> id <token>"."""
+    if not NAME_RE.match(token):
+        raise FormatError(f"bad {what} id {token!r}", line=line, field=field)
+    return token
 
 
 def _expanded(letters: Iterable[tuple[str, int]]) -> Iterator[Letter]:
@@ -109,7 +189,8 @@ def reduce_free_word(letters: Iterable[tuple[str, int]]) -> FreeWord:
 def parse_word(text: str, line: int | None = None, field: str | None = None) -> FreeWord:
     """Parse a word from space-separated tokens ``X``, ``X^-1``, ``X^3``, ``1``.
 
-    An exponent above ``MAX_EXPONENT`` in absolute value is a ``FormatError``.
+    An exponent is an integer token; one above ``MAX_EXPONENT`` in absolute
+    value is a ``FormatError``.
     """
     raw: list[tuple[str, int]] = []
     for token in text.split():
@@ -119,12 +200,11 @@ def parse_word(text: str, line: int | None = None, field: str | None = None) -> 
         if not valid_name(base):
             raise FormatError(f"bad word token {token!r}", line=line, field=field)
         if caret:
-            try:
-                exp = int(exp_text)
-            except ValueError:
+            exp = _integer_or_none(exp_text)
+            if exp is None:
                 raise FormatError(
                     f"bad exponent in token {token!r}", line=line, field=field
-                ) from None
+                )
             if abs(exp) > MAX_EXPONENT:
                 raise FormatError(
                     f"exponent in token {token!r} exceeds {MAX_EXPONENT} in absolute value",

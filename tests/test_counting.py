@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
 from xmod import counting
+from xmod.battery import standard_battery
 from xmod.counting import (
     METHOD_BACKTRACKING,
     METHOD_LINEAR,
@@ -344,6 +346,22 @@ def test_count_with_method_reports_resolution(battery_by_name):
     assert report.count == 8 and report.method == "linear"
     report = count_report(sphere(), battery_by_name["ga_z3_p2"], 1, "backtracking")
     assert report.count == 8 and report.method == "backtracking"
+
+
+def test_linear_shape_is_worked_out_once(monkeypatch):
+    calls = []
+    compute = FiniteCrossedModule.linear_shape.func
+
+    def counted(cm):
+        calls.append(cm)
+        return compute(cm)
+
+    shape = cached_property(counted)
+    shape.__set_name__(FiniteCrossedModule, "linear_shape")
+    monkeypatch.setattr(FiniteCrossedModule, "linear_shape", shape)
+    cm = dict(standard_battery())["ga_z2_p2"]  # freshly built, nothing cached
+    report = count_report(sphere(), cm, 1, "auto")
+    assert report.method == METHOD_LINEAR and len(calls) == 1
 
 
 def test_invariant_fraction(battery):

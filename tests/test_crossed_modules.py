@@ -4,7 +4,7 @@ import random
 from itertools import permutations
 
 import pytest
-from knottedness_report import ReportConfig, module_bank
+from knottedness_report import module_bank
 
 from xmod.battery import standard_battery
 from xmod.crossed import (
@@ -110,7 +110,7 @@ def builder_made_modules():
     """Every crossed module the package, its scripts and its benchmark build."""
     made = [("battery", name, cm) for name, cm in standard_battery()]
     made += [("fuzz", name, cm) for name, cm in module_pool()]
-    made += [("report", name, cm) for name, cm in module_bank(ReportConfig())
+    made += [("report", name, cm) for name, cm in module_bank()
              if name.startswith("conj_z")]
     bench = {
         "conj_s4": build_conjugation_crossed_module(build_symmetric_group(4)),

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from xmod import movies
-from xmod.errors import MovieParseError, ReplayError, XmodError
+from xmod.errors import FormatError, ReplayError, XmodError
 from xmod.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from xmod.movies import (
     Birth,
@@ -93,14 +93,14 @@ def test_parse_errors_carry_line_numbers():
         ("birth X\n", 1, "missing 'end'"),
     ]
     for text, line, needle in cases:
-        with pytest.raises(MovieParseError) as info:
+        with pytest.raises(FormatError) as info:
             parse_movie_script(text)
         assert info.value.line == line, text
         assert needle in str(info.value), text
 
 
 def test_parse_duplicate_argument():
-    with pytest.raises(MovieParseError) as info:
+    with pytest.raises(FormatError) as info:
         parse_movie_script("saddle cell=e cell=f u=X v=X band=b merged=c\nend\n")
     assert "duplicate argument" in str(info.value)
 

@@ -8,7 +8,7 @@ from xmod.words import (
     EMPTY_WORD,
     MAX_EXPONENT,
     FreeWord,
-    content_lines,
+    LineReader,
     format_word,
     parse_word,
     reduce_free_word,
@@ -104,10 +104,10 @@ def test_parse_exponent_bound():
 
 def test_content_lines():
     text = "# head\n\n  a b  # tail\n#\nc\n   \n"
-    assert list(content_lines(text)) == [(3, "a b"), (5, "c")]
-    assert list(content_lines("")) == []
+    assert list(LineReader(text)) == [(3, "a b"), (5, "c")]
+    assert list(LineReader("")) == []
     # Lines are split as str.splitlines splits them, so numbers match it.
-    assert list(content_lines("a\r\nb\rc")) == [(1, "a"), (2, "b"), (3, "c")]
+    assert list(LineReader("a\r\nb\rc")) == [(1, "a"), (2, "b"), (3, "c")]
 
 
 def test_format_round_trip():
