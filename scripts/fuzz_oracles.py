@@ -23,8 +23,10 @@ from xmod.counting import (
     count_linear_fastpath,
     select_method,
 )
+from xmod.errors import FormatError
 from xmod.fuzz import random_instances
 from xmod.presentations import format_presentation_text
+from xmod.words import parse_integer
 
 
 def run(seed: int, count: int, verbose: bool) -> int:
@@ -60,10 +62,18 @@ def run(seed: int, count: int, verbose: bool) -> int:
     return mismatches
 
 
+def integer(token: str) -> int:
+    """An integer option, read by the token rule of the text formats."""
+    try:
+        return parse_integer(token, "integer")
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--count", type=int, default=500)
+    parser.add_argument("--seed", type=integer, default=7)
+    parser.add_argument("--count", type=integer, default=500)
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     # Not the count itself: an exit status is taken modulo 256.

@@ -18,9 +18,11 @@ from fractions import Fraction
 from xmod.battery import standard_battery
 from xmod.counting import DEFAULT_WORK_CAP, invariant
 from xmod.crossed import build_conjugation_crossed_module
+from xmod.errors import FormatError
 from xmod.fixtures import FIXTURE_NAMES, load_fixture
 from xmod.groups import build_cyclic_group
 from xmod.movies import compile_movie
+from xmod.words import parse_integer
 
 # Unknotted references: which fixture plays baseline for which surface.
 BASELINES = {
@@ -86,9 +88,17 @@ def print_separations(table) -> None:
             print(f"{name}: NOT separated from {baseline} by this bank")
 
 
+def integer(token: str) -> int:
+    """An integer option, read by the token rule of the text formats."""
+    try:
+        return parse_integer(token, "integer")
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP)
+    parser.add_argument("--work-cap", type=integer, default=DEFAULT_WORK_CAP)
     parser.add_argument(
         "--fixtures",
         default=",".join(FIXTURE_NAMES),

@@ -1,11 +1,12 @@
 """Command line interface.
 
-Subcommands: validate, count, invariant, compile, examples, selftest.
+Subcommands: validate, invariant, compile, examples, selftest.
 Reports go to stdout, one key per line; diagnostics go to stderr.
 
 Exit codes: 0 success, 1 axiom violation or replay failure, 2 parse or
 usage error, 3 work cap exceeded.  The environment variable XMOD_WORK_CAP
-sets the default step budget; --work-cap overrides it.
+sets the default step budget; --work-cap overrides it.  Integer options
+and XMOD_WORK_CAP follow the integer token rule of the text formats.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from .battery import standard_battery
 from .counting import (
     DEFAULT_WORK_CAP,
     METHOD_LINEAR,
-    METHODS,
     count_homomorphisms,
     count_homomorphisms_naive,
     count_linear_fastpath,
@@ -35,7 +35,6 @@ from .crossed import (
 )
 from .errors import (
     CapExceeded,
-    FastPathUnavailable,
     FormatError,
     XmodError,
 )
@@ -46,12 +45,16 @@ from .presentations import (
     parse_presentation_text,
     validate_presentation,
 )
-from .words import LineReader
+from .words import LineReader, parse_integer
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
+
+# Largest --one-handles: the report prints (#fiber)**one_handles exactly, at a
+# cost quadratic in the exponent (16 ms for 512**10**4, 1.5 s for 512**10**5).
+MAX_ONE_HANDLES = 10**4
 
 
 def _read_file(path: str) -> str:
@@ -60,21 +63,18 @@ def _read_file(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from None
 
 
-def _work_cap(flag: int | None) -> int:
+def _work_cap(flag: str | None) -> int:
     """The step budget: --work-cap if given, else XMOD_WORK_CAP, else the default."""
-    if flag is not None:
-        source, value = "--work-cap", flag
-    else:
-        raw = os.environ.get("XMOD_WORK_CAP")
+    source, raw = "--work-cap", flag
+    if raw is None:
+        source, raw = "XMOD_WORK_CAP", os.environ.get("XMOD_WORK_CAP")
         if raw is None:
             return DEFAULT_WORK_CAP
-        try:
-            value = int(raw)
-        except ValueError:
-            raise FormatError(f"XMOD_WORK_CAP must be an integer, got {raw!r}") from None
-        source = "XMOD_WORK_CAP"
+    value = parse_integer(raw, source)
     if value < 1:
         raise FormatError(f"{source} must be positive")
     return value
@@ -130,12 +130,19 @@ def _load_target(path: str) -> tuple:
 
 
 def cmd_invariant(args) -> int:
-    pres, one_handles = _load_target(args.target)
-    if args.one_handles is not None:
-        one_handles = args.one_handles
+    one_handles = args.one_handles
+    if one_handles is not None:
+        one_handles = parse_integer(one_handles, "--one-handles")
+        if not 0 <= one_handles <= MAX_ONE_HANDLES:
+            raise FormatError(
+                f"--one-handles must be nonnegative and at most {MAX_ONE_HANDLES}"
+            )
+    pres, default = _load_target(args.target)
     cm = _load_module(args.module)
+    if one_handles is None:
+        one_handles = default
     start = time.perf_counter()
-    report = count_report(pres, cm, one_handles, args.method, work_cap=args.work_cap)
+    report = count_report(pres, cm, one_handles, work_cap=args.work_cap)
     elapsed_ms = round((time.perf_counter() - start) * 1000)
     sys.stdout.write(format_count_report(report, elapsed_ms))
     return EXIT_OK
@@ -226,7 +233,8 @@ def _selftest_checks(seed: int, work_cap: int):
 
 def cmd_selftest(args) -> int:
     failures = 0
-    for name, check in _selftest_checks(args.seed, args.work_cap):
+    seed = parse_integer(args.seed, "--seed")
+    for name, check in _selftest_checks(seed, args.work_cap):
         try:
             passed = check()
         except XmodError as exc:
@@ -251,22 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("module", help="crossed module file (xmod v1 format)")
     p.set_defaults(func=cmd_validate)
 
-    for command in ("count", "invariant"):
-        p = sub.add_parser(
-            command,
-            help="count homomorphisms and report the invariant",
-        )
-        p.add_argument("target", help="presentation (pres v1) or movie script file")
-        p.add_argument("module", help="crossed module file (xmod v1 format)")
-        p.add_argument(
-            "--method",
-            choices=("auto", *METHODS),
-            default="auto",
-        )
-        p.add_argument("--one-handles", type=int, default=None,
-                       help="override the 1-handle count used in the invariant")
-        p.add_argument("--work-cap", type=int, default=None)
-        p.set_defaults(func=cmd_invariant)
+    p = sub.add_parser("invariant", help="count homomorphisms and report the invariant")
+    p.add_argument("target", help="presentation (pres v1) or movie script file")
+    p.add_argument("module", help="crossed module file (xmod v1 format)")
+    p.add_argument("--one-handles",
+                   help="override the 1-handle count used in the invariant")
+    p.add_argument("--work-cap")
+    p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("compile", help="compile a movie script to a presentation")
     p.add_argument("movie", help="movie script file")
@@ -274,12 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("examples", help="invariants of the shipped fixtures")
     p.add_argument("names", nargs="*", help="fixture names (default: all)")
-    p.add_argument("--work-cap", type=int, default=None)
+    p.add_argument("--work-cap")
     p.set_defaults(func=cmd_examples)
 
     p = sub.add_parser("selftest", help="run the built-in consistency checks")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--work-cap", type=int, default=None)
+    p.add_argument("--seed", default="7")
+    p.add_argument("--work-cap")
     p.set_defaults(func=cmd_selftest)
 
     return parser
@@ -295,13 +294,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if hasattr(args, "work_cap"):
             args.work_cap = _work_cap(args.work_cap)
-        if getattr(args, "one_handles", None) is not None and args.one_handles < 0:
-            raise FormatError("--one-handles must be nonnegative")
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (FormatError, FastPathUnavailable, ValueError) as exc:
+    except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except XmodError as exc:

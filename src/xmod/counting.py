@@ -10,14 +10,15 @@ and a cell assignment psi (cell -> fiber element) such that
     psi(cell)) to its sign, is the fiber identity.
 
 The invariant of a complement with b1 one-handles is the exact rational
-count / (#fiber)**b1.  Three engines are provided: a pruned backtracking
-search (the default), a naive full-product oracle, and a linear-algebra
-fast path for targets with identity boundary and elementary abelian fiber.
+count / (#fiber)**b1.  ``count_report`` runs a linear-algebra fast path on
+targets with identity boundary and elementary abelian fiber, and a pruned
+backtracking search on the others; a naive full-product oracle checks both.
 All arithmetic is exact; counts are arbitrary-precision integers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -39,9 +40,7 @@ from .words import FreeWord
 DEFAULT_WORK_CAP = 10**9
 
 METHOD_BACKTRACKING = "backtracking"
-METHOD_NAIVE = "naive"
 METHOD_LINEAR = "linear"
-METHODS = (METHOD_BACKTRACKING, METHOD_NAIVE, METHOD_LINEAR)
 
 
 @dataclass(frozen=True)
@@ -376,13 +375,9 @@ def _rank_mod_p(rows: list[list[int]], p: int, budget: _Budget) -> int:
     return rank
 
 
-def select_method(cm: FiniteCrossedModule, requested: str = "auto") -> str:
-    """Resolve 'auto' to the linear fast path when applicable, else backtracking."""
-    if requested == "auto":
-        return METHOD_BACKTRACKING if isinstance(cm.linear_shape, str) else METHOD_LINEAR
-    if requested not in METHODS:
-        raise ValueError(f"unknown method {requested!r}")
-    return requested
+def select_method(cm: FiniteCrossedModule) -> str:
+    """The engine ``count_report`` runs: linear where it applies, else backtracking."""
+    return METHOD_BACKTRACKING if isinstance(cm.linear_shape, str) else METHOD_LINEAR
 
 
 def invariant(
@@ -390,42 +385,45 @@ def invariant(
     cm: FiniteCrossedModule,
     one_handles: int,
     *,
-    method: str = "auto",
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> Fraction:
     """The exact rational count / (#fiber)**one_handles."""
-    return count_report(pres, cm, one_handles, method, work_cap=work_cap).invariant
+    return count_report(pres, cm, one_handles, work_cap=work_cap).invariant
 
 
 def count_report(
     pres: CrossedPresentation,
     cm: FiniteCrossedModule,
     one_handles: int,
-    method: str = "auto",
     *,
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> CountReport:
     if one_handles < 0:
         raise ValueError("one_handles must be nonnegative")
-    resolved = select_method(cm, method)
+    method = select_method(cm)
     # Engines are looked up at call time, so a wrapper patched onto this
     # module sees every call.
-    engine = {
-        METHOD_BACKTRACKING: count_homomorphisms,
-        METHOD_NAIVE: count_homomorphisms_naive,
-        METHOD_LINEAR: count_linear_fastpath,
-    }[resolved]
-    count = engine(pres, cm, work_cap=work_cap)
+    if method == METHOD_LINEAR:
+        count = count_linear_fastpath(pres, cm, work_cap=work_cap)
+    else:
+        count = count_homomorphisms(pres, cm, work_cap=work_cap)
     value = Fraction(count, cm.fiber.order**one_handles)
-    return CountReport(count, one_handles, value, resolved)
+    return CountReport(count, one_handles, value, method)
+
+
+def _decimal(n: int) -> str:
+    # Exact at any size: str(n) refuses more than sys.get_int_max_str_digits()
+    # digits (4300 by default), and that limit is one setting for the process.
+    return str(Decimal(n))
 
 
 def format_count_report(report: CountReport, elapsed_ms: int) -> str:
+    """The report text; every value is printed exactly, whatever its size."""
     return (
-        f"count {report.count}\n"
+        f"count {_decimal(report.count)}\n"
         f"one_handles {report.one_handles}\n"
-        f"invariant {report.invariant.numerator}/{report.invariant.denominator}\n"
+        f"invariant {_decimal(report.invariant.numerator)}/"
+        f"{_decimal(report.invariant.denominator)}\n"
         f"method {report.method}\n"
         f"elapsed_ms {elapsed_ms}\n"
     )
-

@@ -92,6 +92,18 @@ def test_validate_missing_file(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "compile", "invariant"])
+def test_non_utf8_file_exit_2(command, cli_files, tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"xmod v1\nbase 1\n0 \xff\n")
+    argv = [command, str(path)]
+    if command == "invariant":
+        argv.append(cli_files["conj_s3"])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {path}: not UTF-8 at byte 17\n"
+
+
 # ---------------------------------------------------------------------------
 # compile
 # ---------------------------------------------------------------------------
@@ -139,7 +151,7 @@ def test_compile_parse_error_exit_2(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# invariant / count
+# invariant
 # ---------------------------------------------------------------------------
 
 
@@ -162,31 +174,12 @@ def test_invariant_spun_hopf(cli_files, capsys):
     ]
 
 
-def test_count_is_an_alias(cli_files, capsys):
-    code_a, out_a, _ = run_cli(
+def test_count_is_not_a_command(cli_files, capsys):
+    code, out, err = run_cli(
         capsys, "count", cli_files["spun_trefoil"], cli_files["ga_z3_p2"]
     )
-    code_b, out_b, _ = run_cli(
-        capsys, "invariant", cli_files["spun_trefoil"], cli_files["ga_z3_p2"]
-    )
-    assert code_a == code_b == 0
-    assert report_lines(out_a) == report_lines(out_b)
-    assert "invariant 9/8" in out_a
-
-
-def test_methods_agree_through_cli(cli_files, capsys):
-    reports = []
-    for method in ("backtracking", "naive", "linear"):
-        code, out, _ = run_cli(
-            capsys,
-            "invariant", cli_files["spun_hopf"], cli_files["ga_z2_p2"],
-            "--method", method,
-        )
-        assert code == 0
-        lines = report_lines(out)
-        assert lines[3] == f"method {method}"
-        reports.append(lines[:3])
-    assert reports[0] == reports[1] == reports[2]
+    assert code == 2 and out == ""
+    assert "invalid choice: 'count'" in err
 
 
 def test_invariant_on_presentation_file(cli_files, capsys):
@@ -223,6 +216,101 @@ def test_invariant_rejects_negative_one_handles(cli_files, capsys):
     assert "nonnegative" in err
 
 
+def read_decimal(digits: str) -> int:
+    """The value of a decimal string, read in chunks: int() refuses more than
+    sys.get_int_max_str_digits() digits at once."""
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_invariant_prints_values_of_any_size(cli_files, capsys, tmp_path):
+    # 5000 free cells against a fiber of order 8: the count is 8**5000, 4516
+    # digits, more than str() converts by default.
+    cells = [f"c{i}" for i in range(5000)]
+    path = tmp_path / "free_cells.pres"
+    path.write_text(
+        "pres v1\ngens\ncells " + " ".join(cells) + "\n"
+        + "".join(f"bnd {c} = 1\n" for c in cells),
+        encoding="utf-8",
+    )
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(capsys, "invariant", str(path), cli_files["ga_z3_p2"])
+    assert code == 0 and err == ""
+    count, one_handles, value, method = report_lines(out)
+    assert read_decimal(count.removeprefix("count ")) == 8**5000
+    assert len(count) == len("count ") + 4516
+    assert (one_handles, method) == ("one_handles 0", "method linear")
+    assert value.startswith("invariant ") and value.endswith("/1")
+    assert read_decimal(value[len("invariant "):-2]) == 8**5000
+    # main leaves the interpreter's conversion limit as it found it.
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_one_handles_bound(cli_files, capsys):
+    argv = ["invariant", cli_files["sphere.pres"], cli_files["ga_z3_p2"], "--one-handles"]
+    code, out, _ = run_cli(capsys, *argv, str(cli.MAX_ONE_HANDLES))
+    assert code == 0
+    value = report_lines(out)[2]
+    assert value.startswith("invariant 1/")
+    assert read_decimal(value[len("invariant 1/"):]) == 8 ** (cli.MAX_ONE_HANDLES - 1)
+
+    code, out, err = run_cli(capsys, *argv, str(cli.MAX_ONE_HANDLES + 1))
+    assert code == 2 and out == ""
+    assert err == (f"error: --one-handles must be nonnegative and at most "
+                   f"{cli.MAX_ONE_HANDLES}\n")
+
+
+# Integer options and XMOD_WORK_CAP follow the token rule of the text
+# formats: an optional sign and ASCII digits.
+BAD_INTEGERS = ["1_0", "\u0663", "5 ", "0x10", ""]
+
+
+def assert_refused(result, name, token):
+    code, out, err = result
+    assert code == 2 and out == "", token
+    assert err == f"error: bad {name} {token!r}\n"
+
+
+def test_work_cap_flag_token_rule(cli_files, capsys):
+    argv = ["invariant", cli_files["sphere.pres"], cli_files["conj_s3"], "--work-cap"]
+    for token in BAD_INTEGERS:
+        assert_refused(run_cli(capsys, *argv, token), "--work-cap", token)
+    for accepted in ("+5000", "0005000"):
+        code, out, _ = run_cli(capsys, *argv, accepted)
+        assert code == 0 and report_lines(out)[0] == "count 6"
+    assert run_cli(capsys, *argv, "+5")[0] == 3
+
+
+def test_work_cap_env_token_rule(cli_files, capsys, monkeypatch):
+    argv = ["invariant", cli_files["sphere.pres"], cli_files["conj_s3"]]
+    for token in BAD_INTEGERS:
+        monkeypatch.setenv("XMOD_WORK_CAP", token)
+        assert_refused(run_cli(capsys, *argv), "XMOD_WORK_CAP", token)
+    monkeypatch.setenv("XMOD_WORK_CAP", "+5")
+    assert run_cli(capsys, *argv)[0] == 3
+    monkeypatch.setenv("XMOD_WORK_CAP", "007000")
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_one_handles_flag_token_rule(cli_files, capsys):
+    argv = ["invariant", cli_files["sphere.pres"], cli_files["ga_z2_p2"], "--one-handles"]
+    for token in BAD_INTEGERS:
+        assert_refused(run_cli(capsys, *argv, token), "--one-handles", token)
+    for accepted, value in (("+5", "1/256"), ("007", "1/4096")):
+        code, out, _ = run_cli(capsys, *argv, accepted)
+        assert code == 0 and report_lines(out)[2] == f"invariant {value}"
+
+
+def test_seed_flag_token_rule(capsys):
+    for token in BAD_INTEGERS:
+        assert_refused(run_cli(capsys, "selftest", "--seed", token), "--seed", token)
+    for accepted in ("+5", "007"):
+        assert run_cli(capsys, "selftest", "--seed", accepted)[0] == 0
+
+
 def test_invariant_exponent_bound(cli_files, capsys, tmp_path):
     path = tmp_path / "power.pres"
     path.write_text(f"pres v1\ngens X\ncells e\nbnd e = X^{MAX_EXPONENT}\n",
@@ -248,41 +336,43 @@ def test_invariant_invalid_presentation_exit_1(cli_files, capsys):
 
 
 def test_linear_method_unavailable_exit_2(cli_files, capsys):
-    code, _, err = run_cli(
+    # The module picks the engine; there is no option to ask for one.
+    code, out, err = run_cli(
         capsys,
-        "invariant", cli_files["sphere.pres"], cli_files["conj_s3"],
+        "invariant", cli_files["spun_hopf"], cli_files["ga_z2_p2"],
         "--method", "linear",
     )
-    assert code == 2
-    assert "abelian" in err or "boundary" in err
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --method linear" in err
 
 
 def test_work_cap_flag_exit_3(cli_files, capsys):
-    code, _, err = run_cli(
+    # conj_s3 is not a linear target, so this run and the next backtrack.
+    code, out, err = run_cli(
         capsys,
-        "invariant", cli_files["spun_hopf"], cli_files["ga_z2_p2"],
-        "--method", "backtracking", "--work-cap", "10",
+        "invariant", cli_files["spun_hopf"], cli_files["conj_s3"],
+        "--work-cap", "10",
     )
-    assert code == 3
-    assert "work cap" in err
+    assert code == 3 and out == ""
+    assert err == "error: work cap of 10 elementary steps exceeded\n"
 
 
 def test_work_cap_env(cli_files, capsys, monkeypatch):
     monkeypatch.setenv("XMOD_WORK_CAP", "10")
     code, _, _ = run_cli(
-        capsys,
-        "invariant", cli_files["spun_hopf"], cli_files["ga_z2_p2"],
-        "--method", "backtracking",
+        capsys, "invariant", cli_files["spun_hopf"], cli_files["conj_s3"]
     )
     assert code == 3
     # An explicit flag beats the environment.
     code, out, _ = run_cli(
         capsys,
-        "invariant", cli_files["spun_hopf"], cli_files["ga_z2_p2"],
-        "--method", "backtracking", "--work-cap", "1000000",
+        "invariant", cli_files["spun_hopf"], cli_files["conj_s3"],
+        "--work-cap", "1000000",
     )
     assert code == 0
-    assert "count 640" in out
+    assert report_lines(out) == [
+        "count 36", "one_handles 2", "invariant 1/1", "method backtracking",
+    ]
 
 
 def test_work_cap_env_must_be_numeric(cli_files, capsys, monkeypatch):
@@ -294,10 +384,10 @@ def test_work_cap_env_must_be_numeric(cli_files, capsys, monkeypatch):
     assert "XMOD_WORK_CAP" in err
 
 
-@pytest.mark.parametrize("command", ["count", "invariant", "examples", "selftest"])
+@pytest.mark.parametrize("command", ["invariant", "examples", "selftest"])
 def test_work_cap_flag_must_be_positive(command, cli_files, capsys):
     targets = [cli_files["spun_hopf"], cli_files["ga_z2_p2"]]
-    argv = [command, *(targets if command in ("count", "invariant") else []), "--work-cap", "0"]
+    argv = [command, *(targets if command == "invariant" else []), "--work-cap", "0"]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -136,10 +136,13 @@ def test_count_report_validates_once(monkeypatch, battery_by_name):
         return original(pres)
 
     monkeypatch.setattr(counting, "validate_presentation", counted)
-    for method in ("auto", "backtracking", "naive", "linear"):
+    for name in ("ga_z2_p2", "conj_s3"):  # linear, then backtracking
         calls.clear()
-        count_report(sphere(), battery_by_name["ga_z2_p2"], 1, method)
-        assert len(calls) == 1, method
+        count_report(sphere(), battery_by_name[name], 1)
+        assert len(calls) == 1, name
+    calls.clear()
+    count_homomorphisms_naive(sphere(), battery_by_name["conj_s3"])
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +339,14 @@ def test_fastpath_trivial_fiber():
 def test_select_method(battery_by_name):
     assert select_method(battery_by_name["ga_z2_p2"]) == "linear"
     assert select_method(battery_by_name["conj_s3"]) == "backtracking"
-    assert select_method(battery_by_name["conj_s3"], "naive") == "naive"
-    with pytest.raises(ValueError):
-        select_method(battery_by_name["conj_s3"], "magic")
 
 
 def test_count_with_method_reports_resolution(battery_by_name):
+    # The report names the engine the module picked.
     report = count_report(sphere(), battery_by_name["ga_z3_p2"], 1)
     assert report.count == 8 and report.method == "linear"
-    report = count_report(sphere(), battery_by_name["ga_z3_p2"], 1, "backtracking")
-    assert report.count == 8 and report.method == "backtracking"
+    report = count_report(sphere(), battery_by_name["conj_s3"], 1)
+    assert report.count == 6 and report.method == "backtracking"
 
 
 def test_linear_shape_is_worked_out_once(monkeypatch):
@@ -360,7 +361,7 @@ def test_linear_shape_is_worked_out_once(monkeypatch):
     shape.__set_name__(FiniteCrossedModule, "linear_shape")
     monkeypatch.setattr(FiniteCrossedModule, "linear_shape", shape)
     cm = dict(standard_battery())["ga_z2_p2"]  # freshly built, nothing cached
-    report = count_report(sphere(), cm, 1, "auto")
+    report = count_report(sphere(), cm, 1)
     assert report.method == METHOD_LINEAR and len(calls) == 1
 
 

@@ -1,6 +1,8 @@
 """Smoke tests of the scripts under ``scripts/``, imported as modules."""
 from __future__ import annotations
 
+import pytest
+
 import fuzz_oracles
 import knottedness_report
 
@@ -27,3 +29,24 @@ def test_fuzz_oracles_exits_1_on_a_mismatch(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "256 instances, 256 mismatches" in out
     assert out.count("MISMATCH at instance") == 256
+
+
+@pytest.mark.parametrize("main, option", [
+    (fuzz_oracles.main, "--seed"),
+    (fuzz_oracles.main, "--count"),
+    (knottedness_report.main, "--work-cap"),
+], ids=["fuzz-seed", "fuzz-count", "report-work-cap"])
+def test_integer_options_follow_the_token_rule(main, option, capsys):
+    for token in ("1_0", "\u0663"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([option, token])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {option}: bad integer {token!r}" in err
+
+
+def test_integer_options_take_signs_and_leading_zeros(capsys):
+    assert fuzz_oracles.main(["--count", "007", "--seed", "+5"]) == 0
+    assert "7 instances, 0 mismatches, " in capsys.readouterr().out
+    assert knottedness_report.main(["--work-cap", "+0100000000", "--fixtures",
+                                    "trivial1"]) == 0
