@@ -5,8 +5,9 @@ Reports go to stdout, one key per line; diagnostics go to stderr.
 
 Exit codes: 0 success, 1 axiom violation or replay failure, 2 parse or
 usage error, 3 work cap exceeded.  The environment variable XMOD_WORK_CAP
-sets the default step budget; --work-cap overrides it.  Integer options
-and XMOD_WORK_CAP follow the integer token rule of the text formats.
+sets the default step budget of counting and of the exhaustive axiom
+listing; --work-cap overrides it.  Integer options and XMOD_WORK_CAP
+follow the integer token rule of the text formats.
 """
 from __future__ import annotations
 
@@ -80,9 +81,9 @@ def _work_cap(flag: str | None) -> int:
     return value
 
 
-def _load_module(path: str) -> FiniteCrossedModule:
+def _load_module(path: str, work_cap: int) -> FiniteCrossedModule:
     cm = parse_crossed_module_text(_read_file(path))
-    report = validate_crossed_module(cm)
+    report = validate_crossed_module(cm, work_cap)
     if not report.ok:
         first = report.violations[0]
         raise XmodError(
@@ -97,7 +98,7 @@ def _witness_text(witness: tuple) -> str:
 
 def cmd_validate(args) -> int:
     cm = parse_crossed_module_text(_read_file(args.module))
-    report = validate_crossed_module(cm)
+    report = validate_crossed_module(cm, args.work_cap)
     if report.ok:
         print("ok")
         return EXIT_OK
@@ -138,9 +139,14 @@ def cmd_invariant(args) -> int:
                 f"--one-handles must be nonnegative and at most {MAX_ONE_HANDLES}"
             )
     pres, default = _load_target(args.target)
-    cm = _load_module(args.module)
     if one_handles is None:
         one_handles = default
+        if one_handles > MAX_ONE_HANDLES:
+            raise FormatError(
+                f"{args.target} has {one_handles} one-handles, more than "
+                f"{MAX_ONE_HANDLES}; pass --one-handles"
+            )
+    cm = _load_module(args.module, args.work_cap)
     start = time.perf_counter()
     report = count_report(pres, cm, one_handles, work_cap=args.work_cap)
     elapsed_ms = round((time.perf_counter() - start) * 1000)
@@ -248,8 +254,15 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VIOLATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print as one line and exit 2."""
+
+    def error(self, message: str):
+        raise FormatError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xmod",
         description="Exact invariants of knotted surfaces from finite crossed modules.",
     )
@@ -257,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the crossed-module axioms of a file")
     p.add_argument("module", help="crossed module file (xmod v1 format)")
+    p.add_argument("--work-cap")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("invariant", help="count homomorphisms and report the invariant")
@@ -288,13 +302,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors, matching the parse-error code
-        return int(exc.code or 0)
-    try:
         if hasattr(args, "work_cap"):
             args.work_cap = _work_cap(args.work_cap)
         return args.func(args)
+    except SystemExit as exc:
+        # Only --help exits: it prints its text and exits 0.
+        return int(exc.code or 0)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -22,13 +22,13 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
+from .budget import DEFAULT_WORK_CAP, Budget
 from .crossed import FiniteCrossedModule, boundary_fibers
 from .errors import (
     EvaluationError,
     FastPathUnavailable,
     InvalidPresentationError,
     NaiveCapExceeded,
-    WorkCapExceeded,
 )
 from .presentations import (
     CrossedPresentation,
@@ -36,8 +36,6 @@ from .presentations import (
     validate_presentation,
 )
 from .words import FreeWord
-
-DEFAULT_WORK_CAP = 10**9
 
 METHOD_BACKTRACKING = "backtracking"
 METHOD_LINEAR = "linear"
@@ -88,23 +86,6 @@ def evaluate_crossed_word(
         moved = cm.act(evaluate_free_word(conjugator, assignment, cm), value)
         out = fiber.mul(out, moved if sign > 0 else fiber.inv(moved))
     return out
-
-
-class _Budget:
-    """Mutable elementary-step counter shared across one counting run."""
-
-    __slots__ = ("steps", "cap")
-
-    def __init__(self, cap: int):
-        self.steps = 0
-        self.cap = cap
-
-    def spend(self, amount: int = 1) -> None:
-        self.steps += amount
-        if self.steps > self.cap:
-            raise WorkCapExceeded(
-                f"work cap of {self.cap} elementary steps exceeded"
-            )
 
 
 Letters = tuple[tuple[int, int], ...]
@@ -178,7 +159,7 @@ def count_homomorphisms(
     base, fiber = cm.base, cm.fiber
     n_gens, n_cells = len(compiled.generators), len(compiled.cells)
     fibers = boundary_fibers(cm)
-    budget = _Budget(work_cap)
+    budget = Budget(work_cap)
 
     # Relations grouped by depth, the last cell position they mention, in
     # declaration order; an empty relation always holds and is dropped.
@@ -311,7 +292,7 @@ def count_linear_fastpath(
         raise FastPathUnavailable(shape)
     p, basis, coords = shape
     d = len(basis)
-    budget = _Budget(work_cap)
+    budget = Budget(work_cap)
 
     # Action of g as a d x d matrix over F_p, columns indexed by basis vectors.
     matrices = []
@@ -349,7 +330,7 @@ def count_linear_fastpath(
     return total
 
 
-def _rank_mod_p(rows: list[list[int]], p: int, budget: _Budget) -> int:
+def _rank_mod_p(rows: list[list[int]], p: int, budget: Budget) -> int:
     if not rows:
         return 0
     width = len(rows[0])

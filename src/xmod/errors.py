@@ -51,7 +51,7 @@ class CapExceeded(XmodError):
 
 
 class WorkCapExceeded(CapExceeded):
-    """The counting engine exceeded its elementary-step budget."""
+    """A counting engine or the exhaustive axiom listing exceeded its step budget."""
 
 
 class NaiveCapExceeded(CapExceeded):

@@ -10,8 +10,13 @@ import xmod
 from xmod import cli, counting, movies
 from xmod.battery import standard_battery
 from xmod.cli import main
-from xmod.crossed import FiniteCrossedModule, format_crossed_module_text
+from xmod.crossed import (
+    FiniteCrossedModule,
+    build_group_algebra_crossed_module,
+    format_crossed_module_text,
+)
 from xmod.fixtures import fixture_text
+from xmod.groups import build_cyclic_group
 from xmod.words import MAX_EXPONENT
 
 
@@ -249,6 +254,28 @@ def test_invariant_prints_values_of_any_size(cli_files, capsys, tmp_path):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def test_default_one_handles_is_bounded(tmp_path, capsys):
+    # A pres file's default one_handles is its generator count, and the
+    # --one-handles bound applies to it as well.
+    gens = cli.MAX_ONE_HANDLES + 1
+    pres = tmp_path / "wide.pres"
+    pres.write_text("pres v1\ngens " + " ".join(f"X{i}" for i in range(gens))
+                    + "\ncells\n", encoding="utf-8")
+    trivial = tmp_path / "trivial.xmod"
+    trivial.write_text("xmod v1\nbase 1\n0\nfiber 1\n0\nboundary\n0\naction\n0\n",
+                       encoding="utf-8")
+    code, out, err = run_cli(capsys, "invariant", str(pres), str(trivial))
+    assert code == 2 and out == ""
+    assert err == (f"error: {pres} has {gens} one-handles, more than "
+                   f"{cli.MAX_ONE_HANDLES}; pass --one-handles\n")
+
+    code, out, _ = run_cli(capsys, "invariant", str(pres), str(trivial),
+                           "--one-handles", str(cli.MAX_ONE_HANDLES))
+    assert code == 0
+    assert report_lines(out) == ["count 1", f"one_handles {cli.MAX_ONE_HANDLES}",
+                                 "invariant 1/1", "method linear"]
+
+
 def test_one_handles_bound(cli_files, capsys):
     argv = ["invariant", cli_files["sphere.pres"], cli_files["ga_z3_p2"], "--one-handles"]
     code, out, _ = run_cli(capsys, *argv, str(cli.MAX_ONE_HANDLES))
@@ -357,6 +384,27 @@ def test_work_cap_flag_exit_3(cli_files, capsys):
     assert err == "error: work cap of 10 elementary steps exceeded\n"
 
 
+def test_validate_work_cap_exit_3(cli_files, tmp_path, capsys, monkeypatch):
+    # A corrupted module is listed exhaustively, one step per tuple visited
+    # (about 6 * 10**5 here), under the same cap as counting.
+    cm = build_group_algebra_crossed_module(build_cyclic_group(4), 3)
+    action = [list(row) for row in cm.action]
+    action[1][1] = action[1][2]
+    path = tmp_path / "corrupt_ga_z4_p3.xmod"
+    path.write_text(format_crossed_module_text(FiniteCrossedModule(
+        cm.base, cm.fiber, cm.boundary, tuple(map(tuple, action)))), encoding="utf-8")
+    message = "error: work cap of 1000 elementary steps exceeded\n"
+    assert run_cli(capsys, "validate", str(path), "--work-cap", "1000") == (3, "", message)
+    assert run_cli(capsys, "invariant", cli_files["sphere.pres"], str(path),
+                   "--work-cap", "1000") == (3, "", message)
+    monkeypatch.setenv("XMOD_WORK_CAP", "1000")
+    assert run_cli(capsys, "validate", str(path)) == (3, "", message)
+    code, out, _ = run_cli(capsys, "validate", str(path), "--work-cap", "1000000")
+    assert code == 1 and out.startswith("violation action.composition 1 1 1\n")
+    # A valid module is settled on generators and spends no steps.
+    assert run_cli(capsys, "validate", cli_files["ga_z3_p2"], "--work-cap", "1") == (0, "ok\n", "")
+
+
 def test_work_cap_env(cli_files, capsys, monkeypatch):
     monkeypatch.setenv("XMOD_WORK_CAP", "10")
     code, _, _ = run_cli(
@@ -384,10 +432,11 @@ def test_work_cap_env_must_be_numeric(cli_files, capsys, monkeypatch):
     assert "XMOD_WORK_CAP" in err
 
 
-@pytest.mark.parametrize("command", ["invariant", "examples", "selftest"])
+@pytest.mark.parametrize("command", ["invariant", "examples", "selftest", "validate"])
 def test_work_cap_flag_must_be_positive(command, cli_files, capsys):
-    targets = [cli_files["spun_hopf"], cli_files["ga_z2_p2"]]
-    argv = [command, *(targets if command == "invariant" else []), "--work-cap", "0"]
+    targets = {"invariant": [cli_files["spun_hopf"], cli_files["ga_z2_p2"]],
+               "validate": [cli_files["ga_z2_p2"]]}.get(command, [])
+    argv = [command, *targets, "--work-cap", "0"]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -453,10 +502,20 @@ def test_selftest_passes(capsys):
 
 
 def test_usage_error_exit_2(capsys):
-    assert main([]) == 2
-    capsys.readouterr()
-    assert main(["invariant"]) == 2
-    capsys.readouterr()
+    # argparse's errors take the one-line path of every other failure.
+    for argv in ([], ["invariant"], ["count", "a", "b"],
+                 ["invariant", "a", "b", "--method", "linear"],
+                 ["validate", "m", "--work-cap"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["validate", "--help"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: xmod")
 
 
 def test_module_entry_point(cli_files):
