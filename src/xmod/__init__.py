@@ -19,6 +19,7 @@ from .crossed import (
     FiniteCrossedModule,
     ValidationReport,
     boundary_fibers,
+    build_central_quotient_crossed_module,
     build_conjugation_crossed_module,
     build_group_algebra_crossed_module,
     format_crossed_module_text,
@@ -26,7 +27,12 @@ from .crossed import (
     validate_crossed_module,
 )
 from .fixtures import FIXTURE_NAMES, fixture_text, load_fixture
-from .groups import FiniteGroup, build_cyclic_group, build_symmetric_group
+from .groups import (
+    FiniteGroup,
+    build_cyclic_group,
+    build_quaternion_group,
+    build_symmetric_group,
+)
 from .movies import (
     CompiledComplement,
     DiagramState,
@@ -65,9 +71,11 @@ __all__ = [
     "apply_event",
     "boundary_fibers",
     "boundary_of_crossed_word",
+    "build_central_quotient_crossed_module",
     "build_conjugation_crossed_module",
     "build_cyclic_group",
     "build_group_algebra_crossed_module",
+    "build_quaternion_group",
     "build_symmetric_group",
     "compile_movie",
     "count_homomorphisms",

@@ -10,10 +10,23 @@ and a cell assignment psi (cell -> fiber element) such that
     psi(cell)) to its sign, is the fiber identity.
 
 The invariant of a complement with b1 one-handles is the exact rational
-count / (#fiber)**b1.  ``count_report`` runs a linear-algebra fast path on
-targets with identity boundary and elementary abelian fiber, and a pruned
-backtracking search on the others; a naive full-product oracle checks both.
-All arithmetic is exact; counts are arbitrary-precision integers.
+count / (#fiber)**b1.  ``count_report`` runs one of two engines:
+
+  * ``linear`` (``count_linear_fastpath``) counts over the kernel K of the
+    boundary.  K is central in the fiber and stable under the action, so
+    once phi is fixed each cell ranges over one coset e_c K of its boundary
+    fiber, and each relation is a constant R_r of the fiber times a signed
+    sum of the g |> k_c in the abelian group K.  The count for phi is 0 if
+    a coset is empty, and otherwise the number of solutions of an affine
+    system over K: |K|**cells / |image| when the right-hand side lies in
+    the image, else 0.  The image is put in Howell echelon form over
+    Z/exponent(K), so no cell is searched.
+  * ``backtracking`` (``count_homomorphisms``) searches cell by cell, each
+    over its boundary fiber, checking a relation at its last cell.
+
+The module picks the engine (``select_method``); a naive full-product
+oracle checks both.  All arithmetic is exact; counts are
+arbitrary-precision integers.
 """
 from __future__ import annotations
 
@@ -21,12 +34,12 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .budget import DEFAULT_WORK_CAP, Budget
 from .crossed import FiniteCrossedModule, boundary_fibers
 from .errors import (
     EvaluationError,
-    FastPathUnavailable,
     InvalidPresentationError,
     NaiveCapExceeded,
 )
@@ -39,6 +52,9 @@ from .words import FreeWord
 
 METHOD_BACKTRACKING = "backtracking"
 METHOD_LINEAR = "linear"
+
+# Distinct per-phi systems the linear engine keeps; past it, it starts over.
+_MAX_SYSTEMS = 4096
 
 
 @dataclass(frozen=True)
@@ -176,6 +192,7 @@ def count_homomorphisms(
 
     total = 0
     psi = [0] * n_cells
+    tried = [0] * n_cells  # candidates of each depth tried so far
     for phi_tuple in product(base.elements, repeat=n_gens):
         budget.spend(1 + n_gens)
         candidates = []
@@ -198,32 +215,39 @@ def count_homomorphisms(
                     for w, pos, sign in terms
                 )
                 checks[depth].append(prepared)
-
-        def descend(depth: int) -> int:
-            if depth >= free_tail:
-                out = 1
-                for block in candidates[depth:]:
-                    out *= len(block)
-                return out
-            subtotal = 0
-            for value in candidates[depth]:
-                budget.spend()
-                psi[depth] = value
-                ok = True
-                for prepared in checks[depth]:
-                    budget.spend(len(prepared))
-                    acc = fiber.identity
-                    for action_row, pos, sign in prepared:
-                        moved = action_row[psi[pos]]
-                        acc = fiber.mul(acc, moved if sign > 0 else fiber.inv(moved))
-                    if acc != fiber.identity:
-                        ok = False
-                        break
-                if ok:
-                    subtotal += descend(depth + 1)
-            return subtotal
-
-        total += descend(0)
+        tail = 1
+        for block in candidates[free_tail:]:
+            tail *= len(block)
+        if free_tail == 0:
+            total += tail
+            continue
+        # Depth-first over the cells before free_tail, one loop and an
+        # explicit stack of positions in ``tried``: no recursion per cell.
+        depth = 0
+        while depth >= 0:
+            if tried[depth] == len(candidates[depth]):
+                tried[depth] = 0
+                depth -= 1
+                continue
+            value = candidates[depth][tried[depth]]
+            tried[depth] += 1
+            budget.spend()
+            psi[depth] = value
+            ok = True
+            for prepared in checks[depth]:
+                budget.spend(len(prepared))
+                acc = fiber.identity
+                for action_row, pos, sign in prepared:
+                    moved = action_row[psi[pos]]
+                    acc = fiber.mul(acc, moved if sign > 0 else fiber.inv(moved))
+                if acc != fiber.identity:
+                    ok = False
+                    break
+            if ok:
+                if depth + 1 == free_tail:
+                    total += tail
+                else:
+                    depth += 1
     return total
 
 
@@ -276,89 +300,161 @@ def count_linear_fastpath(
     *,
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> int:
-    """Linear-algebra count for identity boundary and elementary abelian fiber.
+    """Count homomorphisms by one affine system over K = ker(boundary) per phi.
 
-    For each phi, cells whose boundary word evaluates away from the base
-    identity contribute nothing; otherwise each relation is one block of
-    F_p-linear equations in the cell coordinates (column order: cell in
-    declaration order, then basis vector), and the phi contributes
-    p**(unknowns - rank) by Gaussian elimination.
+    Cell c takes the values e_c k_c, e_c a fixed element of its boundary
+    fiber and k_c in K.  K is central, so relation r reads R_r * M_r(k) = 1
+    with R_r the relation evaluated on the e_c and M_r(k) = sum(s g |> k_c)
+    linear over K.  R_r lies in K, since its boundary is phi of the
+    relation's trivial boundary word.  The phi contributes
+    |K|**cells / |image M| if (R_r ** -1)_r lies in the image of M, and 0
+    otherwise.  In the coordinates of ``cm.kernel`` the image, lifted to
+    (Z/N)**(d * relations) with N the exponent of K, is spanned by one
+    sparse row per (cell, generator of K) and by K's relation vectors in
+    each relation's block, so |image M| = |span| / |relation span|**relations.
     """
     compiled = compile_presentation(pres)
-    base = cm.base
-    identity = base.identity
-    shape = cm.linear_shape
-    if isinstance(shape, str):
-        raise FastPathUnavailable(shape)
-    p, basis, coords = shape
-    d = len(basis)
+    base, fiber = cm.base, cm.fiber
+    kernel = cm.kernel
+    coords, modulus, d = kernel.coords, kernel.exponent, len(kernel.generators)
+    n_gens, n_cells = len(compiled.generators), len(compiled.cells)
+    width = d * len(compiled.relations)
+    # |K|**cells * |relation span|**relations, the relation span having
+    # N**d / |K| elements.
+    scale = kernel.order**n_cells * (modulus**d // kernel.order) ** len(compiled.relations)
+    chosen = [block[0] if block else None for block in boundary_fibers(cm)]
+    # The system depends on phi only through the action on K of each
+    # conjugator and the right-hand side: phis that agree on both share it.
+    kinds: dict = {}
+    kind = [kinds.setdefault(images, len(kinds)) for images in kernel.action]
+    spans: dict[tuple, int] = {}
     budget = Budget(work_cap)
 
-    # Action of g as a d x d matrix over F_p, columns indexed by basis vectors.
-    matrices = []
-    for g in base.elements:
-        cols = [coords[cm.act(g, b)] for b in basis]
-        matrices.append([[cols[j][i] for j in range(d)] for i in range(d)])
-
-    n_gens = len(compiled.generators)
-    unknowns = len(compiled.cells) * d
     total = 0
     for phi_tuple in product(base.elements, repeat=n_gens):
         budget.spend(1 + n_gens)
-        if any(
-            _eval_compiled(word, phi_tuple, base) != identity
-            for word in compiled.boundaries
-        ):
+        cosets = [chosen[_eval_compiled(word, phi_tuple, base)]
+                  for word in compiled.boundaries]
+        if None in cosets:
             continue
-        rows: list[list[int]] = []
-        for terms in compiled.relations:
-            block = [[0] * unknowns for _ in range(d)]
+        conjugators: list[list[int]] = []  # phi of each term's conjugator
+        target: dict[int, int] = {}  # the coordinates of each R_r ** -1
+        for r, terms in enumerate(compiled.relations):
+            budget.spend(1 + len(terms))
+            constant = fiber.identity
+            values = []
             for w, pos, sign in terms:
                 g = _eval_compiled(w, phi_tuple, base)
-                matrix = matrices[g]
-                offset = pos * d
-                scale = 1 if sign > 0 else p - 1
-                for i in range(d):
-                    row = block[i]
-                    source = matrix[i]
-                    for j in range(d):
-                        row[offset + j] = (row[offset + j] + scale * source[j]) % p
-            rows.extend(block)
-            budget.spend(d * max(1, len(terms)))
-        rank = _rank_mod_p(rows, p, budget)
-        total += p ** (unknowns - rank)
+                values.append(g)
+                moved = cm.action[g][cosets[pos]]
+                constant = fiber.mul(constant, moved if sign > 0 else fiber.inv(moved))
+            conjugators.append(values)
+            for j, entry in enumerate(coords[fiber.inv(constant)]):
+                if entry:
+                    target[r * d + j] = entry
+        key = (tuple(kind[g] for values in conjugators for g in values),
+               tuple(target.items()))
+        span = spans.get(key)
+        if span is None:
+            rows: list[dict[int, int]] = [{} for _ in range(n_cells * d)]
+            for r, (terms, values) in enumerate(zip(compiled.relations, conjugators)):
+                budget.spend(1 + len(terms) * d)
+                offset = r * d
+                for (_, pos, sign), g in zip(terms, values):
+                    for i, image in enumerate(kernel.action[g]):
+                        row = rows[pos * d + i]
+                        for j, value in image:
+                            row[offset + j] = row.get(offset + j, 0) + sign * value
+                for relation in kernel.relations:
+                    rows.append({offset + j: v for j, v in enumerate(relation) if v})
+            if len(spans) == _MAX_SYSTEMS:  # bounds memory on a large phi space
+                spans.clear()
+            span = spans[key] = _span_order(rows, target, modulus, width, budget)
+        if span:
+            total += scale // span
     return total
 
 
-def _rank_mod_p(rows: list[list[int]], p: int, budget: Budget) -> int:
-    if not rows:
-        return 0
-    width = len(rows[0])
-    rank = 0
-    col = 0
-    while col < width and rank < len(rows):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if pivot is None:
-            col += 1
+def _span_order(rows, target, modulus, width, budget) -> int:
+    """|span of rows| in (Z/modulus)**width, or 0 if ``target`` is outside it.
+
+    Rows and target are sparse {column: value} maps.  Columns are taken left
+    to right (Howell, "Spans in the module (Z_m)^s", Linear Multilinear
+    Algebra 19, 1986): the rows leading at a column are folded into one
+    pivot by extended-gcd steps, which keep the span and move the other row
+    past the column, and the pivot's annihilator multiple, zero at the
+    column, is put back.  So the rows leading after a column span every
+    vector of the span that is zero up to it, the pivot at a column with
+    gcd g against the modulus multiplies the order by modulus / g, and
+    ``target`` is reduced one pivot at a time.  Rows are kept in buckets by
+    leading column, so a path-shaped system is eliminated in linear time.
+    """
+    buckets: dict[int, list[dict[int, int]]] = {}
+
+    def put(row: dict[int, int]) -> None:
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+
+    for row in rows:
+        put({c: v % modulus for c, v in row.items() if v % modulus})
+    order = 1
+    for col in range(width):
+        leading = buckets.pop(col, None)
+        want = target.get(col, 0)
+        if leading is None:
+            if want:
+                return 0
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(value * inv) % p for value in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [
-                    (a - factor * b) % p for a, b in zip(rows[r], rows[rank])
-                ]
-        budget.spend(len(rows))
-        rank += 1
-        col += 1
-    return rank
+        pivot = leading[0]
+        for row in leading[1:]:
+            a, b = pivot[col], row[col]
+            g, s, t = _extended_gcd(a, b)
+            put(_combine(b // g, pivot, -(a // g), row, modulus, budget))
+            pivot = _combine(s, pivot, t, row, modulus, budget)
+        g = gcd(pivot[col], modulus)
+        order *= modulus // g
+        if g > 1:  # a unit pivot's annihilator multiple is zero
+            put(_combine(modulus // g, pivot, 0, {}, modulus, budget))
+        if want:
+            if want % g:
+                return 0
+            unit = pow(pivot[col] // g, -1, modulus // g)
+            target = _combine(1, target, -(want // g) * unit, pivot, modulus, budget)
+    return order
+
+
+def _combine(x: int, p: dict, y: int, q: dict, modulus: int, budget: Budget) -> dict:
+    """x p + y q mod ``modulus``, zero entries dropped; one step per entry read."""
+    budget.spend(len(p) + len(q))
+    out = {c: x * v for c, v in p.items()}
+    for c, v in q.items():
+        out[c] = out.get(c, 0) + y * v
+    return {c: v % modulus for c, v in out.items() if v % modulus}
+
+
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s a + t b, for a, b > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
 
 def select_method(cm: FiniteCrossedModule) -> str:
-    """The engine ``count_report`` runs: linear where it applies, else backtracking."""
-    return METHOD_BACKTRACKING if isinstance(cm.linear_shape, str) else METHOD_LINEAR
+    """The engine ``count_report`` runs on ``cm``, backtracking or linear.
+
+    Backtracking iff the boundary is injective on a nontrivial fiber, else
+    linear.  The linear engine counts every module.  On an injective
+    boundary each cell has at most one candidate per phi, so backtracking
+    never branches there; it stays for those modules until the benchmark's
+    tracer no longer needs both engines on the command-line path.
+    """
+    if cm.kernel.order == 1 and cm.fiber.order > 1:
+        return METHOD_BACKTRACKING
+    return METHOD_LINEAR
 
 
 def invariant(

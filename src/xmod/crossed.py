@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from .budget import DEFAULT_WORK_CAP, Budget
 from .errors import FormatError
@@ -75,57 +76,80 @@ class FiniteCrossedModule:
         return self.action[g][e]
 
     @cached_property
-    def linear_shape(self) -> tuple | str:
-        """``(p, basis, coords)`` for the linear counting fast path, or why it fails.
+    def kernel(self) -> KernelPresentation:
+        """The kernel of the boundary, presented for counting; built once per module."""
+        return _kernel_presentation(self)
 
-        The fast path needs a boundary that is constantly the base identity
-        and an elementary abelian fiber of exponent p; ``coords[e]`` is fiber
-        element e in ``basis``.  Worked out once per module, on first use.
-        """
-        identity = self.base.identity
-        if any(value != identity for value in self.boundary):
-            return "boundary is not constantly the base identity"
-        fiber = self.fiber
-        n = fiber.order
-        if n == 1:
-            return 2, (), ((),)
-        for e in range(n):
-            for f in range(e + 1, n):
-                if fiber.mul(e, f) != fiber.mul(f, e):
-                    return "fiber is not abelian"
-        orders = []
-        for e in range(n):
-            k, x = 1, e
-            while x != fiber.identity:
-                x = fiber.mul(x, e)
-                k += 1
-            orders.append(k)
-        nontrivial = sorted(set(orders) - {1})
-        if len(nontrivial) != 1 or not _is_prime(nontrivial[0]):
-            return "fiber is not elementary abelian"
-        p = nontrivial[0]
 
-        basis: list[int] = []
-        coords: dict[int, tuple[int, ...]] = {fiber.identity: ()}
-        for e in range(n):
-            if e in coords:
-                continue
-            # e is outside the current span; extend every known element by
-            # powers of the new basis vector.
-            basis.append(e)
-            extended = {}
-            for known, vec in coords.items():
-                x = known
-                for j in range(p):
-                    extended[x] = vec + (j,)
-                    x = fiber.mul(x, e)
-            coords = extended
-        d = len(basis)
-        if p**d != n:
-            return "fiber span does not exhaust the fiber"
-        # Pad early coordinates so every vector has full length d.
-        return p, tuple(basis), tuple(coords[e] + (0,) * (d - len(coords[e]))
-                                      for e in range(n))
+@dataclass(frozen=True)
+class KernelPresentation:
+    """K = ker(boundary) as a quotient of (Z/exponent)^d, with the base action.
+
+    In a crossed module K is central in the fiber and stable under the
+    action, so it is abelian and each base element acts on it linearly.
+    ``generators`` k_1..k_d are taken greedily in index order, k_j of order
+    m_j modulo k_1..k_(j-1); so each element of K has one coordinate vector
+    a with 0 <= a_j < m_j, which is ``coords[e]`` (None for e outside K).
+    ``relations`` are the nonzero vectors m_j e_j - coords(k_j ** m_j) mod
+    ``exponent``, which span the kernel of (Z/exponent)^d -> K, and
+    ``action[g][i]`` is coords(g |> k_i) as sparse (position, value) pairs.
+    """
+
+    order: int
+    exponent: int
+    generators: tuple[int, ...]
+    coords: tuple[tuple[int, ...] | None, ...]
+    relations: tuple[tuple[int, ...], ...]
+    action: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+
+
+def _kernel_presentation(cm: FiniteCrossedModule) -> KernelPresentation:
+    fiber = cm.fiber
+    identity = cm.base.identity
+    coords: dict[int, tuple[int, ...]] = {fiber.identity: ()}
+    generators: list[int] = []
+    # (m_j, coords(k_j ** m_j)), the coordinates over k_1..k_(j-1) only
+    rows: list[tuple[int, tuple[int, ...]]] = []
+    exponent = 1
+    for e in range(fiber.order):
+        if e in coords or cm.boundary[e] != identity:
+            continue
+        m, x = 1, e
+        while x not in coords:
+            x = fiber.mul(x, e)
+            m += 1
+        rows.append((m, coords[x]))
+        generators.append(e)
+        # Every element of the span so far times a power of e below m.
+        extended = {}
+        for known, vec in coords.items():
+            y = known
+            for j in range(m):
+                extended[y] = vec + (j,)
+                y = fiber.mul(y, e)
+        coords = extended
+        k, y = 1, e
+        while y != fiber.identity:
+            y = fiber.mul(y, e)
+            k += 1
+        exponent = lcm(exponent, k)
+    d = len(generators)
+    full = [None] * fiber.order
+    for e, vec in coords.items():
+        full[e] = vec
+    relations = []
+    for j, (m, lower) in enumerate(rows):
+        row = [-v % exponent for v in lower] + [m % exponent] + [0] * (d - j - 1)
+        if any(row):
+            relations.append(tuple(row))
+
+    def sparse(e: int) -> tuple[tuple[int, int], ...]:
+        return tuple((i, v) for i, v in enumerate(full[e]) if v)
+
+    return KernelPresentation(
+        len(coords), exponent, tuple(generators), tuple(full), tuple(relations),
+        tuple(tuple(sparse(row[k]) for k in generators) for row in cm.action),
+    )
 
 
 def validate_crossed_module(
@@ -276,6 +300,36 @@ def build_conjugation_crossed_module(group: FiniteGroup) -> FiniteCrossedModule:
         for g in range(n)
     )
     return FiniteCrossedModule(group, group, boundary, action)
+
+
+def build_central_quotient_crossed_module(group: FiniteGroup) -> FiniteCrossedModule:
+    """E -> E/Z(E), with a coset acting on E by conjugation through any lift.
+
+    Raises ``ValueError`` unless ``group`` is a group.  Central elements
+    conjugate trivially, so the action is well defined; it is conjugation,
+    hence by automorphisms, and the quotient map is equivariant and
+    satisfies the conjugation identity, so the tables need no further check.
+    The kernel of the boundary is the center.  Coset i is the coset of the
+    i-th element, in index order, that lies in no earlier coset.
+    """
+    _require_group(group)
+    n = group.order
+    center = [z for z in range(n)
+              if all(group.mul(z, x) == group.mul(x, z) for x in range(n))]
+    coset = [-1] * n
+    lifts: list[int] = []
+    for e in range(n):
+        if coset[e] < 0:
+            for z in center:
+                coset[group.mul(e, z)] = len(lifts)
+            lifts.append(e)
+    quotient = FiniteGroup(len(lifts), tuple(
+        tuple(coset[group.mul(a, b)] for b in lifts) for a in lifts))
+    action = tuple(
+        tuple(group.mul(a, group.mul(e, group.inv(a))) for e in range(n))
+        for a in lifts
+    )
+    return FiniteCrossedModule(quotient, group, tuple(coset), action)
 
 
 def _is_prime(p: int) -> bool:

@@ -56,7 +56,3 @@ class WorkCapExceeded(CapExceeded):
 
 class NaiveCapExceeded(CapExceeded):
     """The naive counter's enumeration space exceeds the configured cap."""
-
-
-class FastPathUnavailable(XmodError):
-    """The linear counting fast path's preconditions do not hold."""

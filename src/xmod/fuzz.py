@@ -18,10 +18,11 @@ from typing import Iterator
 
 from .crossed import (
     FiniteCrossedModule,
+    build_central_quotient_crossed_module,
     build_conjugation_crossed_module,
     build_group_algebra_crossed_module,
 )
-from .groups import build_cyclic_group, build_symmetric_group
+from .groups import build_cyclic_group, build_quaternion_group, build_symmetric_group
 from .presentations import (
     CrossedPresentation,
     CrossedWord,
@@ -33,8 +34,21 @@ _GEN_NAMES = ("a", "b")
 _CELL_NAMES = ("m", "n")
 
 
+def inversion_module(n: int) -> FiniteCrossedModule:
+    """Z2 acting on Z_n by inversion, with trivial boundary."""
+    fiber = build_cyclic_group(n)
+    return FiniteCrossedModule(build_cyclic_group(2), fiber, (0,) * n,
+                               (tuple(range(n)), fiber.inverse))
+
+
 def module_pool() -> tuple[tuple[str, FiniteCrossedModule], ...]:
-    """Small crossed modules (base order <= 6, fiber order <= 8) for fuzzing."""
+    """Small crossed modules (base order <= 6, fiber order <= 8) for fuzzing.
+
+    Conjugation modules have an injective boundary, group algebras an
+    elementary abelian kernel K = ker(boundary); Z4 with trivial action,
+    Z4 under inversion and Q8 -> V4 (nonabelian fiber) have a kernel that
+    is not elementary abelian or not the whole fiber.
+    """
     return (
         ("conj_z1", build_conjugation_crossed_module(build_cyclic_group(1))),
         ("conj_z2", build_conjugation_crossed_module(build_cyclic_group(2))),
@@ -44,6 +58,10 @@ def module_pool() -> tuple[tuple[str, FiniteCrossedModule], ...]:
         ("ga_z1_p2", build_group_algebra_crossed_module(build_cyclic_group(1), 2)),
         ("ga_z2_p2", build_group_algebra_crossed_module(build_cyclic_group(2), 2)),
         ("ga_z3_p2", build_group_algebra_crossed_module(build_cyclic_group(3), 2)),
+        ("triv_z1_z4", FiniteCrossedModule(build_cyclic_group(1), build_cyclic_group(4),
+                                           (0,) * 4, (tuple(range(4)),))),
+        ("inv_z2_z4", inversion_module(4)),
+        ("cq_q8_v4", build_central_quotient_crossed_module(build_quaternion_group())),
     )
 
 

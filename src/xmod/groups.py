@@ -205,3 +205,25 @@ def build_symmetric_group(n: int) -> FiniteGroup:
         tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
     )
     return FiniteGroup(len(perms), product)
+
+
+def build_quaternion_group() -> FiniteGroup:
+    """The quaternion group {+-1, +-i, +-j, +-k} under the Hamilton product.
+
+    Element 2u + s is (-1)**s times unit u of (1, i, j, k), so 0 is 1 and
+    1 is -1.
+    """
+    units = [tuple(sign if i == u else 0 for i in range(4))
+             for u in range(4) for sign in (1, -1)]
+    index = {q: i for i, q in enumerate(units)}
+
+    def hamilton(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+    return FiniteGroup(8, tuple(tuple(index[hamilton(p, q)] for q in units)
+                                for p in units))

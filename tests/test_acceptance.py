@@ -14,12 +14,10 @@ from fractions import Fraction
 
 from xmod.battery import standard_battery
 from xmod.counting import (
-    METHOD_LINEAR,
     count_homomorphisms,
     count_homomorphisms_naive,
     count_linear_fastpath,
     invariant,
-    select_method,
 )
 from xmod.crossed import FiniteCrossedModule, validate_crossed_module
 from xmod.fuzz import random_instances, random_presentation
@@ -281,16 +279,11 @@ def test_criterion_08_stabilization_invariance(battery):
 
 
 def test_criterion_09_oracle_equivalence():
-    with Budget(9, "500 instances: backtracking = naive (= linear)", 120.0):
-        linear_checked = 0
+    with Budget(9, "500 instances: backtracking = linear = naive", 120.0):
         for pres, module_name, cm in random_instances(SEED, 500):
-            fast = count_homomorphisms(pres, cm)
             slow = count_homomorphisms_naive(pres, cm)
-            assert fast == slow, module_name
-            if select_method(cm) == METHOD_LINEAR:
-                assert count_linear_fastpath(pres, cm) == slow, module_name
-                linear_checked += 1
-        assert linear_checked > 0
+            assert count_homomorphisms(pres, cm) == slow, module_name
+            assert count_linear_fastpath(pres, cm) == slow, module_name
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,14 @@ from xmod.crossed import (
     format_crossed_module_text,
 )
 from xmod.fixtures import fixture_text
+from xmod.fuzz import inversion_module
 from xmod.groups import build_cyclic_group
+from xmod.presentations import format_presentation_text
 from xmod.words import MAX_EXPONENT
 
 
 @pytest.fixture(scope="session")
-def cli_files(tmp_path_factory):
+def cli_files(tmp_path_factory, deep_chain):
     """Battery modules, fixture movies, and a small presentation on disk."""
     root = tmp_path_factory.mktemp("cli")
     paths = {}
@@ -48,6 +50,14 @@ def cli_files(tmp_path_factory):
     path = root / "sphere.pres"
     path.write_text("pres v1\ngens X\ncells e\nbnd e = X\n", encoding="utf-8")
     paths["sphere.pres"] = str(path)
+
+    path = root / "deep_chain.pres"
+    path.write_text(format_presentation_text(deep_chain), encoding="utf-8")
+    paths["deep_chain.pres"] = str(path)
+
+    path = root / "inv_z2_z4.xmod"
+    path.write_text(format_crossed_module_text(inversion_module(4)), encoding="utf-8")
+    paths["inv_z2_z4"] = str(path)
 
     path = root / "bad.pres"
     path.write_text("pres v1\ngens X\ncells e\nbnd e = Q\n", encoding="utf-8")
@@ -382,6 +392,29 @@ def test_work_cap_flag_exit_3(cli_files, capsys):
     )
     assert code == 3 and out == ""
     assert err == "error: work cap of 10 elementary steps exceeded\n"
+
+
+@pytest.mark.parametrize("module", ["ga_z2_p2", "inv_z2_z4"])
+def test_work_cap_exit_3_on_linear_target(module, cli_files, capsys):
+    code, out, err = run_cli(
+        capsys, "invariant", cli_files["spun_hopf"], cli_files[module], "--work-cap", "20"
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: work cap of 20 elementary steps exceeded\n"
+
+
+@pytest.mark.parametrize("module, count, value, method", [
+    ("conj_s3", 6, "1/1", "backtracking"), ("inv_z2_z4", 8, "2/1", "linear"),
+])
+def test_invariant_deep_chain(module, count, value, method, cli_files, capsys):
+    # 1200 cells, each relation one cell deeper: an answer, not a
+    # RecursionError, from either engine.
+    code, out, err = run_cli(capsys, "invariant", cli_files["deep_chain.pres"],
+                             cli_files[module])
+    assert (code, err) == (0, "")
+    assert report_lines(out) == [
+        f"count {count}", "one_handles 1", f"invariant {value}", f"method {method}",
+    ]
 
 
 def test_validate_work_cap_exit_3(cli_files, tmp_path, capsys, monkeypatch):

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from functools import cached_property
 
 import pytest
 
-from xmod import counting
+from xmod import counting, crossed
 from xmod.battery import standard_battery
 from xmod.counting import (
     METHOD_BACKTRACKING,
@@ -30,12 +30,13 @@ from xmod.crossed import (
 )
 from xmod.errors import (
     EvaluationError,
-    FastPathUnavailable,
     InvalidPresentationError,
     NaiveCapExceeded,
     WorkCapExceeded,
 )
-from xmod.groups import build_cyclic_group, build_symmetric_group
+from xmod.fixtures import FIXTURE_NAMES
+from xmod.fuzz import inversion_module, module_pool
+from xmod.groups import FiniteGroup, build_cyclic_group, build_symmetric_group
 from xmod.presentations import (
     CrossedPresentation,
     CrossedWord,
@@ -51,6 +52,10 @@ def word(text: str) -> FreeWord:
 
 def sphere() -> CrossedPresentation:
     return CrossedPresentation(("X",), ("e",), {"e": word("X")})
+
+
+# Targets beyond the battery: K = ker(boundary) cyclic of order 4 and 8.
+EXTRA_MODULES = {"inv_z2_z4": inversion_module(4), "inv_z2_z8": inversion_module(8)}
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +241,28 @@ EMPTY_RELATION_PRES = (
     [
         (count_homomorphisms, "spun_hopf", "conj_s3", 684),
         (count_homomorphisms, "spun_trefoil", "ga_z3_p2", 819),
-        (count_linear_fastpath, "spun_hopf", "ga_z2_p2", 120),
+        (count_linear_fastpath, "spun_hopf", "ga_z2_p2", 252),
         # The empty relation is still charged by the linear engine.
-        (count_linear_fastpath, EMPTY_RELATION_PRES, "ga_z2_p2", 20),
+        pytest.param(count_linear_fastpath, EMPTY_RELATION_PRES, "ga_z2_p2", 32,
+                     id="count_linear_fastpath-empty_relation-ga_z2_p2-32"),
+        # K = Z4 is not elementary abelian.
+        (count_linear_fastpath, "spun_hopf", "inv_z2_z4", 138),
+        (count_linear_fastpath, "deep_chain", "inv_z2_z8", 28776),
     ],
 )
-def test_exact_step_counts(engine, target, module, steps, compiled_fixtures, battery_by_name):
+def test_exact_step_counts(engine, target, module, steps, compiled_fixtures, battery_by_name,
+                           deep_chain):
     if target in compiled_fixtures:
         pres = compiled_fixtures[target].presentation
+    elif target == "deep_chain":
+        pres = deep_chain
     else:
         pres = parse_presentation_text(target)
-    cm = battery_by_name[module]
-    expected = count_homomorphisms_naive(pres, cm)
+    cm = {**battery_by_name, **EXTRA_MODULES}[module]
+    # Linear counts are checked against backtracking, which reaches the
+    # deep chain; backtracking against the naive oracle.
+    reference = count_homomorphisms if engine is count_linear_fastpath else count_homomorphisms_naive
+    expected = reference(pres, cm)
     assert engine(pres, cm, work_cap=steps) == expected
     with pytest.raises(WorkCapExceeded):
         engine(pres, cm, work_cap=steps - 1)
@@ -270,16 +285,13 @@ def test_naive_cap_is_checked_up_front():
 def test_engines_agree_on_fixtures(compiled_fixtures, battery):
     for name, compiled in compiled_fixtures.items():
         for module_name, cm in battery:
-            fast = count_homomorphisms(compiled.presentation, cm)
             slow = count_homomorphisms_naive(compiled.presentation, cm)
-            assert fast == slow, (name, module_name)
-            if select_method(cm) == METHOD_LINEAR:
-                linear = count_linear_fastpath(compiled.presentation, cm)
-                assert linear == slow, (name, module_name)
+            assert count_homomorphisms(compiled.presentation, cm) == slow, (name, module_name)
+            assert count_linear_fastpath(compiled.presentation, cm) == slow, (name, module_name)
 
 
 # ---------------------------------------------------------------------------
-# Linear fast path
+# Linear engine
 # ---------------------------------------------------------------------------
 
 
@@ -289,23 +301,169 @@ def test_fastpath_applicability(battery_by_name):
     assert select_method(battery_by_name["conj_s3"]) == METHOD_BACKTRACKING
 
 
-def test_fastpath_rejects_trivial_action_z4_fiber():
-    # Z4 fiber with identity boundary and trivial action: abelian but not
-    # elementary abelian, so the rank computation over F_p does not apply.
-    z1 = build_cyclic_group(1)
-    z4 = build_cyclic_group(4)
+SMALL_PRESENTATIONS = (
+    "pres v1\ngens X\ncells e\nbnd e = X\n",
+    "pres v1\ngens X Y\ncells e f\nbnd e = 1\nbnd f = X Y X^-1 Y^-1\n"
+    "rel = (1 ; e ; +) (X ; e ; +) (Y ; e ; -)\n"
+    "rel = (X ; f ; +) (X X Y X^-1 Y^-1 ; f ; -) (Y ; e ; +)\n",
+)
+
+
+def test_linear_counts_trivial_action_z4_fiber():
+    # Z4 fiber with identity boundary and trivial action: K = Z4 is abelian
+    # but not elementary abelian, and the linear engine counts it.
     cm = FiniteCrossedModule(
-        z1, z4, (0, 0, 0, 0), (tuple(range(4)),)
+        build_cyclic_group(1), build_cyclic_group(4), (0, 0, 0, 0), (tuple(range(4)),)
     )
-    assert select_method(cm) == METHOD_BACKTRACKING
-    with pytest.raises(FastPathUnavailable):
-        count_linear_fastpath(sphere(), cm)
+    assert select_method(cm) == METHOD_LINEAR
+    for text in SMALL_PRESENTATIONS:
+        pres = parse_presentation_text(text)
+        assert count_linear_fastpath(pres, cm) == count_homomorphisms_naive(pres, cm)
 
 
-def test_fastpath_rejects_conjugation_target():
+def test_linear_counts_conjugation_target():
+    # An injective boundary: K is trivial and every cell has one candidate;
+    # the module keeps backtracking, and the linear engine agrees.
     cm = build_conjugation_crossed_module(build_symmetric_group(3))
-    with pytest.raises(FastPathUnavailable):
-        count_linear_fastpath(sphere(), cm)
+    assert select_method(cm) == METHOD_BACKTRACKING
+    assert count_linear_fastpath(sphere(), cm) == 6
+    for text in SMALL_PRESENTATIONS:
+        pres = parse_presentation_text(text)
+        assert count_linear_fastpath(pres, cm) == count_homomorphisms_naive(pres, cm)
+
+
+def test_deep_chain_counts_without_recursion(deep_chain):
+    # 1200 nested cells: neither engine recurses once per cell.
+    pres = deep_chain
+    cm = EXTRA_MODULES["inv_z2_z8"]
+    assert count_homomorphisms(pres, cm) == 16
+    assert count_linear_fastpath(pres, cm) == 16
+    conj = build_conjugation_crossed_module(build_symmetric_group(3))
+    assert count_homomorphisms(pres, conj) == count_linear_fastpath(pres, conj) == 6
+
+
+def _search_module(m) -> FiniteCrossedModule:
+    return FiniteCrossedModule(FiniteGroup(len(m.base), m.base),
+                               FiniteGroup(len(m.fiber), m.fiber), m.boundary, m.action)
+
+
+@pytest.fixture(scope="module")
+def perfbench_inputs():
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    try:
+        from perfbench import inputs
+    finally:
+        sys.path.pop(0)
+    return inputs
+
+
+def test_linear_agrees_on_fixtures_and_search_targets(
+    perfbench_inputs, compiled_fixtures, battery_by_name
+):
+    # Every fixture x (battery + the benchmark's search targets), against
+    # backtracking: the targets have kernels Z4, Z8, Z2 x Z4 and the Z2 of
+    # Q8 -> V4, acted on by Z2 or S3.
+    targets = dict(battery_by_name)
+    targets.update({name: _search_module(m)
+                    for name, m in perfbench_inputs.search_targets().items()})
+    assert len(targets) == 9
+    for fixture in FIXTURE_NAMES:
+        pres = compiled_fixtures[fixture].presentation
+        for name, cm in targets.items():
+            assert count_linear_fastpath(pres, cm) == count_homomorphisms(pres, cm), (
+                fixture, name)
+
+
+def test_linear_agrees_on_search_random_presentations(perfbench_inputs):
+    # The four random presentations the benchmark's search workload draws at
+    # seed 1 x its four random-op targets: 16 pairs, against backtracking.
+    targets = {name: _search_module(m)
+               for name, m in perfbench_inputs.search_targets().items()}
+    rng = random.Random("search:1")
+    pairs = 0
+    for shape in perfbench_inputs.SHAPES:
+        text = perfbench_inputs.oracle.format_pres(
+            perfbench_inputs.random_presentation(rng, shape))
+        pres = parse_presentation_text(text)
+        for name in ("inv_z2_z8", "inv_z2_z2z4", "inv_s3_z4", "cq_q8_v4"):
+            cm = targets[name]
+            assert count_linear_fastpath(pres, cm) == count_homomorphisms(pres, cm), (
+                shape, name)
+            pairs += 1
+    assert pairs == 16
+
+
+def relabeled(cm: FiniteCrossedModule, rng: random.Random) -> FiniteCrossedModule:
+    """``cm`` with its fiber elements renumbered by a random permutation."""
+    n = cm.fiber.order
+    new = list(range(n))
+    rng.shuffle(new)
+    old = [0] * n
+    for e, i in enumerate(new):
+        old[i] = e
+    table = cm.fiber.product
+    fiber = FiniteGroup(n, tuple(tuple(new[table[old[a]][old[b]]] for b in range(n))
+                                 for a in range(n)))
+    return FiniteCrossedModule(cm.base, fiber, tuple(cm.boundary[old[i]] for i in range(n)),
+                               tuple(tuple(new[row[old[i]]] for i in range(n))
+                                     for row in cm.action))
+
+
+def test_linear_counts_survive_a_full_system_memo(monkeypatch, compiled_fixtures):
+    # The per-phi systems are memoised up to a bound, then forgotten; a
+    # bound of 2 forces many restarts and must not change a count.
+    pres = compiled_fixtures["spun_hopf"].presentation
+    modules = [cm for name, cm in module_pool() if name.startswith(("ga_", "inv_", "cq_"))]
+    expected = [count_linear_fastpath(pres, cm) for cm in modules]
+    monkeypatch.setattr(counting, "_MAX_SYSTEMS", 2)
+    assert [count_linear_fastpath(pres, cm) for cm in modules] == expected
+
+
+def test_relabeled_target_keeps_linear_counts(compiled_fixtures):
+    # An isomorphic copy of the target counts the same.  Renumbering moves
+    # the identity off index 0, so the chosen coset elements e_c are no
+    # longer the identity and the affine right-hand sides are nonzero.
+    rng = random.Random(3)
+    for name, cm in module_pool():
+        copy = relabeled(cm, rng)
+        for fixture in ("two_spheres", "spun_hopf", "spun_trefoil"):
+            pres = compiled_fixtures[fixture].presentation
+            assert count_linear_fastpath(pres, copy) == count_linear_fastpath(pres, cm), (
+                name, fixture)
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 6, 8, 9, 12])
+def test_span_order_matches_closure(modulus):
+    # Howell elimination against the span built by closure, on random
+    # systems with up to 4 rows over (Z/modulus)^width, width <= 3, and
+    # random targets in and out of the span.
+    rng = random.Random(modulus)
+    outside = 0
+    for _ in range(150):
+        width = rng.randint(1, 3)
+        rows = [{c: rng.randrange(modulus) for c in range(width) if rng.random() < 0.7}
+                for _ in range(rng.randint(0, 4))]
+        span = {(0,) * width}
+        frontier = list(span)
+        while frontier:
+            new = []
+            for vec in frontier:
+                for row in rows:
+                    moved = tuple((vec[c] + row.get(c, 0)) % modulus for c in range(width))
+                    if moved not in span:
+                        span.add(moved)
+                        new.append(moved)
+            frontier = new
+        vec = tuple(rng.randrange(modulus) for _ in range(width))
+        target = {c: v for c, v in enumerate(vec) if v}
+        expected = len(span) if vec in span else 0
+        outside += vec not in span
+        got = counting._span_order(rows, target, modulus, width, counting.Budget(10**6))
+        assert got == expected, (rows, target)
+    assert outside >= 20
 
 
 def test_fastpath_matches_naive_with_relations(battery_by_name):
@@ -349,20 +507,21 @@ def test_count_with_method_reports_resolution(battery_by_name):
     assert report.count == 6 and report.method == "backtracking"
 
 
-def test_linear_shape_is_worked_out_once(monkeypatch):
+def test_kernel_is_worked_out_once_per_module(monkeypatch):
     calls = []
-    compute = FiniteCrossedModule.linear_shape.func
+    compute = crossed._kernel_presentation
 
     def counted(cm):
         calls.append(cm)
         return compute(cm)
 
-    shape = cached_property(counted)
-    shape.__set_name__(FiniteCrossedModule, "linear_shape")
-    monkeypatch.setattr(FiniteCrossedModule, "linear_shape", shape)
+    monkeypatch.setattr(crossed, "_kernel_presentation", counted)
     cm = dict(standard_battery())["ga_z2_p2"]  # freshly built, nothing cached
-    report = count_report(sphere(), cm, 1)
-    assert report.method == METHOD_LINEAR and len(calls) == 1
+    for _ in range(2):
+        report = count_report(sphere(), cm, 1)
+        assert report.method == METHOD_LINEAR and report.count == 4
+    assert calls == [cm]
+    assert cm.kernel.order == 4 and cm.kernel.exponent == 2
 
 
 def test_invariant_fraction(battery):

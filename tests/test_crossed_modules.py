@@ -6,11 +6,14 @@ from itertools import permutations
 import pytest
 from knottedness_report import module_bank
 
+from xmod import counting
 from xmod.battery import standard_battery
+from xmod.budget import Budget
 from xmod.crossed import (
     MAX_FIBER_ORDER,
     FiniteCrossedModule,
     boundary_fibers,
+    build_central_quotient_crossed_module,
     build_conjugation_crossed_module,
     build_group_algebra_crossed_module,
     format_crossed_module_text,
@@ -20,10 +23,11 @@ from xmod.crossed import (
     validate_crossed_module,
 )
 from xmod.errors import FormatError
-from xmod.fuzz import module_pool
+from xmod.fuzz import inversion_module, module_pool
 from xmod.groups import (
     FiniteGroup,
     build_cyclic_group,
+    build_quaternion_group,
     build_symmetric_group,
     group_violations,
 )
@@ -151,6 +155,25 @@ def test_builders_refuse_a_non_group():
     with pytest.raises(ValueError) as info:
         build_group_algebra_crossed_module(loop, 2)
     assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        build_central_quotient_crossed_module(loop)
+    assert str(info.value) == message
+
+
+def test_central_quotient_of_quaternions():
+    # Q8 -> Q8/{+1, -1} = V4: the kernel is the center, and i acts on j by
+    # conjugation, i j i^-1 = -j.
+    q8 = build_quaternion_group()
+    assert not group_violations(q8)
+    cm = build_central_quotient_crossed_module(q8)
+    assert cm.base.order == 4 and cm.boundary == (0, 0, 1, 1, 2, 2, 3, 3)
+    assert all(cm.base.mul(a, b) == cm.base.mul(b, a) for a in range(4) for b in range(4))
+    i, j, minus_j = 2, 4, 5
+    assert cm.act(cm.boundary[i], j) == minus_j
+    assert cm.kernel.order == 2 and cm.kernel.generators == (1,)
+    # A group with trivial center gives its conjugation module.
+    s3 = build_symmetric_group(3)
+    assert build_central_quotient_crossed_module(s3) == build_conjugation_crossed_module(s3)
 
 
 def test_ga_index_round_trip():
@@ -281,6 +304,63 @@ def test_action_on_kernel_depends_only_on_coset(battery):
                 moved = cm.base.mul(x, cm.boundary[e])
                 for m in kernel:
                     assert cm.act(x, m) == cm.act(moved, m)
+
+
+def kernel_modules():
+    z2, z4 = build_cyclic_group(2), build_cyclic_group(4)
+    # Z2 x Z4 with element 1 of order 4, and with element 1 of order 2: the
+    # first greedy generator of the second does not have the exponent's order.
+    z2z4 = FiniteGroup(8, tuple(tuple(4 * ((a // 4 + b // 4) % 2) + (a + b) % 4
+                                      for b in range(8)) for a in range(8)))
+    z4z2 = FiniteGroup(8, tuple(tuple((a + b) % 2 + 2 * ((a // 2 + b // 2) % 4)
+                                      for b in range(8)) for a in range(8)))
+    made = list(module_pool())
+    made += [("inv_z2_z8", inversion_module(8)),
+             ("inv_z2_z2z4", FiniteCrossedModule(z2, z2z4, (0,) * 8,
+                                                 (tuple(range(8)), z2z4.inverse))),
+             ("inv_z2_z4z2", FiniteCrossedModule(z2, z4z2, (0,) * 8,
+                                                 (tuple(range(8)), z4z2.inverse))),
+             ("z4_into_z2", FiniteCrossedModule(z2, z4, (0, 1, 0, 1), (tuple(range(4)),) * 2)),
+             ("ga_z4_p3", build_group_algebra_crossed_module(z4, 3))]
+    return [pytest.param(cm, id=name) for name, cm in made]
+
+
+@pytest.mark.parametrize("cm", kernel_modules())
+def test_kernel_presentation_is_a_presentation(cm):
+    assert validate_crossed_module(cm).ok
+    fiber, kernel = cm.fiber, cm.kernel
+    members = [e for e in range(fiber.order) if cm.boundary[e] == cm.base.identity]
+    assert kernel.order == len(members)
+    assert [e for e, vec in enumerate(kernel.coords) if vec is not None] == members
+
+    def element(vec) -> int:
+        out = fiber.identity
+        for k, a in zip(kernel.generators, vec):
+            for _ in range(a % kernel.exponent):
+                out = fiber.mul(out, k)
+        return out
+
+    # Coordinates name each element of K once, and N = exponent kills K.
+    assert all(element(kernel.coords[e]) == e for e in members)
+    assert len({kernel.coords[e] for e in members}) == kernel.order
+    for e in members:
+        power = fiber.identity
+        for _ in range(kernel.exponent):
+            power = fiber.mul(power, e)
+        assert power == fiber.identity
+    # The relation vectors lie in the kernel of (Z/N)^d -> K, and with
+    # N (Z/N)^d they cut (Z/N)^d down to exactly |K| classes.
+    assert all(element(rho) == fiber.identity for rho in kernel.relations)
+    d = len(kernel.generators)
+    span = counting._span_order([dict(enumerate(rho)) for rho in kernel.relations], {},
+                                kernel.exponent, d, Budget(10**6))
+    assert span == kernel.exponent**d // kernel.order
+    for g in range(cm.base.order):
+        for k, image in zip(kernel.generators, kernel.action[g]):
+            vec = [0] * d
+            for j, v in image:
+                vec[j] = v
+            assert element(vec) == cm.act(g, k)
 
 
 # ---------------------------------------------------------------------------
