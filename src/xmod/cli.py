@@ -188,38 +188,27 @@ def _selftest_checks(seed: int, work_cap: int):
             return validate_presentation(result.presentation).ok
         yield f"compile {name}", check
 
+    def value(name, cm):
+        return count_report(compiled[name].presentation, cm,
+                            compiled[name].one_handles, work_cap=work_cap).invariant
+
     def sphere_values():
         for name in ("trivial1", "trivial2", "trivial3", "trivial4"):
             for _, cm in battery:
-                value = count_report(
-                    compiled[name].presentation, cm, compiled[name].one_handles,
-                    work_cap=work_cap,
-                ).invariant
-                if value != Fraction(cm.base.order, cm.fiber.order):
+                if value(name, cm) != Fraction(cm.base.order, cm.fiber.order):
                     return False
         return True
     yield "unknotted sphere closed form", sphere_values
 
     def hopf_distinguishes():
         cm = dict(battery)["ga_z2_p2"]
-        hopf = count_report(
-            compiled["spun_hopf"].presentation, cm,
-            compiled["spun_hopf"].one_handles, work_cap=work_cap,
-        ).invariant
-        tori = count_report(
-            compiled["two_tori"].presentation, cm,
-            compiled["two_tori"].one_handles, work_cap=work_cap,
-        ).invariant
+        hopf, tori = value("spun_hopf", cm), value("two_tori", cm)
         return hopf == 40 and tori == 64 and hopf != tori
     yield "spun hopf vs two tori", hopf_distinguishes
 
     def trefoil_distinguishes():
-        cm = dict(battery)["ga_z3_p2"]
-        value = count_report(
-            compiled["spun_trefoil"].presentation, cm,
-            compiled["spun_trefoil"].one_handles, work_cap=work_cap,
-        ).invariant
-        return value == Fraction(9, 8) and value != Fraction(3, 8)
+        trefoil = value("spun_trefoil", dict(battery)["ga_z3_p2"])
+        return trefoil == Fraction(9, 8) and trefoil != Fraction(3, 8)
     yield "spun trefoil vs sphere", trefoil_distinguishes
 
     def oracle_agreement():

@@ -10,15 +10,17 @@ boundary map E -> G, and a left action of G on E, subject to:
   * the conjugation identity: boundary(e) |> f = e f e^-1.
 
 ``validate_crossed_module`` checks all of this and reports every violating
-witness instead of raising.  It checks each axiom on generating sets first:
-the elements that pass each check are closed under products, so a valid
-module is settled in O(n^2 log n) table lookups, n the larger order.  Only
-a module that fails a generator check is listed exhaustively, in O(n^3),
-one work-cap step per tuple visited.  It runs where a module comes in from
-outside: a module file read by the CLI, ``xmod validate``, and the
-``selftest`` checks of the standard battery.  The builders here do not run
-it: they check their input group with ``group_violations``, and a group
-makes both of their tables valid by construction.
+witness instead of raising.  One routine, ``_module_violations``, checks the
+six module axioms over the quantifier domains it is given.  It runs first
+over greedy generating sets: the elements that pass each axiom are closed
+under products, so a valid module is settled in O(n^2 log n) table lookups,
+n the larger order.  Only a module with a witness there is run again over
+whole groups, in O(n^3), one work-cap step per table entry compared.  The
+check runs where a module comes in from outside: a module file read by the
+CLI, ``xmod validate``, and the ``selftest`` checks of the standard battery.
+The builders here do not run it: they check their input group with
+``group_violations``, and a group makes both of their tables valid by
+construction.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from math import lcm
 
 from .budget import DEFAULT_WORK_CAP, Budget
 from .errors import FormatError
-from .groups import FiniteGroup, entries_at, group_violations
+from .groups import FiniteGroup, differing, entries_at, group_violations
 from .words import LineReader, parse_integer, parse_integers
 
 # Largest fiber the group-algebra builder makes.  Its tables have q**2
@@ -159,9 +161,11 @@ def validate_crossed_module(
 
     Group axioms of base and fiber are checked first; if either table fails
     to be a group the dependent checks are skipped, since they have no
-    meaning without identities and inverses.  A module that passes every
-    check on generators is valid; any other is listed exhaustively.  Raises
-    ``WorkCapExceeded`` if a listing visits more than ``work_cap`` tuples.
+    meaning without identities and inverses.  ``_module_violations`` then
+    runs over the greedy generating sets; a module with no witness there is
+    valid, and any other is listed with every variable over its whole group.
+    Raises ``WorkCapExceeded`` if a listing compares more than ``work_cap``
+    entries.
     """
     budget = Budget(work_cap)
     out: list[tuple[str, tuple]] = []
@@ -169,102 +173,79 @@ def validate_crossed_module(
     out.extend(group_violations(cm.fiber, "fiber.", budget))
     if out:
         return ValidationReport(tuple(out))
-    if _first_failing_axiom(cm) is None:
+    base, fiber = cm.base, cm.fiber
+    if not _module_violations(cm, base.generators, fiber.generators, None):
         return ValidationReport()
-    return ValidationReport(tuple(_listed_violations(cm, budget)))
+    return ValidationReport(tuple(
+        _module_violations(cm, base.elements, fiber.elements, budget)))
 
 
-def _first_failing_axiom(cm: FiniteCrossedModule) -> str | None:
-    """The first axiom, in listing order, that fails on generators; None if none.
+_MODULE_AXIOMS = ("boundary.morphism", "action.identity", "action.composition",
+                 "action.morphism", "equivariance", "conjugation")
 
-    Both tables must be groups.  For each axiom the elements that pass are
-    closed under products, given the axioms before it, so checking
-    generators of each quantified variable suffices; and the axiom returned
-    is the one of the exhaustive listing's first witness.
+
+def _module_violations(
+    cm: FiniteCrossedModule, gens_G, gens_E, budget: Budget | None
+) -> list[tuple[str, tuple]]:
+    """Every witness of the module axioms, in ``_MODULE_AXIOMS`` order.
+
+    Both tables must be groups.  The variables each comment below calls
+    restricted range over ``gens_G`` or ``gens_E``, the others over the
+    whole group.  For each axiom the elements that pass are closed under
+    products, given the axioms before it, so over generating sets a module
+    with no witness is valid, and the first witness names the axiom of the
+    full listing's first witness.  Rows over the unrestricted variable are
+    compared whole, and the differing positions of a mismatch are its
+    witnesses.  With a ``budget``, one step is spent per entry compared.
     """
     base, fiber = cm.base, cm.fiber
-    gt, et = base.product, fiber.product
-    bdy, act = cm.boundary, cm.action
-    gens_G, gens_E = base.generators, fiber.generators
+    nG, nE, mG, mE = base.order, fiber.order, len(gens_G), len(gens_E)
+    if budget:
+        budget.spend(mE * nE + nE + nG * mG * nE + mG * mE * nE + mG * mE + mE * mE)
+    gt, et, bdy, act = base.product, fiber.product, cm.boundary, cm.action
     # times_G[h][g] is g h, times_E[f][e] is e f.
     times_G, times_E = tuple(zip(*gt)), tuple(zip(*et))
-    boundary_of = entries_at(bdy)
+    bad: list[tuple[int, tuple]] = []  # (axiom index, witness)
 
-    # bdy(e f) = bdy(e) bdy(f): f in S_E, e in E.
+    # bdy(e f) = bdy(e) bdy(f), f restricted: the rows over e.
+    boundary_of = entries_at(bdy)
     for f in gens_E:
-        if entries_at(times_E[f])(bdy) != boundary_of(times_G[bdy[f]]):
-            return "boundary.morphism"
-    if act[base.identity] != tuple(range(fiber.order)):
-        return "action.identity"
-    # (g h) |> e = g |> (h |> e): h in S_G, g in G, e in E.
+        left, right = entries_at(times_E[f])(bdy), boundary_of(times_G[bdy[f]])
+        if left != right:
+            bad += [(0, (e, f)) for e in differing(left, right)]
+    # 1 |> e = e: the row of the identity.
+    left, right = act[base.identity], tuple(fiber.elements)
+    if left != right:
+        bad += [(1, (e,)) for e in differing(left, right)]
+    # (g h) |> e = g |> (h |> e), h restricted: the rows over e.
     for h in gens_G:
         after_h = entries_at(act[h])
         for g, row in enumerate(act):
-            if act[gt[g][h]] != after_h(row):
-                return "action.composition"
-    # g |> (e f) = (g |> e)(g |> f): g in S_G, f in S_E, e in E.
+            left, right = act[gt[g][h]], after_h(row)
+            if left != right:
+                bad += [(2, (g, h, e)) for e in differing(left, right)]
+    # g |> (e f) = (g |> e)(g |> f), g and f restricted: the rows over e.
     for g in gens_G:
         row = act[g]
         moved = entries_at(row)
         for f in gens_E:
-            if entries_at(times_E[f])(row) != moved(times_E[row[f]]):
-                return "action.morphism"
-    # bdy(g |> e) = g bdy(e) g^-1: g in S_G, e in S_E.
+            left, right = entries_at(times_E[f])(row), moved(times_E[row[f]])
+            if left != right:
+                bad += [(3, (g, e, f)) for e in differing(left, right)]
+    # bdy(g |> e) = g bdy(e) g^-1, g and e restricted.
+    inv_G, inv_E = base.inverse, fiber.inverse
     for g in gens_G:
         for e in gens_E:
-            if bdy[act[g][e]] != gt[gt[g][bdy[e]]][base.inv(g)]:
-                return "equivariance"
-    # bdy(e) |> f = e f e^-1: e, f in S_E.
+            if bdy[act[g][e]] != gt[gt[g][bdy[e]]][inv_G[g]]:
+                bad.append((4, (g, e)))
+    # bdy(e) |> f = e f e^-1, e and f restricted.
     for e in gens_E:
         for f in gens_E:
-            if act[bdy[e]][f] != et[et[e][f]][fiber.inv(e)]:
-                return "conjugation"
-    return None
-
-
-def _listed_violations(cm: FiniteCrossedModule, budget: Budget):
-    """Every witness of the axioms after the group axioms, one step per tuple."""
-    out: list[tuple[str, tuple]] = []
-    base, fiber = cm.base, cm.fiber
-    nG, nE = base.order, fiber.order
-    bdy, act = cm.boundary, cm.action
-    eG = base.identity
-
-    for e in range(nE):
-        budget.spend(nE)
-        for f in range(nE):
-            if bdy[fiber.mul(e, f)] != base.mul(bdy[e], bdy[f]):
-                out.append(("boundary.morphism", (e, f)))
-    budget.spend(nE)
-    for e in range(nE):
-        if act[eG][e] != e:
-            out.append(("action.identity", (e,)))
-    for g in range(nG):
-        for h in range(nG):
-            gh = base.mul(g, h)
-            budget.spend(nE)
-            for e in range(nE):
-                if act[gh][e] != act[g][act[h][e]]:
-                    out.append(("action.composition", (g, h, e)))
-    for g in range(nG):
-        for e in range(nE):
-            budget.spend(nE)
-            for f in range(nE):
-                if act[g][fiber.mul(e, f)] != fiber.mul(act[g][e], act[g][f]):
-                    out.append(("action.morphism", (g, e, f)))
-    for g in range(nG):
-        budget.spend(nE)
-        for e in range(nE):
-            if bdy[act[g][e]] != base.mul(g, base.mul(bdy[e], base.inv(g))):
-                out.append(("equivariance", (g, e)))
-    for e in range(nE):
-        budget.spend(nE)
-        for f in range(nE):
-            lhs = act[bdy[e]][f]
-            rhs = fiber.mul(e, fiber.mul(f, fiber.inv(e)))
-            if lhs != rhs:
-                out.append(("conjugation", (e, f)))
-    return out
+            if act[bdy[e]][f] != et[et[e][f]][inv_E[e]]:
+                bad.append((5, (e, f)))
+    if not bad:
+        return []
+    return [(_MODULE_AXIOMS[axiom], witness) for axiom, witness in sorted(bad)]
 
 
 def boundary_fibers(cm: FiniteCrossedModule) -> tuple[tuple[int, ...], ...]:

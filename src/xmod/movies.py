@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import FormatError, ReplayError, UnknownIdError, XmodError
+from .errors import FormatError, ReplayError, XmodError
 from .presentations import (
     CrossedPresentation,
     CrossedWord,
@@ -348,14 +348,6 @@ class _Replay:
             tuple(self.cells), self.cell_boundary, tuple(self.relations),
             self.finished,
         )
-
-    def boundary_word(self, cell: str) -> FreeWord:
-        # Lets boundary_of_crossed_word read the cells without a
-        # CrossedPresentation, which would copy every boundary.
-        try:
-            return self.cell_boundary[cell]
-        except KeyError:
-            raise UnknownIdError(f"unknown cell {cell!r}") from None
 
 
 def _live_arc(work: _Replay, arc: str) -> FreeWord:

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from .crossed import ValidationReport
 from .errors import FormatError, UnknownIdError
 from .words import (
-    EMPTY_WORD,
     FreeWord,
     LineReader,
     format_word,
     parse_id,
     parse_sign,
     parse_word,
+    reduce_free_word,
     valid_name,
 )
 
@@ -83,12 +83,6 @@ class CrossedPresentation:
     def __post_init__(self):
         object.__setattr__(self, "cell_boundary", dict(self.cell_boundary))
 
-    def boundary_word(self, cell: str) -> FreeWord:
-        try:
-            return self.cell_boundary[cell]
-        except KeyError:
-            raise UnknownIdError(f"unknown cell {cell!r}") from None
-
 
 EMPTY_PRESENTATION = CrossedPresentation((), (), {})
 
@@ -96,14 +90,23 @@ EMPTY_PRESENTATION = CrossedPresentation((), (), {})
 def boundary_of_crossed_word(
     pres: CrossedPresentation, crossed: CrossedWord
 ) -> FreeWord:
-    """Boundary in the free base group: product of conjugated cell boundaries."""
-    out = EMPTY_WORD
+    """Boundary in the free base group: product of conjugated cell boundaries.
+
+    Reads only ``pres.cell_boundary``; the letters of every term are joined
+    and freely reduced once.  Raises ``UnknownIdError`` for a cell not in it.
+    """
+    letters: list[tuple[str, int]] = []
     for conjugator, cell, sign in crossed.terms:
-        factor = conjugator * pres.boundary_word(cell) * conjugator.inverse()
+        try:
+            boundary = pres.cell_boundary[cell].letters
+        except KeyError:
+            raise UnknownIdError(f"unknown cell {cell!r}") from None
         if sign < 0:
-            factor = factor.inverse()
-        out = out * factor
-    return out
+            boundary = [(gen, -s) for gen, s in reversed(boundary)]
+        letters += conjugator.letters
+        letters += boundary
+        letters += [(gen, -s) for gen, s in reversed(conjugator.letters)]
+    return reduce_free_word(letters)
 
 
 def validate_presentation(pres: CrossedPresentation) -> ValidationReport:

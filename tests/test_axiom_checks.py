@@ -1,8 +1,8 @@
 """The generator-reduced axiom checks against the exhaustive listing.
 
-``validate_crossed_module`` and ``group_violations`` settle a valid table on
-generating sets and list witnesses exhaustively only after a reduced check
-has failed.  ``exhaustive_violations`` below is the listing as it was before
+``validate_crossed_module`` and ``group_violations`` run each axiom over
+greedy generating sets first, and over whole groups only when that run finds
+a witness.  ``exhaustive_violations`` below is the listing as it was before
 the reduction, kept here as the oracle: on every corruption the validator
 must return exactly its witnesses, in its order.
 """
@@ -144,20 +144,26 @@ def first_axiom(violations: list) -> str | None:
     return violations[0][0] if violations else None
 
 
+def reduced_first_axiom(cm: FiniteCrossedModule) -> str | None:
+    """The first axiom the module check names over greedy generating sets."""
+    return first_axiom(crossed._module_violations(
+        cm, cm.base.generators, cm.fiber.generators, None))
+
+
 @pytest.mark.parametrize("axiom", sorted(ONE_AXIOM_BROKEN))
 def test_each_reduced_check_catches_its_axiom_alone(axiom):
     cm = ONE_AXIOM_BROKEN[axiom]
     expected = exhaustive_violations(cm)
     assert {name for name, _ in expected} == {axiom}
     assert list(validate_crossed_module(cm).violations) == expected
-    assert crossed._first_failing_axiom(cm) == axiom
+    assert reduced_first_axiom(cm) == axiom
 
 
 def test_first_failing_reduced_check_names_the_first_witness():
     # An action that moves the identity also breaks conjugation; the reduced
     # checks run in listing order, so action.identity is named first.
     assert first_axiom(exhaustive_violations(IDENTITY_MOVED)) == "action.identity"
-    assert crossed._first_failing_axiom(IDENTITY_MOVED) == "action.identity"
+    assert reduced_first_axiom(IDENTITY_MOVED) == "action.identity"
 
 
 def test_fast_path_equals_exhaustive_listing_on_corruptions():
@@ -178,7 +184,7 @@ def test_fast_path_equals_exhaustive_listing_on_corruptions():
             continue
         # Both tables are groups: the first reduced check to fail names the
         # axiom of the first witness.
-        assert crossed._first_failing_axiom(broken) == first_axiom(expected), name
+        assert reduced_first_axiom(broken) == first_axiom(expected), name
         outcomes["crossed" if expected else "valid"] += 1
     assert corrupted >= 1000
     assert all(count >= 50 for count in outcomes.values()), outcomes
@@ -221,21 +227,27 @@ def test_greedy_generators_refuse_a_table_that_needs_too_many():
     assert ("identity", ()) in groups.group_violations(left_zero)
 
 
-def count_calls(monkeypatch, module):
+def count_full_runs(monkeypatch, module, name, domain):
+    """The calls of ``module.name`` whose quantifier domain is a whole group."""
     calls = []
-    original = module._listed_violations
+    original = getattr(module, name)
 
     def counted(*args):
-        calls.append(args[0])
+        if domain(*args):
+            calls.append(args[0])
         return original(*args)
 
-    monkeypatch.setattr(module, "_listed_violations", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_only_a_failed_check_enters_the_exhaustive_loops(monkeypatch):
-    group_listings = count_calls(monkeypatch, groups)
-    module_listings = count_calls(monkeypatch, crossed)
+    group_listings = count_full_runs(
+        monkeypatch, groups, "_table_violations",
+        lambda group, prefix, middle, budget: middle == group.elements)
+    module_listings = count_full_runs(
+        monkeypatch, crossed, "_module_violations",
+        lambda cm, gens_G, gens_E, budget: gens_E == cm.fiber.elements)
     valid = [cm for _, cm in module_pool()]
     valid.append(build_group_algebra_crossed_module(build_cyclic_group(4), 3))
     for cm in valid:
@@ -258,15 +270,19 @@ def test_listing_spends_one_step_per_tuple():
     conj = build_conjugation_crossed_module(build_symmetric_group(3))
     action = [list(row) for row in conj.action]
     action[1][2] = action[1][3]
-    broken = module(S3, S3, conj.boundary, action)
-    n = 6
-    # boundary, identity, composition, morphism, equivariance, conjugation
-    steps = n * n + n + n ** 3 + n ** 3 + n * n + n * n
-    assert validate_crossed_module(broken, work_cap=steps) == \
-        validate_crossed_module(broken)
-    with pytest.raises(WorkCapExceeded):
-        validate_crossed_module(broken, work_cap=steps - 1)
+    # That module and one breaking each axiom; all their tables are groups.
+    broken_modules = [module(S3, S3, conj.boundary, action), IDENTITY_MOVED,
+                      *ONE_AXIOM_BROKEN.values()]
+    for broken in broken_modules:
+        nG, nE = broken.base.order, broken.fiber.order
+        # boundary, identity, composition, morphism, equivariance, conjugation
+        steps = nE * nE + nE + nG * nG * nE + nG * nE * nE + nG * nE + nE * nE
+        assert validate_crossed_module(broken, work_cap=steps) == \
+            validate_crossed_module(broken)
+        with pytest.raises(WorkCapExceeded):
+            validate_crossed_module(broken, work_cap=steps - 1)
 
+    n = 6
     fiber = [list(row) for row in S3]
     fiber[4][4] = 0
     broken = module(S3, fiber, conj.boundary, conj.action)

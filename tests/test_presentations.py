@@ -83,7 +83,8 @@ def test_crossed_word_rejects_bad_sign():
 
 def test_boundary_word_unknown_cell():
     with pytest.raises(UnknownIdError):
-        sphere_presentation().boundary_word("nope")
+        boundary_of_crossed_word(sphere_presentation(),
+                                 CrossedWord(((EMPTY_WORD, "nope", 1),)))
 
 
 # ---------------------------------------------------------------------------
