@@ -50,12 +50,8 @@ def build_table(fixtures: list[str], work_cap: int):
     for name in fixtures:
         row = {}
         for module_name, cm in bank:
-            row[module_name] = invariant(
-                compiled[name].presentation,
-                cm,
-                compiled[name].one_handles,
-                work_cap=work_cap,
-            )
+            pres = compiled[name]
+            row[module_name] = invariant(pres, cm, pres.one_handles, work_cap=work_cap)
         table[name] = row
     return bank, table
 

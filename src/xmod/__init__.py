@@ -34,10 +34,7 @@ from .groups import (
     build_symmetric_group,
 )
 from .movies import (
-    CompiledComplement,
-    DiagramState,
     MovieScript,
-    apply_event,
     compile_movie,
     parse_movie_script,
 )
@@ -57,18 +54,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assignment",
-    "CompiledComplement",
     "CountReport",
     "CrossedPresentation",
     "CrossedWord",
-    "DiagramState",
     "FIXTURE_NAMES",
     "FiniteCrossedModule",
     "FiniteGroup",
     "FreeWord",
     "MovieScript",
     "ValidationReport",
-    "apply_event",
     "boundary_fibers",
     "boundary_of_crossed_word",
     "build_central_quotient_crossed_module",

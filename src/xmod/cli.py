@@ -40,6 +40,7 @@ from .errors import (
 from .fuzz import random_instances
 from .movies import compile_movie, parse_movie_script
 from .presentations import (
+    CrossedPresentation,
     format_presentation_text,
     parse_presentation_text,
     validate_presentation,
@@ -107,25 +108,22 @@ def cmd_validate(args) -> int:
 
 def cmd_compile(args) -> int:
     script = parse_movie_script(_read_file(args.movie), name=args.movie)
-    compiled = compile_movie(script)
-    sys.stdout.write(format_presentation_text(compiled.presentation))
-    print(f"one_handles {compiled.one_handles}")
+    pres = compile_movie(script)
+    sys.stdout.write(format_presentation_text(pres))
+    print(f"one_handles {pres.one_handles}")
     return EXIT_OK
 
 
-def _load_target(path: str) -> tuple:
-    """Return (presentation, default one_handles) from a pres or movie file.
+def _load_target(path: str) -> CrossedPresentation:
+    """The presentation in a pres or movie file.
 
     A pres file is validated where it is counted, by ``compile_presentation``.
     """
     text = _read_file(path)
     first = next((content for _, content in LineReader(text)), "")
     if first == "pres v1":
-        pres = parse_presentation_text(text)
-        return pres, len(pres.generators)
-    script = parse_movie_script(text, name=path)
-    compiled = compile_movie(script)
-    return compiled.presentation, compiled.one_handles
+        return parse_presentation_text(text)
+    return compile_movie(parse_movie_script(text, name=path))
 
 
 def cmd_invariant(args) -> int:
@@ -136,9 +134,9 @@ def cmd_invariant(args) -> int:
             raise FormatError(
                 f"--one-handles must be nonnegative and at most {MAX_ONE_HANDLES}"
             )
-    pres, default = _load_target(args.target)
+    pres = _load_target(args.target)
     if one_handles is None:
-        one_handles = default
+        one_handles = pres.one_handles
         if one_handles > MAX_ONE_HANDLES:
             raise FormatError(
                 f"{args.target} has {one_handles} one-handles, more than "
@@ -164,12 +162,9 @@ def cmd_examples(args) -> int:
     battery = standard_battery()
     print("fixture module invariant")
     for name in names:
-        compiled = compile_movie(fixtures.load_fixture(name))
+        pres = compile_movie(fixtures.load_fixture(name))
         for module_name, cm in battery:
-            report = count_report(
-                compiled.presentation, cm, compiled.one_handles,
-                work_cap=args.work_cap,
-            )
+            report = count_report(pres, cm, pres.one_handles, work_cap=args.work_cap)
             value = report.invariant
             print(f"{name} {module_name} {value.numerator}/{value.denominator}")
     return EXIT_OK
@@ -183,14 +178,13 @@ def _selftest_checks(seed: int, work_cap: int):
     compiled = {}
     for name in fixtures.FIXTURE_NAMES:
         def check(name=name):
-            result = compile_movie(fixtures.load_fixture(name))
-            compiled[name] = result
-            return validate_presentation(result.presentation).ok
+            compiled[name] = compile_movie(fixtures.load_fixture(name))
+            return validate_presentation(compiled[name]).ok
         yield f"compile {name}", check
 
     def value(name, cm):
-        return count_report(compiled[name].presentation, cm,
-                            compiled[name].one_handles, work_cap=work_cap).invariant
+        pres = compiled[name]
+        return count_report(pres, cm, pres.one_handles, work_cap=work_cap).invariant
 
     def sphere_values():
         for name in ("trivial1", "trivial2", "trivial3", "trivial4"):

@@ -32,6 +32,9 @@ from .words import EMPTY_WORD, FreeWord, reduce_free_word
 
 _GEN_NAMES = ("a", "b")
 _CELL_NAMES = ("m", "n")
+_MAX_GENS = 2
+_MAX_CELLS = 2
+_MAX_RELATIONS = 2
 
 
 def inversion_module(n: int) -> FiniteCrossedModule:
@@ -73,19 +76,14 @@ def random_word(rng: random.Random, gens: tuple[str, ...], max_len: int = 3) -> 
     return reduce_free_word(letters)
 
 
-def random_presentation(
-    rng: random.Random,
-    max_gens: int = 2,
-    max_cells: int = 2,
-    max_relations: int = 2,
-) -> CrossedPresentation:
-    gens = _GEN_NAMES[: rng.randrange(max_gens + 1)]
-    cells = _CELL_NAMES[: rng.randrange(max_cells + 1)]
+def random_presentation(rng: random.Random) -> CrossedPresentation:
+    gens = _GEN_NAMES[: rng.randrange(_MAX_GENS + 1)]
+    cells = _CELL_NAMES[: rng.randrange(_MAX_CELLS + 1)]
     boundary = {cell: random_word(rng, gens) for cell in cells}
 
     relations = []
     if cells:
-        for _ in range(rng.randrange(max_relations + 1)):
+        for _ in range(rng.randrange(_MAX_RELATIONS + 1)):
             terms = []
             for _ in range(rng.randrange(1, 3)):
                 cell = rng.choice(cells)

@@ -33,7 +33,7 @@ fixed band's label, M the mover's):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import FormatError, ReplayError, XmodError
 from .presentations import (
@@ -119,31 +119,6 @@ class MovieScript:
     events: tuple[Event, ...]
 
 
-@dataclass(frozen=True)
-class DiagramState:
-    """Labels of the current diagram plus everything emitted so far."""
-
-    arcs: dict[str, FreeWord] = field(default_factory=dict)
-    bands: dict[str, tuple[CrossedWord, str]] = field(default_factory=dict)
-    births: int = 0
-    generators: tuple[str, ...] = ()
-    cells: tuple[str, ...] = ()
-    cell_boundary: dict[str, FreeWord] = field(default_factory=dict)
-    relations: tuple[CrossedWord, ...] = ()
-    finished: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "arcs", dict(self.arcs))
-        object.__setattr__(self, "bands", dict(self.bands))
-        object.__setattr__(self, "cell_boundary", dict(self.cell_boundary))
-
-
-@dataclass(frozen=True)
-class CompiledComplement:
-    presentation: CrossedPresentation
-    one_handles: int
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
@@ -161,6 +136,13 @@ def _parse_arc_ref(token: str, line: int) -> ArcRef:
             f"arc reference exponent must be -1, got {token!r}", line=line
         )
     return (name, -1)
+
+
+def _parse_ids(value: str, line: int) -> tuple[str, ...]:
+    """A comma-separated list of arc ids; an empty item is a bad id."""
+    if not value:
+        return ()
+    return tuple(parse_id(part, "arc", line) for part in value.split(","))
 
 
 def _keyed(tokens: list[str], line: int, required: tuple[str, ...],
@@ -265,11 +247,7 @@ def parse_movie_script(text: str, name: str = "movie") -> MovieScript:
                 )
         elif keyword == "saddle":
             args = _keyed(tokens[1:], line, ("cell", "u", "v", "band", "merged"))
-            merged = tuple(
-                parse_id(part, "arc", line)
-                for part in args["merged"].split(",")
-                if part
-            )
+            merged = _parse_ids(args["merged"], line)
             if not 1 <= len(merged) <= 2:
                 raise FormatError("merged= must list one or two fresh arcs", line=line)
             events.append(
@@ -296,12 +274,7 @@ def parse_movie_script(text: str, name: str = "movie") -> MovieScript:
             key, eq, value = head_tokens[1].partition("=")
             if key != "circle" or not eq or not value:
                 raise FormatError("death needs circle=<arc,...>", line=line)
-            circle = tuple(
-                parse_id(part, "arc", line) for part in value.split(",") if part
-            )
-            if not circle:
-                raise FormatError("death circle is empty", line=line)
-            events.append(DeathEvent(circle, spanner, line))
+            events.append(DeathEvent(_parse_ids(value, line), spanner, line))
         elif keyword == "end":
             if len(tokens) != 1:
                 raise FormatError("end takes no arguments", line=line)
@@ -320,34 +293,27 @@ def parse_movie_script(text: str, name: str = "movie") -> MovieScript:
 
 
 class _Replay:
-    """The working state one replay folds its events into, in place.
+    """Labels of the current diagram plus everything emitted so far: the
+    working state one replay folds its events into, in place.
 
     ``known`` and ``cell_ids`` hold the ids of ``generators`` and ``cells``,
     so every freshness check is a set lookup and each event costs time
     independent of how many came before it.
     """
 
-    __slots__ = ("arcs", "bands", "births", "generators", "known", "cells",
+    __slots__ = ("arcs", "bands", "generators", "known", "cells",
                  "cell_ids", "cell_boundary", "relations", "finished")
 
-    def __init__(self, state: DiagramState):
-        self.arcs = dict(state.arcs)
-        self.bands = dict(state.bands)
-        self.births = state.births
-        self.generators = list(state.generators)
-        self.known = set(state.generators)
-        self.cells = list(state.cells)
-        self.cell_ids = set(state.cells)
-        self.cell_boundary = dict(state.cell_boundary)
-        self.relations = list(state.relations)
-        self.finished = state.finished
-
-    def freeze(self) -> DiagramState:
-        return DiagramState(
-            self.arcs, self.bands, self.births, tuple(self.generators),
-            tuple(self.cells), self.cell_boundary, tuple(self.relations),
-            self.finished,
-        )
+    def __init__(self):
+        self.arcs: dict[str, FreeWord] = {}
+        self.bands: dict[str, tuple[CrossedWord, str]] = {}
+        self.generators: list[str] = []
+        self.known: set[str] = set()
+        self.cells: list[str] = []
+        self.cell_ids: set[str] = set()
+        self.cell_boundary: dict[str, FreeWord] = {}
+        self.relations: list[CrossedWord] = []
+        self.finished = False
 
 
 def _live_arc(work: _Replay, arc: str) -> FreeWord:
@@ -368,7 +334,7 @@ def _step(work: _Replay, event: Event) -> None:
     """Apply one event to ``work`` in place.
 
     Checks may follow mutations of the same event, so a raising step leaves
-    ``work`` part-way; callers copy their input or discard ``work``.
+    ``work`` part-way; callers discard it.
     """
     if work.finished:
         raise XmodError("script already ended")
@@ -380,7 +346,6 @@ def _step(work: _Replay, event: Event) -> None:
         if event.arc in work.arcs:
             raise XmodError(f"arc {event.arc!r} is already live")
         work.arcs[event.arc] = FreeWord(((event.arc, 1),))
-        work.births += 1
         work.generators.append(event.arc)
         work.known.add(event.arc)
     elif isinstance(event, WirtingerCross):
@@ -477,23 +442,14 @@ def _step(work: _Replay, event: Event) -> None:
         raise XmodError(f"unknown event type {type(event).__name__}")
 
 
-def apply_event(state: DiagramState, event: Event) -> DiagramState:
-    """Apply one event to a diagram state; pure, returns a new state.
+def compile_movie(script: MovieScript) -> CrossedPresentation:
+    """Replay a movie and return the presentation of its complement.
 
-    ``compile_movie`` runs the same step on one working state per movie.
+    Each ``birth`` event adds one base generator, so ``one_handles`` of the
+    result counts those events.  The events are folded into one working
+    state, so replay takes time linear in the number of events.
     """
-    work = _Replay(state)
-    _step(work, event)
-    return work.freeze()
-
-
-def compile_movie(script: MovieScript) -> CompiledComplement:
-    """Replay a movie and return its presentation and one-handle count.
-
-    The events are folded into one working state, so replay takes time
-    linear in the number of events.
-    """
-    work = _Replay(DiagramState())
+    work = _Replay()
     for index, event in enumerate(script.events):
         try:
             _step(work, event)
@@ -512,4 +468,4 @@ def compile_movie(script: MovieScript) -> CompiledComplement:
             f"compiled presentation is invalid: {report.violations[0]}",
             event_index=len(script.events) - 1,
         )
-    return CompiledComplement(presentation, work.births)
+    return presentation

@@ -83,6 +83,11 @@ class CrossedPresentation:
     def __post_init__(self):
         object.__setattr__(self, "cell_boundary", dict(self.cell_boundary))
 
+    @property
+    def one_handles(self) -> int:
+        """The number of 1-handles: one per base generator."""
+        return len(self.generators)
+
 
 EMPTY_PRESENTATION = CrossedPresentation((), (), {})
 

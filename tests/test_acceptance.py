@@ -72,8 +72,8 @@ def is_abelian_identity_boundary(cm: FiniteCrossedModule) -> bool:
     )
 
 
-def fixture_invariant(compiled, cm) -> Fraction:
-    return invariant(compiled.presentation, cm, compiled.one_handles)
+def fixture_invariant(pres, cm) -> Fraction:
+    return invariant(pres, cm, pres.one_handles)
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +84,10 @@ def fixture_invariant(compiled, cm) -> Fraction:
 def test_criterion_01_unknotted_sphere(compiled_fixtures, battery):
     for name in ("trivial1", "trivial2", "trivial3", "trivial4"):
         with Budget(1, f"unknotted sphere {name} = #G/#E", 1.0):
-            compiled = compiled_fixtures[name]
+            pres = compiled_fixtures[name]
             for module_name, cm in battery:
                 expected = Fraction(cm.base.order, cm.fiber.order)
-                got = fixture_invariant(compiled, cm)
+                got = fixture_invariant(pres, cm)
                 assert got == expected, (name, module_name, got, expected)
 
 
@@ -98,10 +98,10 @@ def test_criterion_01_unknotted_sphere(compiled_fixtures, battery):
 
 def test_criterion_02_two_spheres(compiled_fixtures, battery):
     with Budget(2, "two spheres = (#G/#E)^2", 1.0):
-        compiled = compiled_fixtures["two_spheres"]
+        pres = compiled_fixtures["two_spheres"]
         for module_name, cm in battery:
             expected = Fraction(cm.base.order, cm.fiber.order) ** 2
-            got = fixture_invariant(compiled, cm)
+            got = fixture_invariant(pres, cm)
             assert got == expected, (module_name, got, expected)
 
 
@@ -112,14 +112,14 @@ def test_criterion_02_two_spheres(compiled_fixtures, battery):
 
 def test_criterion_03_two_tori(compiled_fixtures, battery):
     with Budget(3, "two tori closed forms", 5.0):
-        compiled = compiled_fixtures["two_tori"]
+        pres = compiled_fixtures["two_tori"]
         for module_name, cm in battery:
             nG, nE = cm.base.order, cm.fiber.order
             if is_abelian_identity_boundary(cm):
                 expected = Fraction(nG**2 * nE**2)
             else:
                 expected = Fraction(nG * kernel_order(cm) ** 2, nE) ** 2
-            got = fixture_invariant(compiled, cm)
+            got = fixture_invariant(pres, cm)
             assert got == expected, (module_name, got, expected)
 
 
@@ -163,11 +163,11 @@ def count_value2(cm: FiniteCrossedModule) -> int:
 def test_criterion_04_spun_hopf_knotted(compiled_fixtures, battery_by_name):
     with Budget(4, "spun Hopf link invariant 40 differs from tori 64", 10.0):
         cm = battery_by_name["ga_z2_p2"]
-        compiled = compiled_fixtures["spun_hopf"]
-        backtracking = count_homomorphisms(compiled.presentation, cm)
-        naive = count_homomorphisms_naive(compiled.presentation, cm)
+        pres = compiled_fixtures["spun_hopf"]
+        backtracking = count_homomorphisms(pres, cm)
+        naive = count_homomorphisms_naive(pres, cm)
         assert backtracking == naive == 640
-        got = Fraction(naive, cm.fiber.order**compiled.one_handles)
+        got = Fraction(naive, cm.fiber.order**pres.one_handles)
         direct = count_value1(cm)
         assert got == Fraction(direct) == 40
         tori = fixture_invariant(compiled_fixtures["two_tori"], cm)
@@ -213,8 +213,7 @@ def trefoil_relation_count(cm: FiniteCrossedModule) -> int:
 
 def test_criterion_06_spun_trefoil_knotted(compiled_fixtures, battery_by_name):
     with Budget(6, "spun trefoil invariant 9/8 differs from sphere 3/8", 10.0):
-        compiled = compiled_fixtures["spun_trefoil"]
-        pres = compiled.presentation
+        pres = compiled_fixtures["spun_trefoil"]
         # Shape: two generators, boundary X A^-1 with A = XYXYX^-1Y^-1X^-1,
         # trivial boundary on the second cell, one relation on it alone.
         assert len(pres.generators) == 2
@@ -228,7 +227,7 @@ def test_criterion_06_spun_trefoil_knotted(compiled_fixtures, battery_by_name):
 
         cm = battery_by_name["ga_z3_p2"]
         direct = Fraction(trefoil_relation_count(cm), cm.fiber.order)
-        got = fixture_invariant(compiled, cm)
+        got = fixture_invariant(pres, cm)
         assert got == direct == Fraction(9, 8)
         sphere = Fraction(cm.base.order, cm.fiber.order)
         assert sphere == Fraction(3, 8) and got != sphere

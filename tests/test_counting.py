@@ -210,7 +210,7 @@ def test_invalid_presentation_is_rejected(battery_by_name):
 
 
 def test_relation_order_does_not_change_count(compiled_fixtures, battery_by_name):
-    pres = compiled_fixtures["spun_hopf"].presentation
+    pres = compiled_fixtures["spun_hopf"]
     reordered = CrossedPresentation(
         pres.generators,
         pres.cells,
@@ -253,7 +253,7 @@ EMPTY_RELATION_PRES = (
 def test_exact_step_counts(engine, target, module, steps, compiled_fixtures, battery_by_name,
                            deep_chain):
     if target in compiled_fixtures:
-        pres = compiled_fixtures[target].presentation
+        pres = compiled_fixtures[target]
     elif target == "deep_chain":
         pres = deep_chain
     else:
@@ -283,11 +283,11 @@ def test_naive_cap_is_checked_up_front():
 
 
 def test_engines_agree_on_fixtures(compiled_fixtures, battery):
-    for name, compiled in compiled_fixtures.items():
+    for name, pres in compiled_fixtures.items():
         for module_name, cm in battery:
-            slow = count_homomorphisms_naive(compiled.presentation, cm)
-            assert count_homomorphisms(compiled.presentation, cm) == slow, (name, module_name)
-            assert count_linear_fastpath(compiled.presentation, cm) == slow, (name, module_name)
+            slow = count_homomorphisms_naive(pres, cm)
+            assert count_homomorphisms(pres, cm) == slow, (name, module_name)
+            assert count_linear_fastpath(pres, cm) == slow, (name, module_name)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +371,7 @@ def test_linear_agrees_on_fixtures_and_search_targets(
                     for name, m in perfbench_inputs.search_targets().items()})
     assert len(targets) == 9
     for fixture in FIXTURE_NAMES:
-        pres = compiled_fixtures[fixture].presentation
+        pres = compiled_fixtures[fixture]
         for name, cm in targets.items():
             assert count_linear_fastpath(pres, cm) == count_homomorphisms(pres, cm), (
                 fixture, name)
@@ -415,7 +415,7 @@ def relabeled(cm: FiniteCrossedModule, rng: random.Random) -> FiniteCrossedModul
 def test_linear_counts_survive_a_full_system_memo(monkeypatch, compiled_fixtures):
     # The per-phi systems are memoised up to a bound, then forgotten; a
     # bound of 2 forces many restarts and must not change a count.
-    pres = compiled_fixtures["spun_hopf"].presentation
+    pres = compiled_fixtures["spun_hopf"]
     modules = [cm for name, cm in module_pool() if name.startswith(("ga_", "inv_", "cq_"))]
     expected = [count_linear_fastpath(pres, cm) for cm in modules]
     monkeypatch.setattr(counting, "_MAX_SYSTEMS", 2)
@@ -430,7 +430,7 @@ def test_relabeled_target_keeps_linear_counts(compiled_fixtures):
     for name, cm in module_pool():
         copy = relabeled(cm, rng)
         for fixture in ("two_spheres", "spun_hopf", "spun_trefoil"):
-            pres = compiled_fixtures[fixture].presentation
+            pres = compiled_fixtures[fixture]
             assert count_linear_fastpath(pres, copy) == count_linear_fastpath(pres, cm), (
                 name, fixture)
 

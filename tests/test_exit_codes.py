@@ -59,7 +59,7 @@ def check_run(capsys, argv):
 
 def test_corrupted_inputs_end_in_a_documented_exit(tmp_path, capsys):
     movie = fixture_text("spun_trefoil")
-    pres = format_presentation_text(compile_movie(load_fixture("spun_trefoil")).presentation)
+    pres = format_presentation_text(compile_movie(load_fixture("spun_trefoil")))
     modules = dict(standard_battery())
     good = {}
     for name in ("conj_s3", "ga_z2_p2"):

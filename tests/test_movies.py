@@ -11,29 +11,27 @@ from xmod.errors import FormatError, ReplayError, XmodError
 from xmod.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from xmod.movies import (
     Birth,
-    DeathEvent,
-    DiagramState,
     EndEvent,
     MovieScript,
     SaddleEvent,
     WirtingerCross,
-    apply_event,
     compile_movie,
     parse_movie_script,
 )
-from xmod.presentations import CrossedPresentation, validate_presentation
-from xmod.words import EMPTY_WORD, FreeWord, parse_word
+from xmod.presentations import validate_presentation
+from xmod.words import FreeWord, parse_word
 
 
 def word(text: str) -> FreeWord:
     return parse_word(text)
 
 
-def replay(text: str) -> DiagramState:
-    state = DiagramState()
+def replay(text: str) -> movies._Replay:
+    """The replay state after the events of ``text``, before any ``end``."""
+    work = movies._Replay()
     for event in parse_movie_script(text + "\nend\n").events[:-1]:
-        state = apply_event(state, event)
-    return state
+        movies._step(work, event)
+    return work
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +110,8 @@ def test_parse_duplicate_argument():
 
 def test_birth_introduces_generator_labelled_arc():
     state = replay("birth X")
-    assert state.generators == ("X",)
+    assert state.generators == ["X"]
     assert state.arcs == {"X": word("X")}
-    assert state.births == 1
 
 
 def test_birth_rejects_duplicate():
@@ -155,7 +152,7 @@ def test_wirtinger_r2_insertion_is_identity():
 
 def test_saddle_reads_boundary_and_spawns_band():
     state = replay("birth X\nbirth Y\nsaddle cell=e u=X v=Y band=b merged=c1,c2")
-    assert state.cells == ("e",)
+    assert state.cells == ["e"]
     assert state.cell_boundary["e"] == word("X Y^-1")
     assert set(state.arcs) == {"c1", "c2"}
     # Merged arcs inherit the consumed labels positionally.
@@ -254,7 +251,7 @@ def test_death_with_empty_spanner_emits_nothing():
         "birth X\nbirth Y\nsaddle cell=e u=X^-1 v=Y^-1 band=b merged=c1,c2\n"
         "death circle=c1,c2 spanner=[]"
     )
-    assert state.relations == ()
+    assert state.relations == []
     assert state.arcs == {}
 
 
@@ -295,40 +292,6 @@ def test_compile_is_deterministic():
     assert first == second
 
 
-def test_compile_counts_births_as_one_handles():
-    for name in FIXTURE_NAMES:
-        script = load_fixture(name)
-        compiled = compile_movie(script)
-        births = sum(1 for e in script.events if isinstance(e, Birth))
-        assert compiled.one_handles == births
-        assert len(compiled.presentation.generators) == births
-
-
-def test_compiled_fixtures_validate(compiled_fixtures):
-    for compiled in compiled_fixtures.values():
-        assert validate_presentation(compiled.presentation).ok
-
-
-def test_compile_reports_event_index_and_line():
-    script = parse_movie_script("birth X\nbirth X\nend\n")
-    with pytest.raises(ReplayError) as info:
-        compile_movie(script)
-    assert info.value.event_index == 1
-    assert info.value.line == 2
-
-
-def test_compile_requires_end():
-    script = MovieScript("trunc", (Birth("X", 1),))
-    with pytest.raises(ReplayError):
-        compile_movie(script)
-
-
-def test_apply_event_after_end_rejected():
-    state = apply_event(DiagramState(), EndEvent(1))
-    with pytest.raises(Exception):
-        apply_event(state, Birth("X", 2))
-
-
 # Uses every sb and bb rule, a conjugated spanner and an empty one.
 ALL_RULES = """
 birth X
@@ -348,23 +311,44 @@ end
 """
 
 
-def test_compile_equals_fold_of_apply_event():
+def test_compile_counts_births_as_one_handles():
     scripts = [load_fixture(name) for name in FIXTURE_NAMES]
     scripts.append(parse_movie_script(ALL_RULES))
     for script in scripts:
-        compiled = compile_movie(script)
-        state = DiagramState()
-        for event in script.events:
-            state = apply_event(state, event)
-        assert state.finished, script.name
-        assert compiled.presentation == CrossedPresentation(
-            state.generators, state.cells, state.cell_boundary, state.relations
-        ), script.name
-        assert compiled.one_handles == state.births, script.name
-    assert len(scripts[-1].events) == 14 and len(state.relations) == 2
+        pres = compile_movie(script)
+        births = sum(1 for e in script.events if isinstance(e, Birth))
+        assert pres.one_handles == births, script.name
+        assert len(pres.generators) == births, script.name
+    assert len(scripts[-1].events) == 14 and len(pres.relations) == 2
 
 
-def test_compile_fails_where_apply_event_fails():
+def test_compiled_fixtures_validate(compiled_fixtures):
+    for pres in compiled_fixtures.values():
+        assert validate_presentation(pres).ok
+
+
+def test_compile_reports_event_index_and_line():
+    script = parse_movie_script("birth X\nbirth X\nend\n")
+    with pytest.raises(ReplayError) as info:
+        compile_movie(script)
+    assert info.value.event_index == 1
+    assert info.value.line == 2
+
+
+def test_compile_requires_end():
+    script = MovieScript("trunc", (Birth("X", 1),))
+    with pytest.raises(ReplayError):
+        compile_movie(script)
+
+
+def test_step_after_end_rejected():
+    work = movies._Replay()
+    movies._step(work, EndEvent(1))
+    with pytest.raises(XmodError):
+        movies._step(work, Birth("X", 2))
+
+
+def test_compile_fails_where_step_fails():
     bad = [
         "birth X\nsaddle cell=e u=X v=X band=b merged=c1,c2\nbirth e\nend\n",
         "birth X\nsaddle cell=X u=X v=X band=b merged=c1,c2\nend\n",
@@ -377,10 +361,10 @@ def test_compile_fails_where_apply_event_fails():
     ]
     for text in bad:
         script = parse_movie_script(text)
-        state = DiagramState()
+        work = movies._Replay()
         for index, event in enumerate(script.events):
             try:
-                state = apply_event(state, event)
+                movies._step(work, event)
             except XmodError as exc:
                 expected = f"event {index} (line {event.line}): {exc}"
                 break
@@ -391,59 +375,31 @@ def test_compile_fails_where_apply_event_fails():
         assert str(info.value) == expected, text
 
 
-def snapshot(state: DiagramState) -> tuple:
-    return (dict(state.arcs), dict(state.bands), dict(state.cell_boundary),
-            state.births, state.generators, state.cells, state.relations,
-            state.finished)
-
-
-def test_apply_event_leaves_its_input_unchanged():
-    state = DiagramState()
-    for event in parse_movie_script(ALL_RULES).events:
-        before = snapshot(state)
-        after = apply_event(state, event)
-        assert snapshot(state) == before
-        state = after
-    # Each failing event changes the working copy before its check fires:
-    # the saddle consumes X before d1 is found live, the death removes X
-    # before the band is found dead.
-    state = replay("birth X\nbirth Y\nsaddle cell=e u=Y v=Y band=b merged=d1,d2")
-    before = snapshot(state)
-    for bad in (
-        SaddleEvent("f", ("X", 1), ("X", 1), "b2", ("d1",), 4),
-        DeathEvent(("X",), (("nope", EMPTY_WORD, 1),), 4),
-        Birth("e", 4),
-    ):
-        with pytest.raises(XmodError):
-            apply_event(state, bad)
-        assert snapshot(state) == before
-
-
 # ---------------------------------------------------------------------------
 # Fixture presentations, pinned
 # ---------------------------------------------------------------------------
 
 
 def test_trivial_fixture_shapes(compiled_fixtures):
-    pres = compiled_fixtures["trivial1"].presentation
+    pres = compiled_fixtures["trivial1"]
     assert pres.generators == ("X",)
     assert pres.cells == ("e",)
     assert pres.cell_boundary["e"] == word("")
     assert len(pres.relations) == 1
 
-    pres = compiled_fixtures["trivial2"].presentation
+    pres = compiled_fixtures["trivial2"]
     assert pres.cell_boundary["e"] == word("X^-1 Y")
     assert pres.relations == ()
 
-    pres = compiled_fixtures["trivial3"].presentation
+    pres = compiled_fixtures["trivial3"]
     assert pres.cell_boundary["e"] == word("X Y X^-1 X^-1")
 
-    pres = compiled_fixtures["trivial4"].presentation
+    pres = compiled_fixtures["trivial4"]
     assert pres.relations[0].terms == ((word("X"), "e", 1),)
 
 
 def test_spun_trefoil_presentation(compiled_fixtures):
-    pres = compiled_fixtures["spun_trefoil"].presentation
+    pres = compiled_fixtures["spun_trefoil"]
     assert pres.generators == ("X", "Y")
     assert pres.cells == ("e", "f")
     # Boundary of e: X against the triple-crossed arc.
@@ -455,8 +411,8 @@ def test_spun_trefoil_presentation(compiled_fixtures):
 
 
 def test_replay_builds_no_state_per_event(monkeypatch):
-    # Replay must stay linear in the number of events: the presentation
-    # types are built a fixed number of times per movie, not per event.
+    # Replay must stay linear in the number of events: one working state
+    # and one presentation per movie, not one per event.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     from perfbench.inputs import long_movie
 
@@ -465,7 +421,7 @@ def test_replay_builds_no_state_per_event(monkeypatch):
         assert len(script.events) > events
         counts: Counter = Counter()
         with monkeypatch.context() as patch:
-            for name in ("DiagramState", "CrossedPresentation"):
+            for name in ("_Replay", "CrossedPresentation"):
                 def counted(*args, _name=name, _cls=getattr(movies, name), **kwargs):
                     counts[_name] += 1
                     return _cls(*args, **kwargs)
@@ -473,6 +429,5 @@ def test_replay_builds_no_state_per_event(monkeypatch):
             compile_movie(script)
         return counts
 
-    small = constructions(500)
-    assert small == constructions(4000)
-    assert small["CrossedPresentation"] >= 1
+    expected = Counter({"_Replay": 1, "CrossedPresentation": 1})
+    assert constructions(500) == constructions(4000) == expected

@@ -20,8 +20,8 @@ PARSERS = {
 ORDER_1_MODULE = "xmod v1\nbase 1\n0\nfiber 1\n0\nboundary\n0\naction\n0\n"
 PRES_HEAD = "pres v1\ngens X\ncells e\n"
 
-# (format, text, line, message after "line <n>: ").  Each of these tokens
-# is one that int() would read.
+# (format, text, line, message after "line <n>: ").  Each token is one that
+# int() would read or an empty item of a comma-separated list of ids.
 MALFORMED_TOKENS = [
     ("pres", PRES_HEAD + "bnd e = X^1_0\n", 4, "[bnd] bad exponent in token 'X^1_0'"),
     ("movie", "birth X\ndeath circle=X spanner=[(b,X^٣,+)]\nend\n", 2,
@@ -31,6 +31,12 @@ MALFORMED_TOKENS = [
     ("xmod", "xmod v1\nbase 1\n٠\n", 3, "[base] expected an integer, got '٠'"),
     ("movie", "birth X\nsb ٤ band=b strand=X\nend\n", 2, "bad rule id '٤'"),
     ("xmod", "", 1, "[header] unexpected end of input"),
+    ("movie", "birth X\nsaddle cell=e u=X v=X band=b merged=,c1,,\nend\n", 2,
+     "bad arc id ''"),
+    ("movie", "birth X\nsaddle cell=e u=X v=X band=b merged=c1,\nend\n", 2,
+     "bad arc id ''"),
+    ("movie", "birth X\ndeath circle=,X, spanner=[]\nend\n", 2, "bad arc id ''"),
+    ("movie", "birth X\ndeath circle=X,,Y spanner=[]\nend\n", 2, "bad arc id ''"),
 ]
 
 
@@ -118,3 +124,31 @@ def test_end_of_input_is_the_last_line_of_the_text():
         with pytest.raises(FormatError) as info:
             parse(text)
         assert (info.value.line, info.value.field) == (line, field), text
+
+
+# Z2 over Z3 with trivial boundary and action: 13 lines, base indices 0..1
+# and fiber indices 0..2.
+Z2_Z3_MODULE = (
+    "xmod v1\nbase 2\n0 1\n1 0\nfiber 3\n0 1 2\n1 2 0\n2 0 1\n"
+    "boundary\n0 0 0\naction\n0 1 2\n0 1 2\n"
+)
+
+
+@pytest.mark.parametrize("line, row, message", [
+    (4, "1 2", "[base] index 2 out of range 0..1"),
+    (7, "1 2 3", "[fiber] index 3 out of range 0..2"),
+    (10, "0 0 2", "[boundary] index 2 out of range 0..1"),
+    (13, "0 1 3", "[action] index 3 out of range 0..2"),
+])
+def test_table_entry_out_of_range_is_a_parse_error(line, row, message, tmp_path, capsys):
+    lines = Z2_Z3_MODULE.splitlines()
+    lines[line - 1] = row
+    module = tmp_path / "bad.xmod"
+    module.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    target = tmp_path / "sphere.pres"
+    target.write_text("pres v1\ngens X\ncells\n", encoding="utf-8")
+    for argv in (["validate", str(module)], ["invariant", str(target), str(module)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", f"error: line {line}: {message}\n"), argv
