@@ -4,14 +4,20 @@ Subcommands: validate, invariant, compile, examples, selftest.
 Reports go to stdout, one key per line; diagnostics go to stderr.
 
 Exit codes: 0 success, 1 axiom violation or replay failure, 2 parse or
-usage error, 3 work cap exceeded.  The environment variable XMOD_WORK_CAP
-sets the default step budget of counting and of the exhaustive axiom
-listing; --work-cap overrides it.  Integer options and XMOD_WORK_CAP
-follow the integer token rule of the text formats.
+usage error, 3 work cap exceeded.  A selftest run that reaches the work cap
+stops there with exit 3.  The environment variable XMOD_WORK_CAP sets the
+default step budget of counting and of the exhaustive axiom listing;
+--work-cap overrides it.  Integer options and XMOD_WORK_CAP follow the
+integer token rule of the text formats.
+
+``main(argv)`` returns the exit code rather than exiting, and may be called
+any number of times in one process: the parser and its subcommand handlers
+are built on the first call and reused.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -221,6 +227,8 @@ def cmd_selftest(args) -> int:
     for name, check in _selftest_checks(seed, args.work_cap):
         try:
             passed = check()
+        except CapExceeded:
+            raise  # the whole run stops at the cap: one line, exit 3
         except XmodError as exc:
             passed = False
             print(f"error in {name}: {exc}", file=sys.stderr)
@@ -239,7 +247,15 @@ class _Parser(argparse.ArgumentParser):
         raise FormatError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``xmod`` parser, built on the first call and shared after it.
+
+    Sharing is safe: ``parse_args`` returns a fresh namespace and leaves the
+    parser as it was, errors raise ``FormatError``, and ``--help`` writes to
+    whatever ``sys.stdout`` is when it is called.  Callers must not change
+    the returned parser.
+    """
     parser = _Parser(
         prog="xmod",
         description="Exact invariants of knotted surfaces from finite crossed modules.",

@@ -534,6 +534,15 @@ def test_selftest_passes(capsys):
     assert lines and all(line.startswith("ok ") for line in lines)
 
 
+def test_selftest_stops_at_the_work_cap(capsys):
+    # A cap stop is not a failed check: the run ends with one line, exit 3.
+    code, out, err = run_cli(capsys, "selftest", "--work-cap", "50")
+    assert code == 3
+    assert err == "error: work cap of 50 elementary steps exceeded\n"
+    lines = out.splitlines()
+    assert lines and all(line.startswith("ok ") for line in lines)
+
+
 def test_usage_error_exit_2(capsys):
     # argparse's errors take the one-line path of every other failure.
     for argv in ([], ["invariant"], ["count", "a", "b"],
@@ -549,6 +558,55 @@ def test_help_exits_0(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == ""
         assert out.startswith("usage: xmod")
+
+
+def test_parser_is_built_once(cli_files, capsys, monkeypatch):
+    # main reuses one parser: the top level and its five subparsers are
+    # constructed on the first call only.
+    built = []
+    original = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    codes = []
+    for _ in range(4):
+        for argv in (
+            ["validate", cli_files["ga_z2_p2"]],
+            ["invariant", cli_files["sphere.pres"], cli_files["ga_z2_p2"]],
+            ["compile", cli_files["trivial1"]],
+            ["count", "a", "b"],
+            ["--help"],
+        ):
+            codes.append(run_cli(capsys, *argv)[0])
+    assert codes == [0, 0, 0, 2, 0] * 4
+    assert len(built) == 6
+
+
+def without_elapsed(result: tuple[int, str, str]) -> tuple[int, str, str]:
+    code, out, err = result
+    kept = [line for line in out.splitlines(True) if not line.startswith("elapsed_ms ")]
+    return code, "".join(kept), err
+
+
+def test_parser_reuse_leaks_no_state(cli_files, capsys):
+    # Each command gives the same answer whatever ran before it in the
+    # same process.
+    argvs = [
+        ["invariant", "a", "b", "--method", "linear"],
+        ["validate", "--help"],
+        ["validate", cli_files["corrupt"]],
+        ["invariant", cli_files["spun_hopf"], cli_files["ga_z2_p2"]],
+        ["invariant", cli_files["spun_hopf"], cli_files["ga_z2_p2"], "--work-cap", "0"],
+    ]
+    first = {tuple(argv): without_elapsed(run_cli(capsys, *argv)) for argv in argvs}
+    second = {tuple(argv): without_elapsed(run_cli(capsys, *argv))
+              for argv in argvs[3:] + argvs[:3]}
+    assert first == second
+    assert [first[tuple(argv)][0] for argv in argvs] == [2, 0, 1, 0, 2]
 
 
 def test_module_entry_point(cli_files):

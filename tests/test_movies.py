@@ -2,18 +2,24 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from xmod import movies
+from xmod.counting import invariant
+from xmod.crossed import FiniteCrossedModule, validate_crossed_module
 from xmod.errors import FormatError, ReplayError, XmodError
 from xmod.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
+from xmod.groups import build_cyclic_group
 from xmod.movies import (
     Birth,
+    DeathEvent,
     EndEvent,
     MovieScript,
     SaddleEvent,
+    StrandBandCross,
     WirtingerCross,
     compile_movie,
     parse_movie_script,
@@ -431,3 +437,78 @@ def test_replay_builds_no_state_per_event(monkeypatch):
 
     expected = Counter({"_Replay": 1, "CrossedPresentation": 1})
     assert constructions(500) == constructions(4000) == expected
+
+
+# ---------------------------------------------------------------------------
+# Alexander duality: with trivial boundary and trivial action, a surface of
+# c components and total genus g has I = |G|^c * |E|^(2g - c).
+# ---------------------------------------------------------------------------
+
+
+def trivial_module(base_order: int, fiber_order: int) -> FiniteCrossedModule:
+    """Z_m over Z_n with trivial boundary and trivial action."""
+    return FiniteCrossedModule(
+        build_cyclic_group(base_order), build_cyclic_group(fiber_order),
+        (0,) * fiber_order, (tuple(range(fiber_order)),) * base_order,
+    )
+
+
+def movie_topology(name: str) -> tuple[int, int]:
+    """(components, total genus) of a fixture, read off its events.
+
+    chi = births - saddles + deaths.  Components are the classes of arcs
+    joined by a saddle (its u, v and merged arcs) or by a crossing (its
+    in and out arcs); genus is c - chi/2.
+    """
+    parent: dict[str, str] = {}
+
+    def find(arc: str) -> str:
+        parent.setdefault(arc, arc)
+        while parent[arc] != arc:
+            arc = parent[arc]
+        return arc
+
+    def join(*arcs: str) -> None:
+        roots = [find(arc) for arc in arcs]
+        for root in roots[1:]:
+            parent[root] = roots[0]
+
+    births = saddles = deaths = 0
+    for event in load_fixture(name).events:
+        if isinstance(event, Birth):
+            births += 1
+            find(event.arc)
+        elif isinstance(event, SaddleEvent):
+            saddles += 1
+            join(event.u[0], event.v[0], *event.merged)
+        elif isinstance(event, DeathEvent):
+            deaths += 1
+        elif isinstance(event, WirtingerCross):
+            join(event.under_in, event.under_out)
+        elif isinstance(event, StrandBandCross) and event.out is not None:
+            join(event.strand, event.out)
+    chi = births - saddles + deaths
+    components = len({find(arc) for arc in parent})
+    return components, components - chi // 2
+
+
+def test_movie_topology_of_the_fixtures():
+    topology = {name: movie_topology(name) for name in FIXTURE_NAMES}
+    assert topology == {
+        "trivial1": (1, 0), "trivial2": (1, 0), "trivial3": (1, 0),
+        "trivial4": (1, 0), "two_spheres": (2, 0), "two_tori": (2, 2),
+        "spun_hopf": (2, 2), "spun_trefoil": (1, 0),
+    }
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("base_order, fiber_order",
+                         [(1, 2), (2, 3), (3, 2), (1, 4), (4, 6)])
+def test_alexander_duality_closed_form(name, base_order, fiber_order, compiled_fixtures):
+    components, genus = movie_topology(name)
+    cm = trivial_module(base_order, fiber_order)
+    assert validate_crossed_module(cm).ok
+    expected = (Fraction(base_order) ** components
+                * Fraction(fiber_order) ** (2 * genus - components))
+    pres = compiled_fixtures[name]
+    assert invariant(pres, cm, pres.one_handles) == expected
