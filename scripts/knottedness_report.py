@@ -50,8 +50,7 @@ def build_table(fixtures: list[str], work_cap: int):
     for name in fixtures:
         row = {}
         for module_name, cm in bank:
-            pres = compiled[name]
-            row[module_name] = invariant(pres, cm, pres.one_handles, work_cap=work_cap)
+            row[module_name] = invariant(compiled[name], cm, work_cap=work_cap)
         table[name] = row
     return bank, table
 

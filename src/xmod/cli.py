@@ -2,6 +2,8 @@
 
 Subcommands: validate, invariant, compile, examples, selftest.
 Reports go to stdout, one key per line; diagnostics go to stderr.
+``invariant`` takes a presentation or movie and a module, and reads the
+1-handle count off the presentation: its generator count.
 
 Exit codes: 0 success, 1 axiom violation or replay failure, 2 parse or
 usage error, 3 work cap exceeded.  A selftest run that reaches the work cap
@@ -32,6 +34,7 @@ from .counting import (
     count_linear_fastpath,
     count_report,
     format_count_report,
+    invariant,
 )
 from .crossed import (
     FiniteCrossedModule,
@@ -58,8 +61,8 @@ EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 
-# Largest --one-handles: the report prints (#fiber)**one_handles exactly, at a
-# cost quadratic in the exponent (16 ms for 512**10**4, 1.5 s for 512**10**5).
+# Largest pres.one_handles: the report prints (#fiber)**one_handles exactly, at
+# a cost quadratic in the exponent (16 ms for 512**10**4, 1.5 s for 512**10**5).
 MAX_ONE_HANDLES = 10**4
 
 
@@ -133,24 +136,13 @@ def _load_target(path: str) -> CrossedPresentation:
 
 
 def cmd_invariant(args) -> int:
-    one_handles = args.one_handles
-    if one_handles is not None:
-        one_handles = parse_integer(one_handles, "--one-handles")
-        if not 0 <= one_handles <= MAX_ONE_HANDLES:
-            raise FormatError(
-                f"--one-handles must be nonnegative and at most {MAX_ONE_HANDLES}"
-            )
     pres = _load_target(args.target)
-    if one_handles is None:
-        one_handles = pres.one_handles
-        if one_handles > MAX_ONE_HANDLES:
-            raise FormatError(
-                f"{args.target} has {one_handles} one-handles, more than "
-                f"{MAX_ONE_HANDLES}; pass --one-handles"
-            )
+    if pres.one_handles > MAX_ONE_HANDLES:
+        raise FormatError(f"{args.target} has {pres.one_handles} one-handles, "
+                          f"more than {MAX_ONE_HANDLES}")
     cm = _load_module(args.module, args.work_cap)
     start = time.perf_counter()
-    report = count_report(pres, cm, one_handles, work_cap=args.work_cap)
+    report = count_report(pres, cm, work_cap=args.work_cap)
     elapsed_ms = round((time.perf_counter() - start) * 1000)
     sys.stdout.write(format_count_report(report, elapsed_ms))
     return EXIT_OK
@@ -170,8 +162,7 @@ def cmd_examples(args) -> int:
     for name in names:
         pres = compile_movie(fixtures.load_fixture(name))
         for module_name, cm in battery:
-            report = count_report(pres, cm, pres.one_handles, work_cap=args.work_cap)
-            value = report.invariant
+            value = invariant(pres, cm, work_cap=args.work_cap)
             print(f"{name} {module_name} {value.numerator}/{value.denominator}")
     return EXIT_OK
 
@@ -189,8 +180,7 @@ def _selftest_checks(seed: int, work_cap: int):
         yield f"compile {name}", check
 
     def value(name, cm):
-        pres = compiled[name]
-        return count_report(pres, cm, pres.one_handles, work_cap=work_cap).invariant
+        return invariant(compiled[name], cm, work_cap=work_cap)
 
     def sphere_values():
         for name in ("trivial1", "trivial2", "trivial3", "trivial4"):
@@ -270,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariant", help="count homomorphisms and report the invariant")
     p.add_argument("target", help="presentation (pres v1) or movie script file")
     p.add_argument("module", help="crossed module file (xmod v1 format)")
-    p.add_argument("--one-handles",
-                   help="override the 1-handle count used in the invariant")
     p.add_argument("--work-cap")
     p.set_defaults(func=cmd_invariant)
 

@@ -9,8 +9,10 @@ and a cell assignment psi (cell -> fiber element) such that
   * every relation, evaluated as a product of (phi(conjugator) acting on
     psi(cell)) to its sign, is the fiber identity.
 
-The invariant of a complement with b1 one-handles is the exact rational
-count / (#fiber)**b1.  ``count_report`` runs one of two engines:
+``count_report(pres, cm)`` and ``invariant(pres, cm)`` take a presentation
+and a module.  The invariant is the exact rational count / (#fiber)**n1,
+where n1 is ``pres.one_handles``, the number of base generators (1-handles).
+``count_report`` runs one of two engines:
 
   * ``linear`` (``count_linear_fastpath``) counts over the kernel K of the
     boundary.  K is central in the fiber and stable under the action, so
@@ -460,23 +462,19 @@ def select_method(cm: FiniteCrossedModule) -> str:
 def invariant(
     pres: CrossedPresentation,
     cm: FiniteCrossedModule,
-    one_handles: int,
     *,
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> Fraction:
-    """The exact rational count / (#fiber)**one_handles."""
-    return count_report(pres, cm, one_handles, work_cap=work_cap).invariant
+    """The exact rational count / (#fiber)**pres.one_handles."""
+    return count_report(pres, cm, work_cap=work_cap).invariant
 
 
 def count_report(
     pres: CrossedPresentation,
     cm: FiniteCrossedModule,
-    one_handles: int,
     *,
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> CountReport:
-    if one_handles < 0:
-        raise ValueError("one_handles must be nonnegative")
     method = select_method(cm)
     # Engines are looked up at call time, so a wrapper patched onto this
     # module sees every call.
@@ -484,8 +482,8 @@ def count_report(
         count = count_linear_fastpath(pres, cm, work_cap=work_cap)
     else:
         count = count_homomorphisms(pres, cm, work_cap=work_cap)
-    value = Fraction(count, cm.fiber.order**one_handles)
-    return CountReport(count, one_handles, value, method)
+    value = Fraction(count, cm.fiber.order**pres.one_handles)
+    return CountReport(count, pres.one_handles, value, method)
 
 
 def _decimal(n: int) -> str:

@@ -30,7 +30,8 @@ from math import lcm
 
 from .budget import DEFAULT_WORK_CAP, Budget
 from .errors import FormatError
-from .groups import FiniteGroup, differing, entries_at, group_violations
+from .groups import (FiniteGroup, differing, entries_at, first_out_of_range,
+                     group_violations)
 from .words import LineReader, parse_integer, parse_integers
 
 # Largest fiber the group-algebra builder makes.  Its tables have q**2
@@ -64,15 +65,14 @@ class FiniteCrossedModule:
         nG, nE = self.base.order, self.fiber.order
         if len(self.boundary) != nE:
             raise ValueError("boundary table length does not match fiber order")
-        for value in self.boundary:
-            if not 0 <= value < nG:
-                raise ValueError(f"boundary entry {value} out of range 0..{nG - 1}")
+        bad = first_out_of_range((self.boundary,), nG)
+        if bad is not None:
+            raise ValueError(f"boundary entry {bad} out of range 0..{nG - 1}")
         if len(self.action) != nG or any(len(row) != nE for row in self.action):
             raise ValueError("action table shape does not match base x fiber")
-        for row in self.action:
-            for value in row:
-                if not 0 <= value < nE:
-                    raise ValueError(f"action entry {value} out of range 0..{nE - 1}")
+        bad = first_out_of_range(self.action, nE)
+        if bad is not None:
+            raise ValueError(f"action entry {bad} out of range 0..{nE - 1}")
 
     def act(self, g: int, e: int) -> int:
         return self.action[g][e]
@@ -410,10 +410,10 @@ def _parse_table(lines: LineReader, field: str, rows: int, width: int, bound: in
         if len(values) != width:
             raise FormatError(f"expected {width} entries, got {len(values)}",
                               line=lineno, field=field)
-        for value in values:
-            if not 0 <= value < bound:
-                raise FormatError(f"index {value} out of range 0..{bound - 1}",
-                                  line=lineno, field=field)
+        bad = first_out_of_range((values,), bound)
+        if bad is not None:
+            raise FormatError(f"index {bad} out of range 0..{bound - 1}",
+                              line=lineno, field=field)
         out.append(values)
     return tuple(out)
 

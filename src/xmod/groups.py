@@ -19,11 +19,26 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
 from operator import itemgetter
 
 from .budget import DEFAULT_WORK_CAP, Budget
+
+
+def first_out_of_range(rows, bound: int) -> int | None:
+    """The first entry of ``rows`` not in 0..bound-1, or None.  Each row is
+    one set test in C; only a row that fails is searched for its entry."""
+    indices = _indices(bound)
+    for row in rows:
+        if not indices.issuperset(row):
+            return next(value for value in row if value not in indices)
+    return None
+
+
+@lru_cache(maxsize=8)
+def _indices(bound: int) -> frozenset[int]:
+    return frozenset(range(bound))
 
 
 @dataclass(frozen=True)
@@ -37,10 +52,9 @@ class FiniteGroup:
             raise ValueError("group order must be positive")
         if len(self.product) != n or any(len(row) != n for row in self.product):
             raise ValueError("product table shape does not match order")
-        for row in self.product:
-            for value in row:
-                if not 0 <= value < n:
-                    raise ValueError(f"product entry {value} out of range 0..{n - 1}")
+        bad = first_out_of_range(self.product, n)
+        if bad is not None:
+            raise ValueError(f"product entry {bad} out of range 0..{n - 1}")
 
     @cached_property
     def identity(self) -> int:

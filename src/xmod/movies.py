@@ -296,21 +296,20 @@ class _Replay:
     """Labels of the current diagram plus everything emitted so far: the
     working state one replay folds its events into, in place.
 
-    ``known`` and ``cell_ids`` hold the ids of ``generators`` and ``cells``,
-    so every freshness check is a set lookup and each event costs time
-    independent of how many came before it.
+    ``known`` holds the ids of ``generators`` and ``cell_boundary`` is keyed
+    by the ids of ``cells``, so every freshness check is a lookup and each
+    event costs time independent of how many came before it.
     """
 
     __slots__ = ("arcs", "bands", "generators", "known", "cells",
-                 "cell_ids", "cell_boundary", "relations", "finished")
+                 "cell_boundary", "relations", "finished")
 
     def __init__(self):
         self.arcs: dict[str, FreeWord] = {}
-        self.bands: dict[str, tuple[CrossedWord, str]] = {}
+        self.bands: dict[str, CrossedWord] = {}
         self.generators: list[str] = []
         self.known: set[str] = set()
         self.cells: list[str] = []
-        self.cell_ids: set[str] = set()
         self.cell_boundary: dict[str, FreeWord] = {}
         self.relations: list[CrossedWord] = []
         self.finished = False
@@ -323,7 +322,7 @@ def _live_arc(work: _Replay, arc: str) -> FreeWord:
         raise XmodError(f"arc {arc!r} is not live") from None
 
 
-def _live_band(work: _Replay, band: str) -> tuple[CrossedWord, str]:
+def _live_band(work: _Replay, band: str) -> CrossedWord:
     try:
         return work.bands[band]
     except KeyError:
@@ -341,7 +340,7 @@ def _step(work: _Replay, event: Event) -> None:
     if isinstance(event, Birth):
         if event.arc in work.known:
             raise XmodError(f"generator {event.arc!r} already exists")
-        if event.arc in work.cell_ids:
+        if event.arc in work.cell_boundary:
             raise XmodError(f"generator {event.arc!r} collides with a cell")
         if event.arc in work.arcs:
             raise XmodError(f"arc {event.arc!r} is already live")
@@ -359,7 +358,7 @@ def _step(work: _Replay, event: Event) -> None:
             label = over * into * over.inverse()
         work.arcs[event.under_out] = label
     elif isinstance(event, StrandBandCross):
-        band_label, owner = _live_band(work, event.band)
+        band_label = _live_band(work, event.band)
         strand = _live_arc(work, event.strand)
         if event.rule in (1, 3):
             if event.out in work.arcs:
@@ -372,21 +371,21 @@ def _step(work: _Replay, event: Event) -> None:
             work.arcs[event.out] = label
         else:
             mover = strand if event.rule == 6 else strand.inverse()
-            work.bands[event.band] = (band_label.act(mover), owner)
+            work.bands[event.band] = band_label.act(mover)
     elif isinstance(event, BandBandCross):
-        mover_label, owner = _live_band(work, event.mover)
-        fixed_label, _ = _live_band(work, event.fixed)
+        mover_label = _live_band(work, event.mover)
+        fixed_label = _live_band(work, event.fixed)
         if event.mover == event.fixed:
             raise XmodError("a band cannot cross itself")
         if event.rule == 2:
             moved = fixed_label * mover_label * fixed_label.inverse()
         else:
             moved = fixed_label.inverse() * mover_label * fixed_label
-        work.bands[event.mover] = (moved, owner)
+        work.bands[event.mover] = moved
     elif isinstance(event, SaddleEvent):
         u_label = _live_arc(work, event.u[0])
         v_label = _live_arc(work, event.v[0])
-        if event.cell in work.cell_ids:
+        if event.cell in work.cell_boundary:
             raise XmodError(f"cell {event.cell!r} already exists")
         if event.cell in work.known:
             raise XmodError(f"cell id {event.cell!r} collides with a generator")
@@ -404,11 +403,8 @@ def _step(work: _Replay, event: Event) -> None:
             if arc in work.arcs:
                 raise XmodError(f"arc {arc!r} is already live")
             work.arcs[arc] = inherited[index]
-        work.bands[event.band] = (
-            CrossedWord(((EMPTY_WORD, event.cell, 1),)), event.cell
-        )
+        work.bands[event.band] = CrossedWord(((EMPTY_WORD, event.cell, 1),))
         work.cells.append(event.cell)
-        work.cell_ids.add(event.cell)
         work.cell_boundary[event.cell] = wu * wv.inverse()
     elif isinstance(event, DeathEvent):
         if len(set(event.circle)) != len(event.circle):
@@ -422,7 +418,7 @@ def _step(work: _Replay, event: Event) -> None:
             return
         relation = CrossedWord()
         for band, conjugator, sign in event.spanner:
-            label, _ = _live_band(work, band)
+            label = _live_band(work, band)
             unknown = sorted(conjugator.generators() - work.known)
             if unknown:
                 raise XmodError(

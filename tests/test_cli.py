@@ -202,7 +202,7 @@ def test_invariant_on_presentation_file(cli_files, capsys):
         capsys, "invariant", cli_files["sphere.pres"], cli_files["conj_s3"]
     )
     assert code == 0
-    # Default one_handles for a pres file is its generator count.
+    # one_handles of a pres file is its generator count.
     assert report_lines(out) == [
         "count 6",
         "one_handles 1",
@@ -211,24 +211,14 @@ def test_invariant_on_presentation_file(cli_files, capsys):
     ]
 
 
-def test_invariant_one_handles_override(cli_files, capsys):
-    code, out, _ = run_cli(
+def test_one_handles_is_not_an_option(cli_files, capsys):
+    # The 1-handle count is read off the presentation; no flag changes it.
+    code, out, err = run_cli(
         capsys,
         "invariant", cli_files["sphere.pres"], cli_files["conj_s3"],
         "--one-handles", "3",
     )
-    assert code == 0
-    assert "invariant 1/36" in out
-
-
-def test_invariant_rejects_negative_one_handles(cli_files, capsys):
-    code, _, err = run_cli(
-        capsys,
-        "invariant", cli_files["sphere.pres"], cli_files["conj_s3"],
-        "--one-handles", "-1",
-    )
-    assert code == 2
-    assert "nonnegative" in err
+    assert (code, out, err) == (2, "", "error: unrecognized arguments: --one-handles 3\n")
 
 
 def read_decimal(digits: str) -> int:
@@ -265,38 +255,31 @@ def test_invariant_prints_values_of_any_size(cli_files, capsys, tmp_path):
 
 
 def test_default_one_handles_is_bounded(tmp_path, capsys):
-    # A pres file's default one_handles is its generator count, and the
-    # --one-handles bound applies to it as well.
+    # A pres file's one_handles is its generator count, at most MAX_ONE_HANDLES.
+    z2 = tmp_path / "z2.xmod"
+    z2.write_text(format_crossed_module_text(FiniteCrossedModule(
+        build_cyclic_group(1), build_cyclic_group(2), (0, 0), ((0, 1),),
+    )), encoding="utf-8")
+
+    def wide(gens):
+        path = tmp_path / f"wide{gens}.pres"
+        path.write_text("pres v1\ngens " + " ".join(f"X{i}" for i in range(gens))
+                        + "\ncells\n", encoding="utf-8")
+        return str(path)
+
+    code, out, err = run_cli(capsys, "invariant", wide(cli.MAX_ONE_HANDLES), str(z2))
+    assert code == 0 and err == ""
+    count, one_handles, value, method = report_lines(out)
+    assert (count, one_handles, method) == (
+        "count 1", f"one_handles {cli.MAX_ONE_HANDLES}", "method linear")
+    assert value.startswith("invariant 1/")
+    assert read_decimal(value[len("invariant 1/"):]) == 2**cli.MAX_ONE_HANDLES
+
     gens = cli.MAX_ONE_HANDLES + 1
-    pres = tmp_path / "wide.pres"
-    pres.write_text("pres v1\ngens " + " ".join(f"X{i}" for i in range(gens))
-                    + "\ncells\n", encoding="utf-8")
-    trivial = tmp_path / "trivial.xmod"
-    trivial.write_text("xmod v1\nbase 1\n0\nfiber 1\n0\nboundary\n0\naction\n0\n",
-                       encoding="utf-8")
-    code, out, err = run_cli(capsys, "invariant", str(pres), str(trivial))
+    pres = wide(gens)
+    code, out, err = run_cli(capsys, "invariant", pres, str(z2))
     assert code == 2 and out == ""
     assert err == (f"error: {pres} has {gens} one-handles, more than "
-                   f"{cli.MAX_ONE_HANDLES}; pass --one-handles\n")
-
-    code, out, _ = run_cli(capsys, "invariant", str(pres), str(trivial),
-                           "--one-handles", str(cli.MAX_ONE_HANDLES))
-    assert code == 0
-    assert report_lines(out) == ["count 1", f"one_handles {cli.MAX_ONE_HANDLES}",
-                                 "invariant 1/1", "method linear"]
-
-
-def test_one_handles_bound(cli_files, capsys):
-    argv = ["invariant", cli_files["sphere.pres"], cli_files["ga_z3_p2"], "--one-handles"]
-    code, out, _ = run_cli(capsys, *argv, str(cli.MAX_ONE_HANDLES))
-    assert code == 0
-    value = report_lines(out)[2]
-    assert value.startswith("invariant 1/")
-    assert read_decimal(value[len("invariant 1/"):]) == 8 ** (cli.MAX_ONE_HANDLES - 1)
-
-    code, out, err = run_cli(capsys, *argv, str(cli.MAX_ONE_HANDLES + 1))
-    assert code == 2 and out == ""
-    assert err == (f"error: --one-handles must be nonnegative and at most "
                    f"{cli.MAX_ONE_HANDLES}\n")
 
 
@@ -330,15 +313,6 @@ def test_work_cap_env_token_rule(cli_files, capsys, monkeypatch):
     assert run_cli(capsys, *argv)[0] == 3
     monkeypatch.setenv("XMOD_WORK_CAP", "007000")
     assert run_cli(capsys, *argv)[0] == 0
-
-
-def test_one_handles_flag_token_rule(cli_files, capsys):
-    argv = ["invariant", cli_files["sphere.pres"], cli_files["ga_z2_p2"], "--one-handles"]
-    for token in BAD_INTEGERS:
-        assert_refused(run_cli(capsys, *argv, token), "--one-handles", token)
-    for accepted, value in (("+5", "1/256"), ("007", "1/4096")):
-        code, out, _ = run_cli(capsys, *argv, accepted)
-        assert code == 0 and report_lines(out)[2] == f"invariant {value}"
 
 
 def test_seed_flag_token_rule(capsys):

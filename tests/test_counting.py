@@ -35,13 +35,14 @@ from xmod.errors import (
     WorkCapExceeded,
 )
 from xmod.fixtures import FIXTURE_NAMES
-from xmod.fuzz import inversion_module, module_pool
+from xmod.fuzz import inversion_module, module_pool, random_instances
 from xmod.groups import FiniteGroup, build_cyclic_group, build_symmetric_group
 from xmod.presentations import (
     CrossedPresentation,
     CrossedWord,
     free_product,
     parse_presentation_text,
+    stabilize,
 )
 from xmod.words import EMPTY_WORD, FreeWord, parse_word
 
@@ -143,7 +144,7 @@ def test_count_report_validates_once(monkeypatch, battery_by_name):
     monkeypatch.setattr(counting, "validate_presentation", counted)
     for name in ("ga_z2_p2", "conj_s3"):  # linear, then backtracking
         calls.clear()
-        count_report(sphere(), battery_by_name[name], 1)
+        count_report(sphere(), battery_by_name[name])
         assert len(calls) == 1, name
     calls.clear()
     count_homomorphisms_naive(sphere(), battery_by_name["conj_s3"])
@@ -501,9 +502,9 @@ def test_select_method(battery_by_name):
 
 def test_count_with_method_reports_resolution(battery_by_name):
     # The report names the engine the module picked.
-    report = count_report(sphere(), battery_by_name["ga_z3_p2"], 1)
+    report = count_report(sphere(), battery_by_name["ga_z3_p2"])
     assert report.count == 8 and report.method == "linear"
-    report = count_report(sphere(), battery_by_name["conj_s3"], 1)
+    report = count_report(sphere(), battery_by_name["conj_s3"])
     assert report.count == 6 and report.method == "backtracking"
 
 
@@ -518,7 +519,7 @@ def test_kernel_is_worked_out_once_per_module(monkeypatch):
     monkeypatch.setattr(crossed, "_kernel_presentation", counted)
     cm = dict(standard_battery())["ga_z2_p2"]  # freshly built, nothing cached
     for _ in range(2):
-        report = count_report(sphere(), cm, 1)
+        report = count_report(sphere(), cm)
         assert report.method == METHOD_LINEAR and report.count == 4
     assert calls == [cm]
     assert cm.kernel.order == 4 and cm.kernel.exponent == 2
@@ -527,16 +528,28 @@ def test_kernel_is_worked_out_once_per_module(monkeypatch):
 def test_invariant_fraction(battery):
     pres = sphere()
     for _, cm in battery:
-        value = invariant(pres, cm, 1)
-        assert value == Fraction(1)
-        assert invariant(pres, cm, 0) == Fraction(cm.fiber.order)
+        assert invariant(pres, cm) == Fraction(1)
 
 
-def test_invariant_rejects_negative_handles(battery_by_name):
-    with pytest.raises(ValueError):
-        invariant(sphere(), battery_by_name["ga_z2_p2"], -1)
-    with pytest.raises(ValueError):
-        count_report(sphere(), battery_by_name["ga_z2_p2"], -1)
+def assert_decomposition_free(p, q, cm, label):
+    """Stabilizing fixes the invariant and free products multiply it, with
+    the exponent read off each presentation."""
+    value = invariant(p, cm)
+    assert invariant(stabilize(p), cm) == value, label
+    assert invariant(free_product(p, q), cm) == value * invariant(q, cm), label
+
+
+def test_invariant_is_decomposition_free_on_fixtures(battery, compiled_fixtures):
+    for name, pres in compiled_fixtures.items():
+        for module_name, cm in battery:
+            for other, q in compiled_fixtures.items():
+                assert_decomposition_free(pres, q, cm, (name, module_name, other))
+
+
+def test_invariant_is_decomposition_free_on_random_instances():
+    instances = list(random_instances(11, 201))
+    for (p, name, cm), (q, _, _) in zip(instances, instances[1:]):
+        assert_decomposition_free(p, q, cm, (name, p, q))
 
 
 def test_report_format_golden():
@@ -552,5 +565,5 @@ def test_report_format_golden():
 
 
 def test_report_integer_invariant_prints_denominator_one(battery_by_name):
-    report = count_report(sphere(), battery_by_name["conj_s3"], 1)
+    report = count_report(sphere(), battery_by_name["conj_s3"])
     assert format_count_report(report, 0).splitlines()[2] == "invariant 1/1"

@@ -99,6 +99,22 @@ def test_group_algebra_on_trivial_group():
     assert validate_crossed_module(cm).ok
 
 
+def test_constructors_name_the_entry_out_of_range():
+    z2, z3 = build_cyclic_group(2), build_cyclic_group(3)
+    cases = [
+        (lambda: FiniteGroup(2, ((0, 1), (1, 2))), "product entry 2 out of range 0..1"),
+        (lambda: FiniteGroup(2, ((0, -1), (1, 0))), "product entry -1 out of range 0..1"),
+        (lambda: FiniteCrossedModule(z2, z3, (0, 2, 0), (z3.product[0],) * 2),
+         "boundary entry 2 out of range 0..1"),
+        (lambda: FiniteCrossedModule(z2, z3, (0, 0, 0), ((0, 1, 2), (0, 3, 2))),
+         "action entry 3 out of range 0..2"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
 def test_group_algebra_rejects_bad_p_and_overflow():
     with pytest.raises(ValueError):
         build_group_algebra_crossed_module(build_cyclic_group(2), 4)

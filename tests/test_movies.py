@@ -137,6 +137,22 @@ def test_birth_rejects_cell_id():
     assert str(info.value) == "event 2 (line 3): generator 'e' collides with a cell"
 
 
+def test_saddle_rejects_a_used_cell_id():
+    cases = [
+        ("saddle cell=e u=Y v=Y band=b2 merged=d1,d2", "cell 'e' already exists"),
+        ("saddle cell=X u=Y v=Y band=b2 merged=d1,d2",
+         "cell id 'X' collides with a generator"),
+    ]
+    for event, message in cases:
+        script = parse_movie_script(
+            "birth X\nbirth Y\nsaddle cell=e u=X v=X band=b merged=c1,c2\n"
+            + event + "\nend\n"
+        )
+        with pytest.raises(ReplayError) as info:
+            compile_movie(script)
+        assert str(info.value) == f"event 3 (line 4): {message}"
+
+
 def test_wirtinger_positive_and_negative():
     state = replay("birth X\nbirth Y\ncross + over=X in=Y out=Z")
     assert state.arcs["Z"] == word("X^-1 Y X")
@@ -163,9 +179,7 @@ def test_saddle_reads_boundary_and_spawns_band():
     assert set(state.arcs) == {"c1", "c2"}
     # Merged arcs inherit the consumed labels positionally.
     assert state.arcs["c1"] == word("X") and state.arcs["c2"] == word("Y")
-    label, owner = state.bands["b"]
-    assert owner == "e"
-    assert label.terms == ((word(""), "e", 1),)
+    assert state.bands["b"].terms == ((word(""), "e", 1),)
 
 
 def test_saddle_with_reversed_refs():
@@ -211,12 +225,9 @@ def test_strand_band_rules_relabel_strand():
 def test_strand_band_rules_move_band():
     base = "birth X\nsaddle cell=e u=X v=X band=b merged=c1,c2\n"
     state = replay(base + "sb 6 band=b strand=c1")
-    label, owner = state.bands["b"]
-    assert label.terms == ((word("X"), "e", 1),)
-    assert owner == "e"
+    assert state.bands["b"].terms == ((word("X"), "e", 1),)
     state = replay(base + "sb 4 band=b strand=c1")
-    label, _ = state.bands["b"]
-    assert label.terms == ((word("X^-1"), "e", 1),)
+    assert state.bands["b"].terms == ((word("X^-1"), "e", 1),)
 
 
 def test_band_band_rules_conjugate_label():
@@ -226,12 +237,11 @@ def test_band_band_rules_conjugate_label():
         "saddle cell=f u=Y v=Y band=bf merged=d1,d2\n"
     )
     state = replay(base + "bb 2 mover=bf fixed=be")
-    label, owner = state.bands["bf"]
-    assert owner == "f"
+    label = state.bands["bf"]
     assert [term[1] for term in label.terms] == ["e", "f", "e"]
     assert [term[2] for term in label.terms] == [1, 1, -1]
     state = replay(base + "bb 5 mover=bf fixed=be")
-    label, _ = state.bands["bf"]
+    label = state.bands["bf"]
     assert [term[2] for term in label.terms] == [-1, 1, 1]
 
 
@@ -511,4 +521,4 @@ def test_alexander_duality_closed_form(name, base_order, fiber_order, compiled_f
     expected = (Fraction(base_order) ** components
                 * Fraction(fiber_order) ** (2 * genus - components))
     pres = compiled_fixtures[name]
-    assert invariant(pres, cm, pres.one_handles) == expected
+    assert invariant(pres, cm) == expected
