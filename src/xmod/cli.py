@@ -175,8 +175,9 @@ def _selftest_checks(seed: int, work_cap: int):
     compiled = {}
     for name in fixtures.FIXTURE_NAMES:
         def check(name=name):
-            compiled[name] = compile_movie(fixtures.load_fixture(name))
-            return validate_presentation(compiled[name]).ok
+            compiled[name] = pres = compile_movie(fixtures.load_fixture(name))
+            copy = parse_presentation_text(format_presentation_text(pres))
+            return copy == pres and validate_presentation(copy).ok
         yield f"compile {name}", check
 
     def value(name, cm):

@@ -5,7 +5,8 @@ A movie is replayed as a sequence of labelled-diagram events:
   * ``birth`` introduces a circle (one arc) and a fresh base generator
     named after the arc,
   * ``cross`` relabels across a strand/strand crossing (Wirtinger rule),
-  * ``sb`` and ``bb`` apply the strand/band and band/band crossing rules,
+  * ``sb`` and ``bb`` apply the strand/band and band/band crossing rules
+    of ``_RULES``,
   * ``saddle`` attaches a 2-handle: it consumes two arc ends, emits a cell
     whose boundary word is read off the two labels, and leaves a band
     labelled by that cell,
@@ -19,21 +20,16 @@ relation has trivial boundary, but it does not verify that a script is
 geometrically realizable; the script is trusted as a description of a
 surface.
 
-Crossing rule ids for ``sb`` and ``bb`` (the strand or band moving below
-is relabelled; x is the strand label, b the band's boundary word, F the
-fixed band's label, M the mover's):
-
-  1  strand under band, positive:   x -> b x b^-1      (sb, needs out=)
-  2  band under band, positive:     M -> F M F^-1      (bb)
-  3  strand under band, negative:   x -> b^-1 x b      (sb, needs out=)
-  4  band under strand, negative:   M -> x^-1 |> M     (sb)
-  5  band under band, negative:     M -> F^-1 M F      (bb)
-  6  band under strand, positive:   M -> x |> M        (sb)
+The ``sb`` and ``bb`` crossing rules are the table ``_RULES``.  Replay
+builds at most ``MAX_REPLAY_SIZE`` letters and terms per movie, so a movie
+whose labels grow geometrically is refused instead of running out of time
+or memory.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import FormatError, ReplayError, XmodError
 from .presentations import (
@@ -145,20 +141,46 @@ def _parse_ids(value: str, line: int) -> tuple[str, ...]:
     return tuple(parse_id(part, "arc", line) for part in value.split(","))
 
 
-def _keyed(tokens: list[str], line: int, required: tuple[str, ...],
-           optional: tuple[str, ...] = ()) -> dict[str, str]:
+# How the value of each keyed argument is read.
+_ARGUMENTS = {
+    **dict.fromkeys(("over", "in", "out", "strand"), partial(parse_id, what="arc")),
+    **dict.fromkeys(("band", "mover", "fixed"), partial(parse_id, what="band")),
+    "cell": partial(parse_id, what="cell"),
+    "u": _parse_arc_ref,
+    "v": _parse_arc_ref,
+    "merged": _parse_ids,
+}
+
+# The crossing rules of ``sb`` and ``bb``: rule id -> (keyword, direction,
+# needs out=).  The strand or band passing below is conjugated by the label
+# above it, or by that label's inverse where the direction is -1.  x is the
+# strand label, b the band's boundary word, F the fixed band's label and M
+# the mover's.
+_RULES = {
+    1: ("sb", 1, True),    # strand under band:  x -> b x b^-1
+    2: ("bb", 1, False),   # band under band:    M -> F M F^-1
+    3: ("sb", -1, True),   # strand under band:  x -> b^-1 x b
+    4: ("sb", -1, False),  # band under strand:  M -> x^-1 |> M
+    5: ("bb", -1, False),  # band under band:    M -> F^-1 M F
+    6: ("sb", 1, False),   # band under strand:  M -> x |> M
+}
+
+
+def _keyed(tokens: list[str], line: int, keys: tuple[str, ...]) -> list:
+    """The values of the ``key=value`` tokens, read as ``_ARGUMENTS`` says,
+    in the order of ``keys``; every key must be given exactly once."""
     out: dict[str, str] = {}
     for token in tokens:
         key, eq, value = token.partition("=")
-        if not eq or key not in required + optional:
+        if not eq or key not in keys:
             raise FormatError(f"unexpected argument {token!r}", line=line)
         if key in out:
             raise FormatError(f"duplicate argument {key!r}", line=line)
         out[key] = value
-    for key in required:
+    for key in keys:
         if key not in out:
             raise FormatError(f"missing argument {key}=", line=line)
-    return out
+    return [_ARGUMENTS[key](out[key], line=line) for key in keys]
 
 
 def _parse_spanner(text: str, line: int) -> tuple[SpannerTerm, ...]:
@@ -201,65 +223,32 @@ def parse_movie_script(text: str, name: str = "movie") -> MovieScript:
         elif keyword == "cross":
             if len(tokens) != 5:
                 raise FormatError("cross takes a sign and over=, in=, out=", line=line)
-            sign = parse_sign(tokens[1], line)
-            args = _keyed(tokens[2:], line, ("over", "in", "out"))
-            events.append(
-                WirtingerCross(
-                    sign,
-                    parse_id(args["over"], "arc", line),
-                    parse_id(args["in"], "arc", line),
-                    parse_id(args["out"], "arc", line),
-                    line,
-                )
-            )
+            events.append(WirtingerCross(
+                parse_sign(tokens[1], line),
+                *_keyed(tokens[2:], line, ("over", "in", "out")), line))
         elif keyword in ("sb", "bb"):
             if len(tokens) < 2:
                 raise FormatError(f"{keyword} takes a rule id", line=line)
             rule = parse_integer(tokens[1], "rule id", line)
-            if not 1 <= rule <= 6:
+            if rule not in _RULES:
                 raise FormatError(f"unknown {keyword} rule {rule}", line=line)
-            if keyword == "sb" and rule in (2, 5):
-                raise FormatError(f"rule {rule} is a band/band rule; use bb", line=line)
-            if keyword == "bb" and rule not in (2, 5):
-                raise FormatError(f"rule {rule} is a strand/band rule; use sb", line=line)
+            kind, _, needs_out = _RULES[rule]
+            if kind != keyword:
+                which = "band/band" if kind == "bb" else "strand/band"
+                raise FormatError(f"rule {rule} is a {which} rule; use {kind}", line=line)
             if keyword == "bb":
-                args = _keyed(tokens[2:], line, ("mover", "fixed"))
-                events.append(
-                    BandBandCross(
-                        rule,
-                        parse_id(args["mover"], "band", line),
-                        parse_id(args["fixed"], "band", line),
-                        line,
-                    )
-                )
+                events.append(BandBandCross(
+                    rule, *_keyed(tokens[2:], line, ("mover", "fixed")), line))
             else:
-                keys = ("band", "strand", "out") if rule in (1, 3) else ("band", "strand")
-                args = _keyed(tokens[2:], line, keys)
-                out = parse_id(args["out"], "arc", line) if "out" in keys else None
-                events.append(
-                    StrandBandCross(
-                        rule,
-                        parse_id(args["band"], "band", line),
-                        parse_id(args["strand"], "arc", line),
-                        out,
-                        line,
-                    )
-                )
+                keys = ("band", "strand", "out") if needs_out else ("band", "strand")
+                band, strand, *out = _keyed(tokens[2:], line, keys)
+                events.append(StrandBandCross(rule, band, strand, *(out or [None]), line))
         elif keyword == "saddle":
-            args = _keyed(tokens[1:], line, ("cell", "u", "v", "band", "merged"))
-            merged = _parse_ids(args["merged"], line)
+            cell, u, v, band, merged = _keyed(
+                tokens[1:], line, ("cell", "u", "v", "band", "merged"))
             if not 1 <= len(merged) <= 2:
                 raise FormatError("merged= must list one or two fresh arcs", line=line)
-            events.append(
-                SaddleEvent(
-                    parse_id(args["cell"], "cell", line),
-                    _parse_arc_ref(args["u"], line),
-                    _parse_arc_ref(args["v"], line),
-                    parse_id(args["band"], "band", line),
-                    merged,
-                    line,
-                )
-            )
+            events.append(SaddleEvent(cell, u, v, band, merged, line))
         elif keyword == "death":
             match = _SPANNER_RE.search(content)
             if match is None:
@@ -292,17 +281,25 @@ def parse_movie_script(text: str, name: str = "movie") -> MovieScript:
 # ---------------------------------------------------------------------------
 
 
+# The letters and terms one replay may build, counted over every label it
+# stores and every boundary word it reads.  A fixture builds at most 62 and
+# a generated 7000-event movie about 35000; a movie whose labels grow
+# geometrically reaches the bound in under a second on a 2-core VM.
+MAX_REPLAY_SIZE = 10**6
+
+
 class _Replay:
     """Labels of the current diagram plus everything emitted so far: the
     working state one replay folds its events into, in place.
 
     ``known`` holds the ids of ``generators`` and ``cell_boundary`` is keyed
     by the ids of ``cells``, so every freshness check is a lookup and each
-    event costs time independent of how many came before it.
+    event costs time independent of how many came before it.  ``size``
+    counts the letters and terms built so far.
     """
 
     __slots__ = ("arcs", "bands", "generators", "known", "cells",
-                 "cell_boundary", "relations", "finished")
+                 "cell_boundary", "relations", "finished", "size")
 
     def __init__(self):
         self.arcs: dict[str, FreeWord] = {}
@@ -313,6 +310,7 @@ class _Replay:
         self.cell_boundary: dict[str, FreeWord] = {}
         self.relations: list[CrossedWord] = []
         self.finished = False
+        self.size = 0
 
 
 def _live_arc(work: _Replay, arc: str) -> FreeWord:
@@ -327,6 +325,34 @@ def _live_band(work: _Replay, band: str) -> CrossedWord:
         return work.bands[band]
     except KeyError:
         raise XmodError(f"band {band!r} is not live") from None
+
+
+def _charge(work: _Replay, size: int) -> None:
+    """Count ``size`` letters and terms about to be built; past
+    ``MAX_REPLAY_SIZE`` the movie is refused before they are."""
+    work.size += size
+    if work.size > MAX_REPLAY_SIZE:
+        raise XmodError(f"labels grow past {MAX_REPLAY_SIZE} letters and terms")
+
+
+def _size(label: CrossedWord) -> int:
+    """Terms plus conjugator letters."""
+    return sum([1 + len(word.letters) for word, _, _ in label.terms])
+
+
+def _acted(work: _Replay, label: CrossedWord, word: FreeWord) -> CrossedWord:
+    """``label.act(word)``, charged before it is built."""
+    _charge(work, _size(label) + len(label.terms) * len(word.letters))
+    return label.act(word)
+
+
+def _boundary(work: _Replay, label: CrossedWord) -> FreeWord:
+    """The boundary word of ``label``, charged by the letters it joins
+    before reducing them."""
+    cells = work.cell_boundary
+    _charge(work, sum([2 * len(word.letters) + len(cells[cell].letters)
+                       for word, cell, _ in label.terms]))
+    return boundary_of_crossed_word(work, label)
 
 
 def _step(work: _Replay, event: Event) -> None:
@@ -344,6 +370,7 @@ def _step(work: _Replay, event: Event) -> None:
             raise XmodError(f"generator {event.arc!r} collides with a cell")
         if event.arc in work.arcs:
             raise XmodError(f"arc {event.arc!r} is already live")
+        _charge(work, 1)
         work.arcs[event.arc] = FreeWord(((event.arc, 1),))
         work.generators.append(event.arc)
         work.known.add(event.arc)
@@ -352,36 +379,34 @@ def _step(work: _Replay, event: Event) -> None:
         into = _live_arc(work, event.under_in)
         if event.under_out in work.arcs:
             raise XmodError(f"arc {event.under_out!r} is already live")
-        if event.sign > 0:
-            label = over.inverse() * into * over
-        else:
-            label = over * into * over.inverse()
-        work.arcs[event.under_out] = label
+        if event.sign < 0:
+            over = over.inverse()
+        _charge(work, 2 * len(over) + len(into))
+        work.arcs[event.under_out] = over.inverse() * into * over
     elif isinstance(event, StrandBandCross):
         band_label = _live_band(work, event.band)
         strand = _live_arc(work, event.strand)
-        if event.rule in (1, 3):
+        direction = _RULES[event.rule][1]
+        if event.out is not None:
             if event.out in work.arcs:
                 raise XmodError(f"arc {event.out!r} is already live")
-            b = boundary_of_crossed_word(work, band_label)
-            if event.rule == 1:
-                label = b * strand * b.inverse()
-            else:
-                label = b.inverse() * strand * b
-            work.arcs[event.out] = label
+            b = _boundary(work, band_label)
+            if direction < 0:
+                b = b.inverse()
+            _charge(work, 2 * len(b) + len(strand))
+            work.arcs[event.out] = b * strand * b.inverse()
         else:
-            mover = strand if event.rule == 6 else strand.inverse()
-            work.bands[event.band] = band_label.act(mover)
+            mover = strand if direction > 0 else strand.inverse()
+            work.bands[event.band] = _acted(work, band_label, mover)
     elif isinstance(event, BandBandCross):
         mover_label = _live_band(work, event.mover)
         fixed_label = _live_band(work, event.fixed)
         if event.mover == event.fixed:
             raise XmodError("a band cannot cross itself")
-        if event.rule == 2:
-            moved = fixed_label * mover_label * fixed_label.inverse()
-        else:
-            moved = fixed_label.inverse() * mover_label * fixed_label
-        work.bands[event.mover] = moved
+        if _RULES[event.rule][1] < 0:
+            fixed_label = fixed_label.inverse()
+        _charge(work, _size(mover_label) + 2 * _size(fixed_label))
+        work.bands[event.mover] = fixed_label * mover_label * fixed_label.inverse()
     elif isinstance(event, SaddleEvent):
         u_label = _live_arc(work, event.u[0])
         v_label = _live_arc(work, event.v[0])
@@ -395,6 +420,7 @@ def _step(work: _Replay, event: Event) -> None:
         wv = v_label if event.v[1] > 0 else v_label.inverse()
         if len(set(event.merged)) != len(event.merged):
             raise XmodError("merged arc ids must be distinct")
+        _charge(work, len(wu) + len(wv) + 1)
         # The consumed arcs go first, so a merged arc may reuse their ids.
         del work.arcs[event.u[0]]
         work.arcs.pop(event.v[0], None)
@@ -416,7 +442,7 @@ def _step(work: _Replay, event: Event) -> None:
         # A disk meeting no bands yields the empty relation, which is omitted.
         if not event.spanner:
             return
-        relation = CrossedWord()
+        terms: list = []
         for band, conjugator, sign in event.spanner:
             label = _live_band(work, band)
             unknown = sorted(conjugator.generators() - work.known)
@@ -424,9 +450,10 @@ def _step(work: _Replay, event: Event) -> None:
                 raise XmodError(
                     f"spanner conjugator uses unknown generator {unknown[0]!r}"
                 )
-            moved = label.act(conjugator)
-            relation = relation * (moved if sign > 0 else moved.inverse())
-        boundary = boundary_of_crossed_word(work, relation)
+            moved = _acted(work, label, conjugator)
+            terms += (moved if sign > 0 else moved.inverse()).terms
+        relation = CrossedWord(tuple(terms))
+        boundary = _boundary(work, relation)
         if not boundary.is_empty:
             raise XmodError(
                 f"death relation has nontrivial boundary {boundary}"

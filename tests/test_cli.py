@@ -508,6 +508,16 @@ def test_selftest_passes(capsys):
     assert lines and all(line.startswith("ok ") for line in lines)
 
 
+def test_selftest_checks_that_compiled_fixtures_round_trip(capsys, monkeypatch):
+    def drop_last_line(pres):
+        return "".join(format_presentation_text(pres).splitlines(True)[:-1])
+
+    monkeypatch.setattr(cli, "format_presentation_text", drop_last_line)
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    assert "FAIL compile spun_hopf" in out.splitlines()
+
+
 def test_selftest_stops_at_the_work_cap(capsys):
     # A cap stop is not a failed check: the run ends with one line, exit 3.
     code, out, err = run_cli(capsys, "selftest", "--work-cap", "50")

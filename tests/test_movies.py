@@ -13,7 +13,9 @@ from xmod.crossed import FiniteCrossedModule, validate_crossed_module
 from xmod.errors import FormatError, ReplayError, XmodError
 from xmod.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from xmod.groups import build_cyclic_group
+from xmod.cli import main
 from xmod.movies import (
+    BandBandCross,
     Birth,
     DeathEvent,
     EndEvent,
@@ -107,6 +109,71 @@ def test_parse_duplicate_argument():
     with pytest.raises(FormatError) as info:
         parse_movie_script("saddle cell=e cell=f u=X v=X band=b merged=c\nend\n")
     assert "duplicate argument" in str(info.value)
+
+
+# The message of a rule id given with the other keyword, by the keyword that
+# ``_RULES`` gives it.
+WRONG_KEYWORD = {"sb": "rule {} is a strand/band rule; use sb",
+                 "bb": "rule {} is a band/band rule; use bb"}
+
+
+@pytest.mark.parametrize("keyword", ["sb", "bb"])
+@pytest.mark.parametrize("rule", range(8))
+def test_rule_ids_are_read_off_the_table(keyword, rule):
+    kind, _, needs_out = movies._RULES.get(rule, (None, 0, False))
+    args = "mover=a fixed=b" if keyword == "bb" else "band=b strand=X" + " out=Z" * needs_out
+    text = f"{keyword} {rule} {args}\nend\n"
+    if kind == keyword:
+        event = parse_movie_script(text).events[0]
+        assert type(event) is (BandBandCross if kind == "bb" else StrandBandCross)
+        assert event.rule == rule
+        return
+    with pytest.raises(FormatError) as info:
+        parse_movie_script(text)
+    expected = f"unknown {keyword} rule {rule}" if kind is None else WRONG_KEYWORD[kind].format(rule)
+    assert str(info.value) == f"line 1: {expected}"
+
+
+@pytest.mark.parametrize("rule", sorted(movies._RULES))
+def test_out_is_needed_exactly_where_the_table_says(rule):
+    kind, _, needs_out = movies._RULES[rule]
+    args = "band=b strand=X" if kind == "sb" else "mover=a fixed=b"
+    with_out, without = (f"{kind} {rule} {args}{out}\nend\n" for out in (" out=Z", ""))
+    accepted, refused, message = (
+        (with_out, without, "missing argument out=") if needs_out
+        else (without, with_out, "unexpected argument 'out=Z'"))
+    assert getattr(parse_movie_script(accepted).events[0], "out", None) == (
+        "Z" if needs_out else None)
+    with pytest.raises(FormatError) as info:
+        parse_movie_script(refused)
+    assert str(info.value) == f"line 1: {message}"
+
+
+# For every keyed argument: a line giving it a bad value, and the message.
+BAD_ARGUMENTS = {
+    "over": ("cross + over=1 in=Y out=Z", "bad arc id '1'"),
+    "in": ("cross + over=X in=1 out=Z", "bad arc id '1'"),
+    "out": ("cross + over=X in=Y out=1", "bad arc id '1'"),
+    "strand": ("sb 1 band=b strand=1 out=Z", "bad arc id '1'"),
+    "band": ("sb 1 band=1 strand=X out=Z", "bad band id '1'"),
+    "mover": ("bb 2 mover=1 fixed=b", "bad band id '1'"),
+    "fixed": ("bb 2 mover=a fixed=1", "bad band id '1'"),
+    "cell": ("saddle cell=1 u=X v=Y band=b merged=c", "bad cell id '1'"),
+    "u": ("saddle cell=e u=X^2 v=Y band=b merged=c",
+          "arc reference exponent must be -1, got 'X^2'"),
+    "v": ("saddle cell=e u=X v=Y^1 band=b merged=c",
+          "arc reference exponent must be -1, got 'Y^1'"),
+    "merged": ("saddle cell=e u=X v=Y band=b merged=c,", "bad arc id ''"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(movies._ARGUMENTS))
+def test_each_argument_is_read_as_its_kind(key):
+    assert set(BAD_ARGUMENTS) == set(movies._ARGUMENTS)
+    line, message = BAD_ARGUMENTS[key]
+    with pytest.raises(FormatError) as info:
+        parse_movie_script(line + "\nend\n")
+    assert str(info.value) == f"line 1: {message}"
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +491,54 @@ def test_spun_trefoil_presentation(compiled_fixtures):
     )
     assert pres.cell_boundary["f"] == word("")
     assert len(pres.relations) == 1
+
+
+def swapping_bands(swaps: int) -> list[str]:
+    """Two bands crossing each other in turn: each swap about triples a label."""
+    return (["birth Z", "saddle cell=f u=Z v=Z band=b merged=z1,z2"]
+            + ["bb 2 mover=a fixed=b", "bb 2 mover=b fixed=a"] * (swaps // 2))
+
+
+def wirtinger_chain(crosses: int) -> list[str]:
+    """Each arc crossed under the one before it: word lengths grow like 2^n."""
+    return ["birth A0", "birth A1"] + [
+        f"cross {'+-'[i % 2]} over=A{i} in=A{i + 1} out=A{i + 2}" for i in range(crosses)]
+
+
+BLOW_UPS = {
+    # Uncapped, one band label reaches 54.6M terms.
+    "band swaps": (["birth X", "saddle cell=e u=X v=X band=a merged=c1,c2"]
+                   + swapping_bands(20), 19),
+    # Uncapped, 20 crosses build a 1.4M-letter word and 26 exhaust memory.
+    "wirtinger chain": (wirtinger_chain(26), 21),
+    # Each label stays small enough, but reading the boundary of a band of
+    # 577 terms whose cell has an 87382-letter boundary would not be.
+    "band boundary": (wirtinger_chain(16)
+                      + ["saddle cell=e u=A17 v=A0 band=a merged=m"]
+                      + swapping_bands(8) + ["sb 1 band=a strand=A1 out=Q"], 30),
+}
+
+
+@pytest.mark.parametrize("name", BLOW_UPS)
+def test_replay_refuses_labels_that_blow_up(name, tmp_path, capsys):
+    lines, refused_at = BLOW_UPS[name]
+    path = tmp_path / "blow_up.movie"
+    path.write_text("\n".join(lines + ["end"]) + "\n", encoding="utf-8")
+    assert main(["compile", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: event {refused_at - 1} (line {refused_at}): labels grow "
+                   f"past {movies.MAX_REPLAY_SIZE} letters and terms\n")
+
+
+def test_long_movies_stay_far_below_the_replay_bound(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.inputs import long_movie
+
+    work = movies._Replay()
+    for event in parse_movie_script(long_movie(random.Random(1), 7000)).events:
+        movies._step(work, event)
+    assert work.finished and work.size < movies.MAX_REPLAY_SIZE // 20
 
 
 def test_replay_builds_no_state_per_event(monkeypatch):

@@ -5,6 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
+from xmod import movies
 from xmod.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -24,3 +25,9 @@ def test_examples_block_matches_the_cli(capsys):
     assert argv == ["examples", "trivial1", "two_tori", "spun_hopf", "spun_trefoil"]
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_rule_table_matches_the_parser():
+    rows = re.findall(r"^ *\| (\d) \| (sb|bb)(, needs `out=`)? \|", README, re.M)
+    assert {int(rule): (kind, bool(out)) for rule, kind, out in rows} == {
+        rule: (kind, needs_out) for rule, (kind, _, needs_out) in movies._RULES.items()}
