@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import FormatError, ReplayError, XmodError
 from .presentations import (
     CrossedPresentation,
     CrossedWord,
+    _crossed,
     boundary_of_crossed_word,
     validate_presentation,
 )
@@ -138,14 +138,19 @@ def _parse_ids(value: str, line: int) -> tuple[str, ...]:
     """A comma-separated list of arc ids; an empty item is a bad id."""
     if not value:
         return ()
-    return tuple(parse_id(part, "arc", line) for part in value.split(","))
+    return tuple([parse_id(part, "arc", line) for part in value.split(",")])
+
+
+def _id_reader(what: str):
+    """The reader of a keyed argument whose value is one id of kind ``what``."""
+    return lambda value, line: parse_id(value, what, line)
 
 
 # How the value of each keyed argument is read.
 _ARGUMENTS = {
-    **dict.fromkeys(("over", "in", "out", "strand"), partial(parse_id, what="arc")),
-    **dict.fromkeys(("band", "mover", "fixed"), partial(parse_id, what="band")),
-    "cell": partial(parse_id, what="cell"),
+    **dict.fromkeys(("over", "in", "out", "strand"), _id_reader("arc")),
+    **dict.fromkeys(("band", "mover", "fixed"), _id_reader("band")),
+    "cell": _id_reader("cell"),
     "u": _parse_arc_ref,
     "v": _parse_arc_ref,
     "merged": _parse_ids,
@@ -166,6 +171,17 @@ _RULES = {
 }
 
 
+def _rule(keyword: str, rule: int) -> tuple[str, int, bool]:
+    """The ``_RULES`` entry of ``rule``; ``XmodError`` unless it is a ``keyword`` rule."""
+    kind = _RULES.get(rule, (None,))[0]
+    if kind is None:
+        raise XmodError(f"unknown {keyword} rule {rule}")
+    if kind != keyword:
+        which = "band/band" if kind == "bb" else "strand/band"
+        raise XmodError(f"rule {rule} is a {which} rule; use {kind}")
+    return _RULES[rule]
+
+
 def _keyed(tokens: list[str], line: int, keys: tuple[str, ...]) -> list:
     """The values of the ``key=value`` tokens, read as ``_ARGUMENTS`` says,
     in the order of ``keys``; every key must be given exactly once."""
@@ -177,10 +193,10 @@ def _keyed(tokens: list[str], line: int, keys: tuple[str, ...]) -> list:
         if key in out:
             raise FormatError(f"duplicate argument {key!r}", line=line)
         out[key] = value
-    for key in keys:
-        if key not in out:
-            raise FormatError(f"missing argument {key}=", line=line)
-    return [_ARGUMENTS[key](out[key], line=line) for key in keys]
+    if len(out) < len(keys):
+        missing = next(key for key in keys if key not in out)
+        raise FormatError(f"missing argument {missing}=", line=line)
+    return [_ARGUMENTS[key](out[key], line) for key in keys]
 
 
 def _parse_spanner(text: str, line: int) -> tuple[SpannerTerm, ...]:
@@ -230,12 +246,10 @@ def parse_movie_script(text: str, name: str = "movie") -> MovieScript:
             if len(tokens) < 2:
                 raise FormatError(f"{keyword} takes a rule id", line=line)
             rule = parse_integer(tokens[1], "rule id", line)
-            if rule not in _RULES:
-                raise FormatError(f"unknown {keyword} rule {rule}", line=line)
-            kind, _, needs_out = _RULES[rule]
-            if kind != keyword:
-                which = "band/band" if kind == "bb" else "strand/band"
-                raise FormatError(f"rule {rule} is a {which} rule; use {kind}", line=line)
+            try:
+                needs_out = _rule(keyword, rule)[2]
+            except XmodError as exc:
+                raise FormatError(str(exc), line=line) from None
             if keyword == "bb":
                 events.append(BandBandCross(
                     rule, *_keyed(tokens[2:], line, ("mover", "fixed")), line))
@@ -384,9 +398,9 @@ def _step(work: _Replay, event: Event) -> None:
         _charge(work, 2 * len(over) + len(into))
         work.arcs[event.under_out] = over.inverse() * into * over
     elif isinstance(event, StrandBandCross):
+        direction = _rule("sb", event.rule)[1]
         band_label = _live_band(work, event.band)
         strand = _live_arc(work, event.strand)
-        direction = _RULES[event.rule][1]
         if event.out is not None:
             if event.out in work.arcs:
                 raise XmodError(f"arc {event.out!r} is already live")
@@ -399,11 +413,12 @@ def _step(work: _Replay, event: Event) -> None:
             mover = strand if direction > 0 else strand.inverse()
             work.bands[event.band] = _acted(work, band_label, mover)
     elif isinstance(event, BandBandCross):
+        direction = _rule("bb", event.rule)[1]
         mover_label = _live_band(work, event.mover)
         fixed_label = _live_band(work, event.fixed)
         if event.mover == event.fixed:
             raise XmodError("a band cannot cross itself")
-        if _RULES[event.rule][1] < 0:
+        if direction < 0:
             fixed_label = fixed_label.inverse()
         _charge(work, _size(mover_label) + 2 * _size(fixed_label))
         work.bands[event.mover] = fixed_label * mover_label * fixed_label.inverse()
@@ -445,14 +460,14 @@ def _step(work: _Replay, event: Event) -> None:
         terms: list = []
         for band, conjugator, sign in event.spanner:
             label = _live_band(work, band)
-            unknown = sorted(conjugator.generators() - work.known)
-            if unknown:
+            if not work.known.issuperset(conjugator.generators()):
+                unknown = sorted(conjugator.generators() - work.known)
                 raise XmodError(
                     f"spanner conjugator uses unknown generator {unknown[0]!r}"
                 )
             moved = _acted(work, label, conjugator)
             terms += (moved if sign > 0 else moved.inverse()).terms
-        relation = CrossedWord(tuple(terms))
+        relation = _crossed(tuple(terms))
         boundary = _boundary(work, relation)
         if not boundary.is_empty:
             raise XmodError(

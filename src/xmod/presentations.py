@@ -43,18 +43,14 @@ class CrossedWord:
                 raise TypeError("cell id must be a string")
 
     def __mul__(self, other: CrossedWord) -> CrossedWord:
-        return CrossedWord(self.terms + other.terms)
+        return _crossed(self.terms + other.terms)
 
     def inverse(self) -> CrossedWord:
-        return CrossedWord(
-            tuple((w, cell, -sign) for w, cell, sign in reversed(self.terms))
-        )
+        return _crossed(tuple([(w, cell, -sign) for w, cell, sign in reversed(self.terms)]))
 
     def act(self, word: FreeWord) -> CrossedWord:
         """Left action of a base word: prepend it to every conjugator."""
-        return CrossedWord(
-            tuple((word * w, cell, sign) for w, cell, sign in self.terms)
-        )
+        return _crossed(tuple([(word * w, cell, sign) for w, cell, sign in self.terms]))
 
     def cells(self) -> set[str]:
         return {cell for _, cell, _ in self.terms}
@@ -64,6 +60,13 @@ class CrossedWord:
 
 
 EMPTY_CROSSED_WORD = CrossedWord()
+
+
+def _crossed(terms: tuple[Term, ...]) -> CrossedWord:
+    """A ``CrossedWord`` of terms taken from checked crossed words, unchecked."""
+    crossed = object.__new__(CrossedWord)
+    object.__setattr__(crossed, "terms", terms)
+    return crossed
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,9 @@ def boundary_of_crossed_word(
     """Boundary in the free base group: product of conjugated cell boundaries.
 
     Reads only ``pres.cell_boundary``; the letters of every term are joined
-    and freely reduced once.  Raises ``UnknownIdError`` for a cell not in it.
+    and freely reduced once.  A term whose cell has the empty boundary is
+    skipped, as w 1 w^-1 cancels.  Raises ``UnknownIdError`` for a cell not
+    in it.
     """
     letters: list[tuple[str, int]] = []
     for conjugator, cell, sign in crossed.terms:
@@ -106,6 +111,8 @@ def boundary_of_crossed_word(
             boundary = pres.cell_boundary[cell].letters
         except KeyError:
             raise UnknownIdError(f"unknown cell {cell!r}") from None
+        if not boundary:
+            continue
         if sign < 0:
             boundary = [(gen, -s) for gen, s in reversed(boundary)]
         letters += conjugator.letters
@@ -135,15 +142,17 @@ def validate_presentation(pres: CrossedPresentation) -> ValidationReport:
         if name not in cells:
             out.append(("boundary.extra", (name,)))
     for cell, word in pres.cell_boundary.items():
-        for gen in sorted(word.generators() - gens):
-            out.append(("boundary.unknown_generator", (cell, gen)))
+        if not gens.issuperset(word.generators()):
+            for gen in sorted(word.generators() - gens):
+                out.append(("boundary.unknown_generator", (cell, gen)))
 
     for index, relation in enumerate(pres.relations):
         for term_index, (conjugator, cell, _) in enumerate(relation.terms):
             if cell not in cells:
                 out.append(("relation.unknown_cell", (index, term_index, cell)))
-            for gen in sorted(conjugator.generators() - gens):
-                out.append(("relation.unknown_generator", (index, term_index, gen)))
+            if not gens.issuperset(conjugator.generators()):
+                for gen in sorted(conjugator.generators() - gens):
+                    out.append(("relation.unknown_generator", (index, term_index, gen)))
     # Boundary triviality only makes sense once every id resolves.
     if not out:
         for index, relation in enumerate(pres.relations):

@@ -1,8 +1,10 @@
 """Freely reduced words over named generators.
 
 A word is a sequence of letters (generator id, sign) with sign +1 or -1.
-All public constructors reduce, so a ``FreeWord`` value is always freely
-reduced; reduction by adjacent cancellation is confluent, hence canonical.
+A ``FreeWord`` value is always freely reduced; reduction by adjacent
+cancellation is confluent, hence canonical.  Only the public constructor
+checks this.  Products, inverses and ``reduce_free_word`` results are
+reduced by construction, so they skip the check.
 """
 from __future__ import annotations
 
@@ -123,12 +125,15 @@ def parse_id(token: str, what: str, line: int | None = None,
     return token
 
 
-def _expanded(letters: Iterable[tuple[str, int]]) -> Iterator[Letter]:
+# The unit exponents, each mapped to the int sign its letter stores.
+_UNIT_SIGNS = {1: 1, -1: -1}
+
+
+def _expanded(gen: str, exp: int) -> Iterator[Letter]:
     # Exponents outside {-1, +1} are expanded into repeated unit letters.
-    for gen, exp in letters:
-        step = 1 if exp > 0 else -1
-        for _ in range(abs(exp)):
-            yield (gen, step)
+    step = 1 if exp > 0 else -1
+    for _ in range(abs(exp)):
+        yield (gen, step)
 
 
 @dataclass(frozen=True)
@@ -154,16 +159,17 @@ class FreeWord:
         return len(self.letters)
 
     def __mul__(self, other: FreeWord) -> FreeWord:
-        out = list(self.letters)
-        for gen, sign in other.letters:
-            if out and out[-1] == (gen, -sign):
-                out.pop()
-            else:
-                out.append((gen, sign))
-        return FreeWord(tuple(out))
+        left, right = self.letters, other.letters
+        if not right:
+            return self
+        # Both are reduced, so only a suffix of left cancels a prefix of right.
+        cut, most = 0, min(len(left), len(right))
+        while cut < most and left[-1 - cut] == (right[cut][0], -right[cut][1]):
+            cut += 1
+        return _reduced(left[: len(left) - cut] + right[cut:])
 
     def inverse(self) -> FreeWord:
-        return FreeWord(tuple((gen, -sign) for gen, sign in reversed(self.letters)))
+        return _reduced(tuple([(gen, -sign) for gen, sign in reversed(self.letters)]))
 
     def generators(self) -> set[str]:
         return {gen for gen, _ in self.letters}
@@ -175,15 +181,24 @@ class FreeWord:
 EMPTY_WORD = FreeWord()
 
 
+def _reduced(letters: tuple[Letter, ...]) -> FreeWord:
+    """The ``FreeWord`` of letters that are reduced by construction, unchecked."""
+    word = object.__new__(FreeWord)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
 def reduce_free_word(letters: Iterable[tuple[str, int]]) -> FreeWord:
     """Freely reduce a raw letter sequence; exponents of any size are expanded."""
     out: list[Letter] = []
-    for gen, sign in _expanded(letters):
-        if out and out[-1] == (gen, -sign):
-            out.pop()
-        else:
-            out.append((gen, sign))
-    return FreeWord(tuple(out))
+    for gen, exp in letters:
+        sign = _UNIT_SIGNS.get(exp)
+        for gen, sign in ((gen, sign),) if sign else _expanded(gen, exp):
+            if out and out[-1] == (gen, -sign):
+                out.pop()
+            else:
+                out.append((gen, sign))
+    return _reduced(tuple(out))
 
 
 def parse_word(text: str, line: int | None = None, field: str | None = None) -> FreeWord:
@@ -197,7 +212,7 @@ def parse_word(text: str, line: int | None = None, field: str | None = None) -> 
         if token == EMPTY_WORD_TOKEN:
             continue
         base, caret, exp_text = token.partition("^")
-        if not valid_name(base):
+        if not NAME_RE.match(base):
             raise FormatError(f"bad word token {token!r}", line=line, field=field)
         if caret:
             exp = _integer_or_none(exp_text)

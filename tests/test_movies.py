@@ -26,8 +26,10 @@ from xmod.movies import (
     compile_movie,
     parse_movie_script,
 )
-from xmod.presentations import validate_presentation
+from xmod.presentations import format_presentation_text, validate_presentation
 from xmod.words import FreeWord, parse_word
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def word(text: str) -> FreeWord:
@@ -418,6 +420,21 @@ def test_compile_reports_event_index_and_line():
     assert info.value.line == 2
 
 
+@pytest.mark.parametrize("event, message", [
+    (StrandBandCross(9, "b", "c1", None, 3), "unknown sb rule 9"),
+    (StrandBandCross(2, "b", "c1", None, 3), "rule 2 is a band/band rule; use bb"),
+    (BandBandCross(6, "b", "b", 3), "rule 6 is a strand/band rule; use sb"),
+], ids=["unknown", "sb-given-bb", "bb-given-sb"])
+def test_replay_refuses_a_rule_outside_its_table(event, message):
+    # The parser never builds these; a movie built in code can.
+    script = MovieScript("m", (Birth("X", 1), SaddleEvent(
+        "e", ("X", 1), ("X", 1), "b", ("c1", "c2"), 2), event, EndEvent(4)))
+    with pytest.raises(ReplayError) as info:
+        compile_movie(script)
+    assert (info.value.event_index, info.value.line) == (2, 3)
+    assert str(info.value) == f"event 2 (line 3): {message}"
+
+
 def test_compile_requires_end():
     script = MovieScript("trunc", (Birth("X", 1),))
     with pytest.raises(ReplayError):
@@ -531,20 +548,87 @@ def test_replay_refuses_labels_that_blow_up(name, tmp_path, capsys):
                    f"past {movies.MAX_REPLAY_SIZE} letters and terms\n")
 
 
+def replay_charge(text: str) -> int:
+    """``_Replay.size`` after every event of ``text``."""
+    work = movies._Replay()
+    for event in parse_movie_script(text).events:
+        movies._step(work, event)
+    assert work.finished
+    return work.size
+
+
+# The work cap refuses a movie at the event where this charge passes
+# MAX_REPLAY_SIZE, so a faster replay must charge exactly as much.
+FIXTURE_CHARGES = {"trivial1": 5, "trivial2": 5, "trivial3": 10, "trivial4": 10,
+                   "two_spheres": 15, "two_tori": 14, "spun_hopf": 38,
+                   "spun_trefoil": 62}
+
+
+def test_fixture_replay_charge_is_pinned():
+    assert {name: replay_charge(fixture_text(name))
+            for name in FIXTURE_NAMES} == FIXTURE_CHARGES
+
+
 def test_long_movies_stay_far_below_the_replay_bound(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    monkeypatch.syspath_prepend(str(ROOT))
     from perfbench.inputs import long_movie
 
-    work = movies._Replay()
-    for event in parse_movie_script(long_movie(random.Random(1), 7000)).events:
-        movies._step(work, event)
-    assert work.finished and work.size < movies.MAX_REPLAY_SIZE // 20
+    size = replay_charge(long_movie(random.Random(1), 7000))
+    assert size == 34943 < movies.MAX_REPLAY_SIZE // 20
+
+
+def test_replay_checks_no_word_it_builds_itself(monkeypatch):
+    # Products, inverses and reductions are reduced by construction; only
+    # the one-letter label of each birth goes through the checked
+    # constructor.
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.inputs import long_movie
+
+    text = long_movie(random.Random(1), 4000)
+    births = sum(line.startswith("birth ") for line in text.splitlines())
+    checked = Counter()
+    check = FreeWord.__post_init__
+
+    def counted(self):
+        checked["words"] += 1
+        check(self)
+    monkeypatch.setattr(FreeWord, "__post_init__", counted)
+    compile_movie(parse_movie_script(text))
+    assert 0 < checked["words"] <= births
+
+
+# perfbench.oracle replays only birth, cross, saddle, death and end; the two
+# fixtures with sb or bb events are replayed here by hand from ``_RULES``.
+HAND_REPLAYED = {
+    "trivial4": "pres v1\ngens X\ncells e\nbnd e = 1\nrel = (X ; e ; +)\n",
+    "two_spheres": "pres v1\ngens X Y\ncells e f\nbnd e = 1\nbnd f = 1\n"
+                   "rel = (1 ; e ; +)\nrel = (1 ; e ; -) (1 ; f ; +) (1 ; e ; +)\n",
+}
+
+
+LONG_MOVIES = [(seed, events) for seed in (1, 2, 3) for events in (1000, 7000)]
+
+
+@pytest.mark.parametrize("source", [*FIXTURE_NAMES, *LONG_MOVIES], ids=lambda source: (
+    source if isinstance(source, str) else "long_movie-seed%d-%d" % source))
+def test_compile_agrees_with_the_reference_replay(source, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import oracle
+    from perfbench.inputs import long_movie
+
+    if isinstance(source, str):
+        text = fixture_text(source)
+    else:
+        seed, events = source
+        text = long_movie(random.Random(seed), events)
+    expected = HAND_REPLAYED.get(source) or oracle.format_pres(oracle.replay(text)[0])
+    assert format_presentation_text(compile_movie(parse_movie_script(text))) == expected
 
 
 def test_replay_builds_no_state_per_event(monkeypatch):
     # Replay must stay linear in the number of events: one working state
     # and one presentation per movie, not one per event.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    monkeypatch.syspath_prepend(str(ROOT))
     from perfbench.inputs import long_movie
 
     def constructions(events: int) -> Counter:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from xmod.errors import FormatError, UnknownIdError
 from xmod.presentations import (
@@ -16,7 +17,7 @@ from xmod.presentations import (
     stabilize,
     validate_presentation,
 )
-from xmod.words import EMPTY_WORD, FreeWord, parse_word
+from xmod.words import EMPTY_WORD, FreeWord, parse_word, reduce_free_word
 
 
 def word(text: str) -> FreeWord:
@@ -74,6 +75,24 @@ def test_crossed_word_act_prepends():
     assert acted.terms == ((word("X Y"), "e", 1),)
     # Acting by the conjugator's inverse cancels it.
     assert crossed.act(word("Y^-1")).terms == ((EMPTY_WORD, "e", 1),)
+
+
+free_words = st.lists(
+    st.tuples(st.sampled_from(["x", "y"]), st.sampled_from([1, -1])), max_size=4
+).map(reduce_free_word)
+crossed_words = st.lists(
+    st.tuples(free_words, st.sampled_from(["e", "f"]), st.sampled_from([1, -1])),
+    max_size=4,
+).map(lambda terms: CrossedWord(tuple(terms)))
+
+
+@given(crossed_words, crossed_words, free_words)
+def test_built_crossed_words_pass_the_checked_constructor(c, d, w):
+    # Products, inverses and actions skip the constructor's check.
+    for crossed in (c * d, c.inverse(), (c * d).inverse(), c.act(w), d.act(w.inverse())):
+        assert CrossedWord(crossed.terms) == crossed
+        for conjugator, _, _ in crossed.terms:
+            assert FreeWord(conjugator.letters) == conjugator
 
 
 def test_crossed_word_rejects_bad_sign():

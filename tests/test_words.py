@@ -67,6 +67,18 @@ def test_inverse_cancels(raw):
     assert word.inverse() * word == EMPTY_WORD
 
 
+@given(letters, letters)
+def test_built_words_pass_the_checked_constructor(raw1, raw2):
+    # These results skip the constructor's check, so each must be a word
+    # the check accepts, with int signs.
+    u, v = reduce_free_word(raw1), reduce_free_word(raw2)
+    text = " ".join(f"{gen}^{exp}" if exp else "1" for gen, exp in raw1 + raw2)
+    for word in (u, v, u * v, v * u, u.inverse(), (u * v).inverse(), parse_word(text),
+                 reduce_free_word([("x", True), ("y", -1)])):
+        assert FreeWord(word.letters) == word
+        assert {type(sign) for _, sign in word.letters} <= {int}
+
+
 def test_parse_basic():
     word = parse_word("X Y^-1 X")
     assert word.letters == (("X", 1), ("Y", -1), ("X", 1))
