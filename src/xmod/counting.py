@@ -26,6 +26,12 @@ where n1 is ``pres.one_handles``, the number of base generators (1-handles).
   * ``backtracking`` (``count_homomorphisms``) searches cell by cell, each
     over its boundary fiber, checking a relation at its last cell.
 
+Neither engine walks all of base ** gens.  Both take (phi, weight) pairs
+from ``phi_classes`` and multiply the count at phi by its weight: with K
+trivial, one lift per assignment into base / im(boundary), since the count
+depends only on phi modulo the image; otherwise one phi per orbit of
+simultaneous conjugation, which is a symmetry of the count.
+
 The module picks the engine (``select_method``); a naive full-product
 oracle checks both.  All arithmetic is exact; counts are
 arbitrary-precision integers.
@@ -160,6 +166,88 @@ def _eval_compiled(compiled: Letters, phi_tuple, base) -> int:
     return out
 
 
+def phi_classes(cm: FiniteCrossedModule, n_gens: int, budget: Budget):
+    """(phi, weight) pairs whose weights, times the count at each phi, add up
+    to the count over all of base ** n_gens; the weights sum to
+    |base| ** n_gens.
+
+    With K = ker(boundary) trivial, each phi has one psi or none, which
+    exists iff phi of every cell boundary lies in im(boundary), normal in
+    the base; relations hold, their values lying in K.  So one lift of each
+    assignment into base / im(boundary) stands for |im| ** n_gens phis.
+    Otherwise (phi, psi) -> (g phi g^-1, g |> psi) is a bijection on
+    homomorphisms, so one phi per orbit of simultaneous conjugation stands
+    for its orbit.  The orbits are taken generator by generator, each under
+    the centraliser of the ones before; once that centraliser is central
+    the rest of phi is the plain product, so an abelian base runs exactly
+    that.  The coset, orbit and centraliser work is charged to ``budget``.
+    """
+    base = cm.base
+    if cm.kernel.order == 1:
+        budget.spend(cm.fiber.order + base.order)
+        image = set(cm.boundary)
+        covered = [False] * base.order
+        lifts = []
+        for g in base.elements:
+            if not covered[g]:
+                lifts.append(g)
+                for h in image:
+                    covered[base.mul(g, h)] = True
+        weight = len(image) ** n_gens
+        for phi_tuple in product(lifts, repeat=n_gens):
+            yield phi_tuple, weight
+        return
+    n_central = len(base.center)  # the center lies in every centraliser
+    orbits_of: dict[tuple[int, ...], list] = {}
+    phi = [0] * n_gens
+    # One frame per position assigned: its orbits not yet tried, and the
+    # weight of the prefix before it.
+    frames: list = []
+    stabiliser, weight = tuple(base.elements), 1
+    while True:
+        depth = len(frames)
+        if depth == n_gens or len(stabiliser) == n_central:
+            head = tuple(phi[:depth])
+            for rest in product(base.elements, repeat=n_gens - depth):
+                yield head + rest, weight
+        else:
+            orbits = orbits_of.get(stabiliser)
+            if orbits is None:
+                orbits = orbits_of[stabiliser] = _orbits(base, stabiliser, budget)
+            frames.append((iter(orbits), weight))
+        while frames:
+            untried, before = frames[-1]
+            step = next(untried, None)
+            if step is not None:
+                phi[len(frames) - 1], size, stabiliser = step
+                weight = before * size
+                break
+            frames.pop()
+        else:
+            return
+
+
+def _orbits(base, stabiliser: tuple[int, ...], budget: Budget) -> list:
+    """(least element, size, centraliser in ``stabiliser``) of each orbit of
+    ``stabiliser`` acting on ``base`` by conjugation; |stabiliser| steps each."""
+    table, inverse = base.product, base.inverse
+    seen = [False] * base.order
+    out = []
+    for x in base.elements:
+        if seen[x]:
+            continue
+        budget.spend(len(stabiliser))
+        fixing = []
+        for s in stabiliser:
+            row = table[s]
+            moved = table[row[x]][inverse[s]]
+            seen[moved] = True
+            if moved == x:
+                fixing.append(s)
+        out.append((x, len(stabiliser) // len(fixing), tuple(fixing)))
+    return out
+
+
 def count_homomorphisms(
     pres: CrossedPresentation,
     cm: FiniteCrossedModule,
@@ -195,7 +283,7 @@ def count_homomorphisms(
     total = 0
     psi = [0] * n_cells
     tried = [0] * n_cells  # candidates of each depth tried so far
-    for phi_tuple in product(base.elements, repeat=n_gens):
+    for phi_tuple, weight in phi_classes(cm, n_gens, budget):
         budget.spend(1 + n_gens)
         candidates = []
         empty = False
@@ -217,7 +305,7 @@ def count_homomorphisms(
                     for w, pos, sign in terms
                 )
                 checks[depth].append(prepared)
-        tail = 1
+        tail = weight
         for block in candidates[free_tail:]:
             tail *= len(block)
         if free_tail == 0:
@@ -333,7 +421,7 @@ def count_linear_fastpath(
     budget = Budget(work_cap)
 
     total = 0
-    for phi_tuple in product(base.elements, repeat=n_gens):
+    for phi_tuple, weight in phi_classes(cm, n_gens, budget):
         budget.spend(1 + n_gens)
         cosets = [chosen[_eval_compiled(word, phi_tuple, base)]
                   for word in compiled.boundaries]
@@ -373,7 +461,7 @@ def count_linear_fastpath(
                 spans.clear()
             span = spans[key] = _span_order(rows, target, modulus, width, budget)
         if span:
-            total += scale // span
+            total += weight * (scale // span)
     return total
 
 

@@ -22,7 +22,12 @@ from .crossed import (
     build_conjugation_crossed_module,
     build_group_algebra_crossed_module,
 )
-from .groups import build_cyclic_group, build_quaternion_group, build_symmetric_group
+from .groups import (
+    FiniteGroup,
+    build_cyclic_group,
+    build_quaternion_group,
+    build_symmetric_group,
+)
 from .presentations import (
     CrossedPresentation,
     CrossedWord,
@@ -44,13 +49,43 @@ def inversion_module(n: int) -> FiniteCrossedModule:
                                (tuple(range(n)), fiber.inverse))
 
 
+def sign_module() -> FiniteCrossedModule:
+    """S3 acting on Z3 through the sign character, with trivial boundary.
+
+    The odd permutations of S3 are its three involutions; they invert Z3.
+    """
+    base, fiber = build_symmetric_group(3), build_cyclic_group(3)
+    odd = {g for g in base.elements if g != base.identity and base.mul(g, g) == base.identity}
+    return FiniteCrossedModule(base, fiber, (base.identity,) * 3, tuple(
+        fiber.inverse if g in odd else tuple(fiber.elements) for g in base.elements))
+
+
+def alternating_inclusion_module() -> FiniteCrossedModule:
+    """A3 included in S3, acted on by conjugation.
+
+    A3 is the set of squares of S3; fiber element i is its i-th element in
+    index order.
+    """
+    base = build_symmetric_group(3)
+    members = sorted({base.mul(g, g) for g in base.elements})
+    index = {g: i for i, g in enumerate(members)}
+    fiber = FiniteGroup(len(members), tuple(
+        tuple(index[base.mul(a, b)] for b in members) for a in members))
+    return FiniteCrossedModule(base, fiber, tuple(members), tuple(
+        tuple(index[base.mul(base.mul(g, a), base.inv(g))] for a in members)
+        for g in base.elements))
+
+
 def module_pool() -> tuple[tuple[str, FiniteCrossedModule], ...]:
     """Small crossed modules (base order <= 6, fiber order <= 8) for fuzzing.
 
     Conjugation modules have an injective boundary, group algebras an
     elementary abelian kernel K = ker(boundary); Z4 with trivial action,
     Z4 under inversion and Q8 -> V4 (nonabelian fiber) have a kernel that
-    is not elementary abelian or not the whole fiber.
+    is not elementary abelian or not the whole fiber.  The S3 modules cover
+    both ways of counting over a nonabelian base: ``sign_s3_z3`` has K
+    nontrivial, so phi is taken up to conjugation, and ``incl_a3_s3`` has K
+    trivial and a proper image, so phi is taken modulo it.
     """
     return (
         ("conj_z1", build_conjugation_crossed_module(build_cyclic_group(1))),
@@ -65,6 +100,8 @@ def module_pool() -> tuple[tuple[str, FiniteCrossedModule], ...]:
                                            (0,) * 4, (tuple(range(4)),))),
         ("inv_z2_z4", inversion_module(4)),
         ("cq_q8_v4", build_central_quotient_crossed_module(build_quaternion_group())),
+        ("sign_s3_z3", sign_module()),
+        ("incl_a3_s3", alternating_inclusion_module()),
     )
 
 

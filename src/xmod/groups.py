@@ -103,6 +103,13 @@ class FiniteGroup:
                 frontier = new
         return tuple(out)
 
+    @cached_property
+    def center(self) -> tuple[int, ...]:
+        """The center: the elements commuting with every greedy generator."""
+        table, gens = self.product, self.generators
+        return tuple(z for z in range(self.order)
+                     if all(table[z][g] == table[g][z] for g in gens))
+
     @property
     def elements(self) -> range:
         return range(self.order)

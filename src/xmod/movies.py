@@ -398,7 +398,10 @@ def _step(work: _Replay, event: Event) -> None:
         _charge(work, 2 * len(over) + len(into))
         work.arcs[event.under_out] = over.inverse() * into * over
     elif isinstance(event, StrandBandCross):
-        direction = _rule("sb", event.rule)[1]
+        _, direction, needs_out = _rule("sb", event.rule)
+        if needs_out != (event.out is not None):
+            raise XmodError(f"sb rule {event.rule} "
+                            f"{'needs' if needs_out else 'takes no'} out=")
         band_label = _live_band(work, event.band)
         strand = _live_arc(work, event.strand)
         if event.out is not None:

@@ -16,7 +16,7 @@ from xmod.crossed import (
     format_crossed_module_text,
 )
 from xmod.fixtures import fixture_text
-from xmod.fuzz import inversion_module
+from xmod.fuzz import inversion_module, sign_module
 from xmod.groups import build_cyclic_group
 from xmod.presentations import format_presentation_text
 from xmod.words import MAX_EXPONENT
@@ -55,9 +55,10 @@ def cli_files(tmp_path_factory, deep_chain):
     path.write_text(format_presentation_text(deep_chain), encoding="utf-8")
     paths["deep_chain.pres"] = str(path)
 
-    path = root / "inv_z2_z4.xmod"
-    path.write_text(format_crossed_module_text(inversion_module(4)), encoding="utf-8")
-    paths["inv_z2_z4"] = str(path)
+    for name, cm in (("inv_z2_z4", inversion_module(4)), ("sign_s3_z3", sign_module())):
+        path = root / f"{name}.xmod"
+        path.write_text(format_crossed_module_text(cm), encoding="utf-8")
+        paths[name] = str(path)
 
     path = root / "bad.pres"
     path.write_text("pres v1\ngens X\ncells e\nbnd e = Q\n", encoding="utf-8")
@@ -294,18 +295,20 @@ def assert_refused(result, name, token):
     assert err == f"error: bad {name} {token!r}\n"
 
 
+# sign_s3_z3 has a nonabelian base and K nontrivial, so the sphere's count
+# visits the 3 conjugation classes of S3, more than 5 steps.
 def test_work_cap_flag_token_rule(cli_files, capsys):
-    argv = ["invariant", cli_files["sphere.pres"], cli_files["conj_s3"], "--work-cap"]
+    argv = ["invariant", cli_files["sphere.pres"], cli_files["sign_s3_z3"], "--work-cap"]
     for token in BAD_INTEGERS:
         assert_refused(run_cli(capsys, *argv, token), "--work-cap", token)
     for accepted in ("+5000", "0005000"):
         code, out, _ = run_cli(capsys, *argv, accepted)
-        assert code == 0 and report_lines(out)[0] == "count 6"
+        assert code == 0 and report_lines(out)[0] == "count 3"
     assert run_cli(capsys, *argv, "+5")[0] == 3
 
 
 def test_work_cap_env_token_rule(cli_files, capsys, monkeypatch):
-    argv = ["invariant", cli_files["sphere.pres"], cli_files["conj_s3"]]
+    argv = ["invariant", cli_files["sphere.pres"], cli_files["sign_s3_z3"]]
     for token in BAD_INTEGERS:
         monkeypatch.setenv("XMOD_WORK_CAP", token)
         assert_refused(run_cli(capsys, *argv), "XMOD_WORK_CAP", token)

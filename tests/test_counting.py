@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from xmod import counting, crossed
 from xmod.battery import standard_battery
+from xmod.budget import DEFAULT_WORK_CAP, Budget
 from xmod.counting import (
     METHOD_BACKTRACKING,
     METHOD_LINEAR,
@@ -21,11 +23,13 @@ from xmod.counting import (
     evaluate_free_word,
     format_count_report,
     invariant,
+    phi_classes,
     select_method,
 )
 from xmod.crossed import (
     FiniteCrossedModule,
     build_conjugation_crossed_module,
+    build_group_algebra_crossed_module,
     ga_index,
 )
 from xmod.errors import (
@@ -35,7 +39,7 @@ from xmod.errors import (
     WorkCapExceeded,
 )
 from xmod.fixtures import FIXTURE_NAMES
-from xmod.fuzz import inversion_module, module_pool, random_instances
+from xmod.fuzz import inversion_module, module_pool, random_instances, sign_module
 from xmod.groups import FiniteGroup, build_cyclic_group, build_symmetric_group
 from xmod.presentations import (
     CrossedPresentation,
@@ -223,10 +227,11 @@ def test_relation_order_does_not_change_count(compiled_fixtures, battery_by_name
 
 
 def test_work_cap_raises():
+    # A nonabelian base with K nontrivial: phi runs over the 49 conjugation
+    # orbits of S3**3, so the cap is reached inside the phi loop.
     pres = free_product(sphere(), free_product(sphere(), sphere()))
-    cm = build_conjugation_crossed_module(build_symmetric_group(3))
     with pytest.raises(WorkCapExceeded):
-        count_homomorphisms(pres, cm, work_cap=10)
+        count_homomorphisms(pres, sign_module(), work_cap=10)
 
 
 # Exact step counts are machine-independent cost gates: each case succeeds
@@ -240,7 +245,8 @@ EMPTY_RELATION_PRES = (
 @pytest.mark.parametrize(
     "engine, target, module, steps",
     [
-        (count_homomorphisms, "spun_hopf", "conj_s3", 684),
+        # K is trivial and im = S3: one phi stands for all 36.
+        (count_homomorphisms, "spun_hopf", "conj_s3", 31),
         (count_homomorphisms, "spun_trefoil", "ga_z3_p2", 819),
         (count_linear_fastpath, "spun_hopf", "ga_z2_p2", 252),
         # The empty relation is still charged by the linear engine.
@@ -267,6 +273,46 @@ def test_exact_step_counts(engine, target, module, steps, compiled_fixtures, bat
     assert engine(pres, cm, work_cap=steps) == expected
     with pytest.raises(WorkCapExceeded):
         engine(pres, cm, work_cap=steps - 1)
+
+
+# ---------------------------------------------------------------------------
+# Phi classes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_gens", range(4))
+def test_phi_class_weights_cover_the_phi_space(n_gens):
+    for name, cm in module_pool():
+        classes = list(phi_classes(cm, n_gens, Budget(DEFAULT_WORK_CAP)))
+        assert sum(weight for _, weight in classes) == cm.base.order ** n_gens, name
+        assert len({phi for phi, _ in classes}) == len(classes), name
+        if cm.kernel.order > 1 and len(cm.base.center) == cm.base.order:
+            # An abelian base with K nontrivial runs the plain product.
+            assert classes == [(phi, 1) for phi in product(cm.base.elements, repeat=n_gens)]
+
+
+def trefoils(compiled_fixtures, copies: int) -> CrossedPresentation:
+    """The free product of ``copies`` spun trefoils: 2 generators each."""
+    out = compiled_fixtures["spun_trefoil"]
+    for _ in range(copies - 1):
+        out = free_product(out, compiled_fixtures["spun_trefoil"])
+    return out
+
+
+@pytest.mark.parametrize("copies, n, count", [(2, 4, 331776), (3, 3, 46656)],
+                         ids=["P2-conj_s4", "P3-conj_s3"])
+def test_conjugation_targets_count_one_phi(copies, n, count, compiled_fixtures):
+    # K is trivial and im = S_n, so one phi stands for all n!**(2 * copies).
+    pres = trefoils(compiled_fixtures, copies)
+    cm = build_conjugation_crossed_module(build_symmetric_group(n))
+    for engine in (count_homomorphisms, count_linear_fastpath):
+        assert engine(pres, cm, work_cap=100) == count
+
+
+def test_group_algebra_over_s3_counts_conjugation_orbits(compiled_fixtures):
+    cm = build_group_algebra_crossed_module(build_symmetric_group(3), 2)
+    report = count_report(trefoils(compiled_fixtures, 3), cm)
+    assert (report.count, report.method) == (56623104000, METHOD_LINEAR)
 
 
 def test_naive_cap_is_checked_up_front():

@@ -435,6 +435,21 @@ def test_replay_refuses_a_rule_outside_its_table(event, message):
     assert str(info.value) == f"event 2 (line 3): {message}"
 
 
+@pytest.mark.parametrize("event, message", [
+    (StrandBandCross(1, "b", "Y", None, 4), "sb rule 1 needs out="),
+    (StrandBandCross(4, "b", "Y", "Q", 4), "sb rule 4 takes no out="),
+], ids=["rule-1-without-out", "rule-4-with-out"])
+def test_replay_refuses_an_out_its_rule_does_not_take(event, message):
+    # Without the check the first would relabel band b as rule 6 does and
+    # the second would create arc Q as rule 3 does.
+    script = MovieScript("m", (Birth("X", 1), Birth("Y", 2), SaddleEvent(
+        "e", ("X", 1), ("X", 1), "b", ("c1", "c2"), 3), event, EndEvent(5)))
+    with pytest.raises(ReplayError) as info:
+        compile_movie(script)
+    assert (info.value.event_index, info.value.line) == (3, 4)
+    assert str(info.value) == f"event 3 (line 4): {message}"
+
+
 def test_compile_requires_end():
     script = MovieScript("trunc", (Birth("X", 1),))
     with pytest.raises(ReplayError):
