@@ -6,11 +6,12 @@ Reports go to stdout, one key per line; diagnostics go to stderr.
 1-handle count off the presentation: its generator count.
 
 Exit codes: 0 success, 1 axiom violation or replay failure, 2 parse or
-usage error, 3 work cap exceeded.  A selftest run that reaches the work cap
-stops there with exit 3.  The environment variable XMOD_WORK_CAP sets the
-default step budget of counting and of the exhaustive axiom listing;
---work-cap overrides it.  Integer options and XMOD_WORK_CAP follow the
-integer token rule of the text formats.
+usage error, 3 work cap exceeded.  ``validate`` and ``invariant``, the two
+commands that read a user's file, take --work-cap: the step budget of
+counting and of the exhaustive axiom listing, a positive integer by the
+integer token rule of the text formats.  ``examples`` (given fixture names
+or none, meaning all) and ``selftest`` do fixed work over shipped data and
+take no options.
 
 ``main(argv)`` returns the exit code rather than exiting, and may be called
 any number of times in one process: the parser and its subcommand handlers
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 import time
 from fractions import Fraction
@@ -61,6 +61,10 @@ EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 
+# The seed of selftest's random engine cross-check; scripts/fuzz_oracles.py
+# runs the same check on any seed.
+SELFTEST_SEED = 7
+
 # Largest pres.one_handles: the report prints (#fiber)**one_handles exactly, at
 # a cost quadratic in the exponent (16 ms for 512**10**4, 1.5 s for 512**10**5).
 MAX_ONE_HANDLES = 10**4
@@ -77,15 +81,12 @@ def _read_file(path: str) -> str:
 
 
 def _work_cap(flag: str | None) -> int:
-    """The step budget: --work-cap if given, else XMOD_WORK_CAP, else the default."""
-    source, raw = "--work-cap", flag
-    if raw is None:
-        source, raw = "XMOD_WORK_CAP", os.environ.get("XMOD_WORK_CAP")
-        if raw is None:
-            return DEFAULT_WORK_CAP
-    value = parse_integer(raw, source)
+    """The step budget: --work-cap if given, else the default."""
+    if flag is None:
+        return DEFAULT_WORK_CAP
+    value = parse_integer(flag, "--work-cap")
     if value < 1:
-        raise FormatError(f"{source} must be positive")
+        raise FormatError("--work-cap must be positive")
     return value
 
 
@@ -150,8 +151,6 @@ def cmd_invariant(args) -> int:
 
 def cmd_examples(args) -> int:
     names = args.names or list(fixtures.FIXTURE_NAMES)
-    if names == ["all"]:
-        names = list(fixtures.FIXTURE_NAMES)
     for name in names:
         if name not in fixtures.FIXTURE_NAMES:
             raise FormatError(
@@ -162,12 +161,12 @@ def cmd_examples(args) -> int:
     for name in names:
         pres = compile_movie(fixtures.load_fixture(name))
         for module_name, cm in battery:
-            value = invariant(pres, cm, work_cap=args.work_cap)
+            value = invariant(pres, cm)
             print(f"{name} {module_name} {value.numerator}/{value.denominator}")
     return EXIT_OK
 
 
-def _selftest_checks(seed: int, work_cap: int):
+def _selftest_checks():
     battery = standard_battery()
     for name, cm in battery:
         yield f"validate {name}", lambda cm=cm: validate_crossed_module(cm).ok
@@ -181,7 +180,7 @@ def _selftest_checks(seed: int, work_cap: int):
         yield f"compile {name}", check
 
     def value(name, cm):
-        return invariant(compiled[name], cm, work_cap=work_cap)
+        return invariant(compiled[name], cm)
 
     def sphere_values():
         for name in ("trivial1", "trivial2", "trivial3", "trivial4"):
@@ -203,10 +202,10 @@ def _selftest_checks(seed: int, work_cap: int):
     yield "spun trefoil vs sphere", trefoil_distinguishes
 
     def oracle_agreement():
-        for pres, _, cm in random_instances(seed, 25):
-            slow = count_homomorphisms_naive(pres, cm, work_cap=work_cap)
+        for pres, _, cm in random_instances(SELFTEST_SEED, 25):
+            slow = count_homomorphisms_naive(pres, cm)
             for engine in (count_homomorphisms, count_linear_fastpath):
-                if engine(pres, cm, work_cap=work_cap) != slow:
+                if engine(pres, cm) != slow:
                     return False
         return True
     yield "counting oracles agree", oracle_agreement
@@ -214,12 +213,9 @@ def _selftest_checks(seed: int, work_cap: int):
 
 def cmd_selftest(args) -> int:
     failures = 0
-    seed = parse_integer(args.seed, "--seed")
-    for name, check in _selftest_checks(seed, args.work_cap):
+    for name, check in _selftest_checks():
         try:
             passed = check()
-        except CapExceeded:
-            raise  # the whole run stops at the cap: one line, exit 3
         except XmodError as exc:
             passed = False
             print(f"error in {name}: {exc}", file=sys.stderr)
@@ -269,13 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("examples", help="invariants of the shipped fixtures")
-    p.add_argument("names", nargs="*", help="fixture names (default: all)")
-    p.add_argument("--work-cap")
+    p.add_argument("names", nargs="*", help="fixture names (default: every fixture)")
     p.set_defaults(func=cmd_examples)
 
     p = sub.add_parser("selftest", help="run the built-in consistency checks")
-    p.add_argument("--seed", default="7")
-    p.add_argument("--work-cap")
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -295,13 +295,11 @@ def build_central_quotient_crossed_module(group: FiniteGroup) -> FiniteCrossedMo
     """
     _require_group(group)
     n = group.order
-    center = [z for z in range(n)
-              if all(group.mul(z, x) == group.mul(x, z) for x in range(n))]
     coset = [-1] * n
     lifts: list[int] = []
     for e in range(n):
         if coset[e] < 0:
-            for z in center:
+            for z in group.center:
                 coset[group.mul(e, z)] = len(lifts)
             lifts.append(e)
     quotient = FiniteGroup(len(lifts), tuple(

@@ -284,8 +284,8 @@ def test_default_one_handles_is_bounded(tmp_path, capsys):
                    f"{cli.MAX_ONE_HANDLES}\n")
 
 
-# Integer options and XMOD_WORK_CAP follow the token rule of the text
-# formats: an optional sign and ASCII digits.
+# Integer options follow the token rule of the text formats: an optional
+# sign and ASCII digits.
 BAD_INTEGERS = ["1_0", "\u0663", "5 ", "0x10", ""]
 
 
@@ -307,22 +307,13 @@ def test_work_cap_flag_token_rule(cli_files, capsys):
     assert run_cli(capsys, *argv, "+5")[0] == 3
 
 
-def test_work_cap_env_token_rule(cli_files, capsys, monkeypatch):
-    argv = ["invariant", cli_files["sphere.pres"], cli_files["sign_s3_z3"]]
-    for token in BAD_INTEGERS:
-        monkeypatch.setenv("XMOD_WORK_CAP", token)
-        assert_refused(run_cli(capsys, *argv), "XMOD_WORK_CAP", token)
-    monkeypatch.setenv("XMOD_WORK_CAP", "+5")
-    assert run_cli(capsys, *argv)[0] == 3
-    monkeypatch.setenv("XMOD_WORK_CAP", "007000")
-    assert run_cli(capsys, *argv)[0] == 0
-
-
 def test_seed_flag_token_rule(capsys):
-    for token in BAD_INTEGERS:
-        assert_refused(run_cli(capsys, "selftest", "--seed", token), "--seed", token)
-    for accepted in ("+5", "007"):
-        assert run_cli(capsys, "selftest", "--seed", accepted)[0] == 0
+    # selftest runs at its fixed seed and takes no --seed, whatever the token.
+    for token in [*BAD_INTEGERS, "+5", "007"]:
+        code, out, err = run_cli(capsys, "selftest", "--seed", token)
+        assert code == 2 and out == "", token
+        assert err.startswith("error: unrecognized arguments: --seed")
+        assert err.count("\n") == 1
 
 
 def test_invariant_exponent_bound(cli_files, capsys, tmp_path):
@@ -361,14 +352,18 @@ def test_linear_method_unavailable_exit_2(cli_files, capsys):
 
 
 def test_work_cap_flag_exit_3(cli_files, capsys):
-    # conj_s3 is not a linear target, so this run and the next backtrack.
-    code, out, err = run_cli(
-        capsys,
-        "invariant", cli_files["spun_hopf"], cli_files["conj_s3"],
-        "--work-cap", "10",
-    )
+    # conj_s3 is not a linear target, so this run backtracks.  The count
+    # takes 31 steps in all (test_exact_step_counts), 12 of them the coset
+    # set-up of phi_classes, so a cap of 30 stops it in the count itself.
+    argv = ["invariant", cli_files["spun_hopf"], cli_files["conj_s3"], "--work-cap"]
+    code, out, err = run_cli(capsys, *argv, "30")
     assert code == 3 and out == ""
-    assert err == "error: work cap of 10 elementary steps exceeded\n"
+    assert err == "error: work cap of 30 elementary steps exceeded\n"
+    code, out, err = run_cli(capsys, *argv, "31")
+    assert (code, err) == (0, "")
+    assert report_lines(out) == [
+        "count 36", "one_handles 2", "invariant 1/1", "method backtracking",
+    ]
 
 
 @pytest.mark.parametrize("module", ["ga_z2_p2", "inv_z2_z4"])
@@ -394,7 +389,7 @@ def test_invariant_deep_chain(module, count, value, method, cli_files, capsys):
     ]
 
 
-def test_validate_work_cap_exit_3(cli_files, tmp_path, capsys, monkeypatch):
+def test_validate_work_cap_exit_3(cli_files, tmp_path, capsys):
     # A corrupted module is listed exhaustively, one step per tuple visited
     # (about 6 * 10**5 here), under the same cap as counting.
     cm = build_group_algebra_crossed_module(build_cyclic_group(4), 3)
@@ -407,8 +402,6 @@ def test_validate_work_cap_exit_3(cli_files, tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, "validate", str(path), "--work-cap", "1000") == (3, "", message)
     assert run_cli(capsys, "invariant", cli_files["sphere.pres"], str(path),
                    "--work-cap", "1000") == (3, "", message)
-    monkeypatch.setenv("XMOD_WORK_CAP", "1000")
-    assert run_cli(capsys, "validate", str(path)) == (3, "", message)
     code, out, _ = run_cli(capsys, "validate", str(path), "--work-cap", "1000000")
     assert code == 1 and out.startswith("violation action.composition 1 1 1\n")
     # A valid module is settled on generators and spends no steps.
@@ -416,36 +409,52 @@ def test_validate_work_cap_exit_3(cli_files, tmp_path, capsys, monkeypatch):
 
 
 def test_work_cap_env(cli_files, capsys, monkeypatch):
-    monkeypatch.setenv("XMOD_WORK_CAP", "10")
-    code, _, _ = run_cli(
-        capsys, "invariant", cli_files["spun_hopf"], cli_files["conj_s3"]
-    )
-    assert code == 3
-    # An explicit flag beats the environment.
-    code, out, _ = run_cli(
-        capsys,
-        "invariant", cli_files["spun_hopf"], cli_files["conj_s3"],
-        "--work-cap", "1000000",
-    )
-    assert code == 0
-    assert report_lines(out) == [
-        "count 36", "one_handles 2", "invariant 1/1", "method backtracking",
-    ]
+    # The environment sets no budget: a cap of 10 stops this run when it is
+    # given as the flag, and is not read from XMOD_WORK_CAP.
+    argv = ["invariant", cli_files["spun_hopf"], cli_files["conj_s3"]]
+    for value in ("1", "10"):
+        monkeypatch.setenv("XMOD_WORK_CAP", value)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), value
+        assert report_lines(out) == [
+            "count 36", "one_handles 2", "invariant 1/1", "method backtracking",
+        ]
+    assert run_cli(capsys, *argv, "--work-cap", "10")[0] == 3
 
 
 def test_work_cap_env_must_be_numeric(cli_files, capsys, monkeypatch):
+    # XMOD_WORK_CAP is not read, so a value that is no number is not refused.
     monkeypatch.setenv("XMOD_WORK_CAP", "plenty")
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "invariant", cli_files["spun_hopf"], cli_files["ga_z2_p2"]
     )
-    assert code == 2
-    assert "XMOD_WORK_CAP" in err
+    assert (code, err) == (0, "")
+    assert "XMOD_WORK_CAP" not in out
+    assert report_lines(out)[0].startswith("count ")
+
+
+def test_work_cap_env_token_rule(cli_files, capsys, monkeypatch):
+    # No token in XMOD_WORK_CAP, malformed or a cap that would stop the
+    # run, changes the answer.
+    argv = ["invariant", cli_files["sphere.pres"], cli_files["sign_s3_z3"]]
+    for token in [*BAD_INTEGERS, "+5", "007000"]:
+        monkeypatch.setenv("XMOD_WORK_CAP", token)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), token
+        assert report_lines(out)[0] == "count 3"
 
 
 @pytest.mark.parametrize("command", ["invariant", "examples", "selftest", "validate"])
 def test_work_cap_flag_must_be_positive(command, cli_files, capsys):
     targets = {"invariant": [cli_files["spun_hopf"], cli_files["ga_z2_p2"]],
-               "validate": [cli_files["ga_z2_p2"]]}.get(command, [])
+               "validate": [cli_files["ga_z2_p2"]]}.get(command)
+    if targets is None:
+        # examples and selftest do fixed work and take no --work-cap at all.
+        code, out, err = run_cli(capsys, command, "--work-cap", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: unrecognized arguments: --work-cap")
+        assert err.count("\n") == 1
+        return
     argv = [command, *targets, "--work-cap", "0"]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -488,9 +497,11 @@ def test_examples_subset_golden(capsys):
 
 
 def test_examples_rejects_unknown_fixture(capsys):
-    code, _, err = run_cli(capsys, "examples", "mystery")
-    assert code == 2
-    assert "unknown fixture" in err
+    # "all" is no alias: passing no names runs every fixture.
+    for name in ("mystery", "all"):
+        code, out, err = run_cli(capsys, "examples", name)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: unknown fixture {name!r}") and err.count("\n") == 1
 
 
 def test_examples_full_battery(capsys):
@@ -505,7 +516,7 @@ def test_examples_full_battery(capsys):
 
 
 def test_selftest_passes(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "--seed", "7")
+    code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     lines = out.splitlines()
     assert lines and all(line.startswith("ok ") for line in lines)
@@ -522,19 +533,22 @@ def test_selftest_checks_that_compiled_fixtures_round_trip(capsys, monkeypatch):
 
 
 def test_selftest_stops_at_the_work_cap(capsys):
-    # A cap stop is not a failed check: the run ends with one line, exit 3.
+    # selftest runs under the library's default caps and takes no
+    # --work-cap: the flag is refused before any check runs.
     code, out, err = run_cli(capsys, "selftest", "--work-cap", "50")
-    assert code == 3
-    assert err == "error: work cap of 50 elementary steps exceeded\n"
-    lines = out.splitlines()
-    assert lines and all(line.startswith("ok ") for line in lines)
+    assert code == 2 and out == ""
+    assert err.startswith("error: unrecognized arguments: --work-cap")
+    assert err.count("\n") == 1
 
 
 def test_usage_error_exit_2(capsys):
     # argparse's errors take the one-line path of every other failure.
+    # examples and selftest do fixed work and take no options.
     for argv in ([], ["invariant"], ["count", "a", "b"],
                  ["invariant", "a", "b", "--method", "linear"],
-                 ["validate", "m", "--work-cap"]):
+                 ["validate", "m", "--work-cap"],
+                 ["examples", "--work-cap", "5"], ["selftest", "--seed", "7"],
+                 ["selftest", "--work-cap", "50"]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

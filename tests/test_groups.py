@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from xmod.groups import (
     FiniteGroup,
     build_cyclic_group,
+    build_quaternion_group,
     build_symmetric_group,
     find_identity,
     group_violations,
@@ -59,6 +60,17 @@ def test_symmetric_group_is_nonabelian():
     swap01 = 2  # permutation (1, 0, 2)
     swap12 = 1  # permutation (0, 2, 1)
     assert g.mul(swap01, swap12) != g.mul(swap12, swap01)
+
+
+@pytest.mark.parametrize("group", [
+    build_quaternion_group(), build_symmetric_group(3), build_symmetric_group(4),
+    build_cyclic_group(6),
+], ids=["Q8", "S3", "S4", "Z6"])
+def test_center_commutes_with_every_element(group):
+    # Read off the generators; the same tuple as the all-pairs definition.
+    n = group.order
+    assert group.center == tuple(
+        z for z in range(n) if all(group.mul(z, x) == group.mul(x, z) for x in range(n)))
 
 
 def test_table_shape_is_checked():

@@ -12,6 +12,13 @@ def test_fuzz_oracles_finds_no_mismatch(capsys):
     assert "25 instances, 0 mismatches" in capsys.readouterr().out
 
 
+def test_fuzz_oracles_has_no_verbose_option(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        fuzz_oracles.main(["--verbose"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+
+
 def test_knottedness_report_separates_the_knotted_fixtures(capsys):
     assert knottedness_report.main([]) == 0
     lines = capsys.readouterr().out.splitlines()
