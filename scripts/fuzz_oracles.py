@@ -65,10 +65,18 @@ def integer(token: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def count(token: str) -> int:
+    """A non-negative integer option."""
+    value = integer(token)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=integer, default=7)
-    parser.add_argument("--count", type=integer, default=500)
+    parser.add_argument("--count", type=count, default=500)
     args = parser.parse_args(argv)
     # Not the count itself: an exit status is taken modulo 256.
     return 1 if run(args.seed, args.count) else 0

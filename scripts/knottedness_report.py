@@ -3,7 +3,9 @@
 Runs every fixture movie against the standard battery plus conjugation
 modules on small cyclic groups, prints the invariant table, and reports
 which surfaces are separated from the unknotted baseline of the same
-genus by at least one target.
+genus by at least one target.  An empty fixture list or a non-positive
+cap is a usage error (exit 2); a run the cap stops prints one ``error:``
+line and exits 3, as ``xmod invariant`` does.
 
 Usage:
     python scripts/knottedness_report.py [--work-cap N] [--fixtures a,b,...]
@@ -18,7 +20,7 @@ from fractions import Fraction
 from xmod.battery import standard_battery
 from xmod.counting import DEFAULT_WORK_CAP, invariant
 from xmod.crossed import build_conjugation_crossed_module
-from xmod.errors import FormatError
+from xmod.errors import CapExceeded, FormatError
 from xmod.fixtures import FIXTURE_NAMES, load_fixture
 from xmod.groups import build_cyclic_group
 from xmod.movies import compile_movie
@@ -83,30 +85,44 @@ def print_separations(table) -> None:
             print(f"{name}: NOT separated from {baseline} by this bank")
 
 
-def integer(token: str) -> int:
-    """An integer option, read by the token rule of the text formats."""
+def positive(token: str) -> int:
+    """A positive integer option, read by the token rule of the text formats."""
     try:
-        return parse_integer(token, "integer")
+        value = parse_integer(token, "integer")
     except FormatError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def fixture_names(text: str) -> list[str]:
+    """Comma separated names of shipped fixtures, at least one."""
+    names = [name for name in text.split(",") if name]
+    if not names:
+        raise argparse.ArgumentTypeError("lists no fixture")
+    unknown = [name for name in names if name not in FIXTURE_NAMES]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown fixtures: {', '.join(unknown)}")
+    return names
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--work-cap", type=integer, default=DEFAULT_WORK_CAP)
+    parser.add_argument("--work-cap", type=positive, default=DEFAULT_WORK_CAP)
     parser.add_argument(
         "--fixtures",
+        type=fixture_names,
         default=",".join(FIXTURE_NAMES),
         help="comma separated fixture names",
     )
     args = parser.parse_args(argv)
-    fixtures = [name for name in args.fixtures.split(",") if name]
-    unknown = [name for name in fixtures if name not in FIXTURE_NAMES]
-    if unknown:
-        print(f"unknown fixtures: {', '.join(unknown)}", file=sys.stderr)
-        return 2
     start = time.perf_counter()
-    bank, table = build_table(fixtures, args.work_cap)
+    try:
+        bank, table = build_table(args.fixtures, args.work_cap)
+    except CapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     print_table(bank, table)
     print_separations(table)
     print(f"\n{len(table)} surfaces x {len(bank)} targets "

@@ -127,7 +127,7 @@ def cmd_compile(args) -> int:
 def _load_target(path: str) -> CrossedPresentation:
     """The presentation in a pres or movie file.
 
-    A pres file is validated where it is counted, by ``compile_presentation``.
+    Either kind is validated where it is counted, by ``compile_presentation``.
     """
     text = _read_file(path)
     first = next((content for _, content in LineReader(text)), "")

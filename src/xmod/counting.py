@@ -134,7 +134,8 @@ class CompiledPresentation:
 
 
 def compile_presentation(pres: CrossedPresentation) -> CompiledPresentation:
-    """Validate ``pres`` once and index it for the counting engines."""
+    """Validate ``pres`` and index it for the counting engines: the one place
+    a presentation is validated, from a movie, a ``pres v1`` file or code."""
     report = validate_presentation(pres)
     if not report.ok:
         name, witness = report.violations[0]

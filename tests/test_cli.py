@@ -462,10 +462,16 @@ def test_work_cap_flag_must_be_positive(command, cli_files, capsys):
     assert err == "error: --work-cap must be positive\n"
 
 
-@pytest.mark.parametrize("target, calls", [("sphere.pres", 1), ("spun_hopf", 2)])
-def test_invariant_validation_count(target, calls, cli_files, capsys, monkeypatch):
-    # A movie is validated by compile_movie and again where it is counted;
-    # a pres file only where it is counted.
+@pytest.mark.parametrize("command, target, calls", [
+    pytest.param("invariant", "sphere.pres", 1, id="sphere.pres-1"),
+    pytest.param("invariant", "spun_hopf", 1, id="spun_hopf-1"),
+    pytest.param("compile", "spun_hopf", 0, id="compile-spun_hopf-0"),
+])
+def test_invariant_validation_count(command, target, calls, cli_files, capsys,
+                                    monkeypatch):
+    # A presentation is validated once, where it is counted, whether it comes
+    # from a pres file or a movie.  Replay checks what it builds, so compile
+    # validates nothing.
     seen = []
     original = counting.validate_presentation
 
@@ -475,7 +481,8 @@ def test_invariant_validation_count(target, calls, cli_files, capsys, monkeypatc
 
     for module in (cli, counting, movies):
         monkeypatch.setattr(module, "validate_presentation", counted)
-    code, _, _ = run_cli(capsys, "invariant", cli_files[target], cli_files["ga_z2_p2"])
+    modules = [cli_files["ga_z2_p2"]] if command == "invariant" else []
+    code, _, _ = run_cli(capsys, command, cli_files[target], *modules)
     assert code == 0
     assert len(seen) == calls
 

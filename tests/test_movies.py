@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -410,6 +411,117 @@ def test_compile_counts_births_as_one_handles():
 def test_compiled_fixtures_validate(compiled_fixtures):
     for pres in compiled_fixtures.values():
         assert validate_presentation(pres).ok
+
+
+# ---------------------------------------------------------------------------
+# Replay returns a valid presentation: compile_movie does not validate what
+# it returns, so these tests stand in for that check.
+# ---------------------------------------------------------------------------
+
+
+# A token is a run of characters that are not whitespace or a separator of
+# the movie format: a keyword, an id, a word, a sign or a rule id.
+_TOKEN_RE = re.compile(r"[^\s=,;()\[\]#]+")
+
+# Movies that give an id of one kind to another kind.  A replay that skipped
+# the freshness check they meet would return duplicate ids.
+COLLISIONS = [
+    # A birth named after a cell.
+    "birth X\nsaddle cell=e u=X v=X band=b merged=c1,c2\n"
+    "death circle=c1,c2 spanner=[]\nbirth e\ndeath circle=e spanner=[]\nend\n",
+    # A cell named after a generator.
+    "birth X\nsaddle cell=X u=X v=X band=b merged=c1,c2\n"
+    "death circle=c1,c2 spanner=[]\nend\n",
+]
+
+
+def token_mutants(count: int = 2000, seed: int = 0):
+    """``count`` seeded mutants of the fixture movies and ``ALL_RULES``.
+
+    Each mutant makes one or two edits.  An edit replaces one token, or
+    every occurrence of it, with a token drawn from all of these movies.
+    So ids meet ids of other kinds, rule ids meet signs, and keywords meet
+    arguments.
+    """
+    texts = [re.sub(r"#.*", "", fixture_text(name)) for name in FIXTURE_NAMES]
+    texts.append(ALL_RULES)
+    pool = sorted({token for text in texts for token in _TOKEN_RE.findall(text)})
+    rng = random.Random(seed)
+    for _ in range(count):
+        text = rng.choice(texts)
+        for _ in range(rng.choice((1, 1, 2))):
+            spans = [match.span() for match in _TOKEN_RE.finditer(text)]
+            start, end = rng.choice(spans)
+            new = rng.choice(pool)
+            if rng.random() < 0.5:
+                text = text[:start] + new + text[end:]
+            else:
+                old = text[start:end]
+                text = _TOKEN_RE.sub(
+                    lambda match: new if match.group() == old else match.group(), text)
+        yield text
+
+
+def compiled_or_none(text: str):
+    """The presentation of ``text``, or None if parsing or replay refuses it."""
+    try:
+        return compile_movie(parse_movie_script(text))
+    except (FormatError, ReplayError):
+        return None
+
+
+# The fixtures are checked by test_compiled_fixtures_validate.
+@pytest.mark.parametrize("source", [
+    "ALL_RULES", *COLLISIONS,
+    *[(seed, events) for seed in (1, 2, 3) for events in (60, 1000)],
+], ids=lambda source: (
+    "long_movie-seed%d-%d" % source if isinstance(source, tuple)
+    else "collision%d" % COLLISIONS.index(source) if source in COLLISIONS
+    else source))
+def test_every_replayed_movie_is_valid(source, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.inputs import long_movie
+
+    if isinstance(source, tuple):
+        text = long_movie(random.Random(source[0]), source[1])
+    else:
+        text = ALL_RULES if source == "ALL_RULES" else source
+    pres = compiled_or_none(text)
+    if source in COLLISIONS:
+        assert pres is None
+    else:
+        assert validate_presentation(pres).ok
+
+
+def test_every_replayed_token_mutant_is_valid():
+    replayed = 0
+    for text in token_mutants():
+        pres = compiled_or_none(text)
+        if pres is not None:
+            replayed += 1
+            assert validate_presentation(pres).ok, text
+    # 281 of the 2000 replay; the rest are refused by the parser or replay.
+    assert replayed > 200
+
+
+@pytest.mark.parametrize("event, message", [
+    (Birth("a b", 2), "bad arc id 'a b'"),
+    (Birth("", 2), "bad arc id ''"),
+    (Birth("1x", 2), "bad arc id '1x'"),
+    (SaddleEvent("e=f", ("X", 1), ("X", 1), "b", ("c1", "c2"), 2),
+     "bad cell id 'e=f'"),
+    (SaddleEvent("e;", ("X", 1), ("X", 1), "b", ("c1", "c2"), 2),
+     "bad cell id 'e;'"),
+], ids=["birth-space", "birth-empty", "birth-digit", "saddle-equals",
+        "saddle-semicolon"])
+def test_replay_refuses_a_bad_id_at_its_event(event, message):
+    # The parser never builds these; a movie built in code can, and its
+    # births become generators and its saddles cells of the presentation.
+    script = MovieScript("m", (Birth("X", 1), event, EndEvent(3)))
+    with pytest.raises(ReplayError) as info:
+        compile_movie(script)
+    assert (info.value.event_index, info.value.line) == (1, 2)
+    assert str(info.value) == f"event 1 (line 2): {message}"
 
 
 def test_compile_reports_event_index_and_line():

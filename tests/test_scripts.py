@@ -57,3 +57,35 @@ def test_integer_options_take_signs_and_leading_zeros(capsys):
     assert "7 instances, 0 mismatches, " in capsys.readouterr().out
     assert knottedness_report.main(["--work-cap", "+0100000000", "--fixtures",
                                     "trivial1"]) == 0
+
+
+@pytest.mark.parametrize("main, argv, message", [
+    (knottedness_report.main, ["--fixtures", ""], "argument --fixtures: lists no fixture"),
+    (knottedness_report.main, ["--fixtures", ","], "argument --fixtures: lists no fixture"),
+    (knottedness_report.main, ["--fixtures", "trivial1,mystery"],
+     "argument --fixtures: unknown fixtures: mystery"),
+    (knottedness_report.main, ["--work-cap", "0"], "argument --work-cap: must be positive, got 0"),
+    (knottedness_report.main, ["--work-cap", "-5"],
+     "argument --work-cap: must be positive, got -5"),
+    (fuzz_oracles.main, ["--count", "-5"], "argument --count: must not be negative, got -5"),
+], ids=["report-empty-fixtures", "report-comma-fixtures", "report-unknown-fixture",
+        "report-cap-0", "report-cap-negative", "fuzz-negative-count"])
+def test_bad_option_values_are_usage_errors(main, argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: {message}\n")
+
+
+def test_fuzz_oracles_takes_a_zero_count(capsys):
+    assert fuzz_oracles.main(["--count", "0"]) == 0
+    assert "0 instances, 0 mismatches" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cap", ["1", "5"])
+def test_knottedness_report_stopped_by_the_cap_exits_3(cap, capsys):
+    assert knottedness_report.main(["--work-cap", cap]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: work cap of {cap} elementary steps exceeded\n"
