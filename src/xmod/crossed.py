@@ -401,19 +401,35 @@ def build_group_algebra_crossed_module(group: FiniteGroup, p: int) -> FiniteCros
 
 
 def _parse_table(lines: LineReader, field: str, rows: int, width: int, bound: int):
-    out = []
-    for _ in range(rows):
-        lineno, content = lines.next(field)
-        values = parse_integers(content, lineno, field)
-        if len(values) != width:
-            raise FormatError(f"expected {width} entries, got {len(values)}",
-                              line=lineno, field=field)
-        bad = first_out_of_range((values,), bound)
+    """``rows`` rows of ``width`` entries in 0..bound-1.  The range is checked
+    once per table; an entry out of range is still reported before an error
+    in a later row."""
+    out, linenos = [], []
+    try:
+        for _ in range(rows):
+            lineno, content = lines.next(field)
+            values = parse_integers(content, lineno, field)
+            if len(values) != width:
+                raise FormatError(f"expected {width} entries, got {len(values)}",
+                                  line=lineno, field=field)
+            out.append(values)
+            linenos.append(lineno)
+    except FormatError:
+        _check_range(out, linenos, field, bound)
+        raise
+    _check_range(out, linenos, field, bound)
+    return tuple(out)
+
+
+def _check_range(rows: list, linenos: list, field: str, bound: int) -> None:
+    """``FormatError`` at the first of ``rows`` with an entry outside 0..bound-1."""
+    if first_out_of_range(rows, bound) is None:
+        return
+    for row, lineno in zip(rows, linenos):
+        bad = first_out_of_range((row,), bound)
         if bad is not None:
             raise FormatError(f"index {bad} out of range 0..{bound - 1}",
                               line=lineno, field=field)
-        out.append(values)
-    return tuple(out)
 
 
 def parse_crossed_module_text(text: str) -> FiniteCrossedModule:

@@ -15,6 +15,11 @@ A movie is replayed as a sequence of labelled-diagram events:
     bands its spanning disk meets,
   * ``end`` closes the script.
 
+A line in the canonical spelling (one space between tokens, keys in the
+order of the grammar) is read by one compiled pattern for its event kind.
+Any other line goes to the token reader, which reads the other spellings to
+the same events and refuses every malformed line with its ``FormatError``.
+
 Replay tracks labels only.  It checks that ids are well formed, fresh and
 live and that every emitted relation has trivial boundary, so it returns a
 valid presentation, validated again only where it is counted.  It does not
@@ -40,13 +45,17 @@ from .presentations import (
     validate_presentation,
 )
 from .words import (
+    _SIGNS,
     EMPTY_WORD,
+    EMPTY_WORD_TOKEN,
+    NAME,
     FreeWord,
     LineReader,
     parse_id,
     parse_integer,
     parse_sign,
     parse_word,
+    reduce_free_word,
     valid_name,
 )
 
@@ -184,6 +193,14 @@ def _rule(keyword: str, rule: int) -> tuple[str, int, bool]:
     return _RULES[rule]
 
 
+# The keys of each keyed event, in the order of the grammar.  An sb rule
+# that needs out= takes it after these.
+_CROSS_KEYS = ("over", "in", "out")
+_SB_KEYS = ("band", "strand")
+_BB_KEYS = ("mover", "fixed")
+_SADDLE_KEYS = ("cell", "u", "v", "band", "merged")
+
+
 def _keyed(tokens: list[str], line: int, keys: tuple[str, ...]) -> list:
     """The values of the ``key=value`` tokens, read as ``_ARGUMENTS`` says,
     in the order of ``keys``; every key must be given exactly once."""
@@ -224,69 +241,146 @@ def _parse_spanner(text: str, line: int) -> tuple[SpannerTerm, ...]:
     return tuple(terms)
 
 
+def _read_event(content: str, line: int) -> Event:
+    """The event of one content line, read token by token.  Every spelling
+    the grammar allows is read here, and every malformed line is refused
+    here with its ``FormatError``."""
+    tokens = content.split()
+    keyword = tokens[0]
+    if keyword == "birth":
+        if len(tokens) != 2:
+            raise FormatError("birth takes exactly one arc id", line=line)
+        return Birth(parse_id(tokens[1], "arc", line), line)
+    if keyword == "cross":
+        if len(tokens) != 5:
+            raise FormatError("cross takes a sign and over=, in=, out=", line=line)
+        return WirtingerCross(parse_sign(tokens[1], line),
+                              *_keyed(tokens[2:], line, _CROSS_KEYS), line)
+    if keyword in ("sb", "bb"):
+        if len(tokens) < 2:
+            raise FormatError(f"{keyword} takes a rule id", line=line)
+        rule = parse_integer(tokens[1], "rule id", line)
+        try:
+            needs_out = _rule(keyword, rule)[2]
+        except XmodError as exc:
+            raise FormatError(str(exc), line=line) from None
+        if keyword == "bb":
+            return BandBandCross(rule, *_keyed(tokens[2:], line, _BB_KEYS), line)
+        keys = _SB_KEYS + ("out",) if needs_out else _SB_KEYS
+        band, strand, *out = _keyed(tokens[2:], line, keys)
+        return StrandBandCross(rule, band, strand, *(out or [None]), line)
+    if keyword == "saddle":
+        cell, u, v, band, merged = _keyed(tokens[1:], line, _SADDLE_KEYS)
+        if not 1 <= len(merged) <= 2:
+            raise FormatError("merged= must list one or two fresh arcs", line=line)
+        return SaddleEvent(cell, u, v, band, merged, line)
+    if keyword == "death":
+        match = _SPANNER_RE.search(content)
+        if match is None:
+            raise FormatError("death needs spanner=[...]", line=line)
+        spanner = _parse_spanner(match.group(1), line)
+        head = content[: match.start()].strip()
+        head_tokens = head.split()
+        if len(head_tokens) != 2 or head_tokens[0] != "death":
+            raise FormatError(
+                "death takes circle=<arcs> and spanner=[...]", line=line
+            )
+        key, eq, value = head_tokens[1].partition("=")
+        if key != "circle" or not eq or not value:
+            raise FormatError("death needs circle=<arc,...>", line=line)
+        return DeathEvent(_parse_ids(value, line), spanner, line)
+    if keyword == "end":
+        if len(tokens) != 1:
+            raise FormatError("end takes no arguments", line=line)
+        return EndEvent(line)
+    raise FormatError(f"unknown event {keyword!r}", line=line)
+
+
+# The canonical spelling of each event: one space between tokens, the keys
+# in the order of the grammar, signs ``+`` and ``-``, rule ids as ``_RULES``
+# writes them, and spanner words in letters ``X`` and ``X^-1`` or ``1``.  A
+# line in it is read by one ``fullmatch`` of its keyword's pattern.  The
+# patterns are built from the id rule, the key tuples, ``_RULES`` and
+# ``_SIGNS`` the token reader uses, and accept no line that the token reader
+# refuses or reads otherwise.
+_ID = f"({NAME})"
+_SIGN = "(" + "|".join(re.escape(sign) for sign in _SIGNS if len(sign) == 1) + ")"
+_ARC_REF = rf"({NAME})(\^-1)?"
+_LETTER = rf"{NAME}(?:\^-1)?"
+_WORD = rf"{re.escape(EMPTY_WORD_TOKEN)}|{_LETTER}(?: {_LETTER})*"
+_TERM = rf"\(({NAME}),({_WORD}),{_SIGN}\)"
+_TERM_RE = re.compile(_TERM)
+
+
+def _keys_pattern(keys: tuple[str, ...], **values: str) -> str:
+    """`` key=value`` for each of ``keys``; a value is one id unless
+    ``values`` gives its pattern."""
+    return "".join(f" {key}={values.get(key, _ID)}" for key in keys)
+
+
+def _rule_ids(keyword: str, needs_out: bool) -> str:
+    """The ``keyword`` rule ids of ``_RULES`` that need out= or not, as
+    alternatives."""
+    return "|".join(str(rule) for rule, (kind, _, out) in _RULES.items()
+                    if (kind, out) == (keyword, needs_out))
+
+
+def _canonical_word(text: str) -> FreeWord:
+    """The word of a canonical spelling: ``1``, or letters ``X`` and ``X^-1``."""
+    if text == EMPTY_WORD_TOKEN:
+        return EMPTY_WORD
+    return reduce_free_word([(token[:-3], -1) if token.endswith("^-1") else (token, 1)
+                             for token in text.split(" ")])
+
+
+def _canonical_saddle(match: re.Match, line: int) -> SaddleEvent:
+    cell, u, u_reversed, v, v_reversed, band, merged = match.groups()
+    return SaddleEvent(cell, (u, -1 if u_reversed else 1), (v, -1 if v_reversed else 1),
+                       band, tuple(merged.split(",")), line)
+
+
+def _canonical_death(match: re.Match, line: int) -> DeathEvent:
+    spanner = tuple([(band, _canonical_word(word), _SIGNS[sign])
+                     for band, word, sign in _TERM_RE.findall(match[2])])
+    return DeathEvent(tuple(match[1].split(",")), spanner, line)
+
+
+# keyword -> (pattern of its canonical lines, event of a match and its line).
+_CANONICAL = {keyword: (re.compile(pattern), build) for keyword, pattern, build in (
+    ("birth", f"birth {_ID}", lambda match, line: Birth(match[1], line)),
+    ("cross", f"cross {_SIGN}" + _keys_pattern(_CROSS_KEYS),
+     lambda match, line: WirtingerCross(_SIGNS[match[1]], *match.groups()[1:], line)),
+    # (?(1) ...) asks for out= exactly where the rule id is one that needs it.
+    ("sb", f"sb (?:({_rule_ids('sb', True)})|({_rule_ids('sb', False)}))"
+     + _keys_pattern(_SB_KEYS) + f"(?(1) out={_ID})",
+     lambda match, line: StrandBandCross(int(match[1] or match[2]), *match.groups()[2:], line)),
+    ("bb", f"bb ({_rule_ids('bb', False)})" + _keys_pattern(_BB_KEYS),
+     lambda match, line: BandBandCross(int(match[1]), match[2], match[3], line)),
+    ("saddle", "saddle" + _keys_pattern(_SADDLE_KEYS, u=_ARC_REF, v=_ARC_REF,
+                                        merged=f"({NAME}(?:,{NAME})?)"), _canonical_saddle),
+    ("death", rf"death circle=({NAME}(?:,{NAME})*) spanner=\[((?:{_TERM}(?:;{_TERM})*)?)\]",
+     _canonical_death),
+    ("end", "end", lambda match, line: EndEvent(line)),
+)}
+
+
 def parse_movie_script(text: str, name: str = "movie") -> MovieScript:
-    """Parse the movie DSL.  Syntax only; ids are resolved during replay."""
+    """Parse the movie DSL.  Syntax only; ids are resolved during replay.
+
+    A line in its canonical spelling is read by its keyword's pattern; any
+    other line, and every malformed one, by the token reader.
+    """
     events: list[Event] = []
     saw_end = False
     lines = LineReader(text)
     for line, content in lines:
         if saw_end:
             raise FormatError("content after 'end'", line=line)
-        tokens = content.split()
-        keyword = tokens[0]
-        if keyword == "birth":
-            if len(tokens) != 2:
-                raise FormatError("birth takes exactly one arc id", line=line)
-            events.append(Birth(parse_id(tokens[1], "arc", line), line))
-        elif keyword == "cross":
-            if len(tokens) != 5:
-                raise FormatError("cross takes a sign and over=, in=, out=", line=line)
-            events.append(WirtingerCross(
-                parse_sign(tokens[1], line),
-                *_keyed(tokens[2:], line, ("over", "in", "out")), line))
-        elif keyword in ("sb", "bb"):
-            if len(tokens) < 2:
-                raise FormatError(f"{keyword} takes a rule id", line=line)
-            rule = parse_integer(tokens[1], "rule id", line)
-            try:
-                needs_out = _rule(keyword, rule)[2]
-            except XmodError as exc:
-                raise FormatError(str(exc), line=line) from None
-            if keyword == "bb":
-                events.append(BandBandCross(
-                    rule, *_keyed(tokens[2:], line, ("mover", "fixed")), line))
-            else:
-                keys = ("band", "strand", "out") if needs_out else ("band", "strand")
-                band, strand, *out = _keyed(tokens[2:], line, keys)
-                events.append(StrandBandCross(rule, band, strand, *(out or [None]), line))
-        elif keyword == "saddle":
-            cell, u, v, band, merged = _keyed(
-                tokens[1:], line, ("cell", "u", "v", "band", "merged"))
-            if not 1 <= len(merged) <= 2:
-                raise FormatError("merged= must list one or two fresh arcs", line=line)
-            events.append(SaddleEvent(cell, u, v, band, merged, line))
-        elif keyword == "death":
-            match = _SPANNER_RE.search(content)
-            if match is None:
-                raise FormatError("death needs spanner=[...]", line=line)
-            spanner = _parse_spanner(match.group(1), line)
-            head = content[: match.start()].strip()
-            head_tokens = head.split()
-            if len(head_tokens) != 2 or head_tokens[0] != "death":
-                raise FormatError(
-                    "death takes circle=<arcs> and spanner=[...]", line=line
-                )
-            key, eq, value = head_tokens[1].partition("=")
-            if key != "circle" or not eq or not value:
-                raise FormatError("death needs circle=<arc,...>", line=line)
-            events.append(DeathEvent(_parse_ids(value, line), spanner, line))
-        elif keyword == "end":
-            if len(tokens) != 1:
-                raise FormatError("end takes no arguments", line=line)
-            events.append(EndEvent(line))
-            saw_end = True
-        else:
-            raise FormatError(f"unknown event {keyword!r}", line=line)
+        canonical = _CANONICAL.get(content.partition(" ")[0])
+        match = canonical and canonical[0].fullmatch(content)
+        event = canonical[1](match, line) if match else _read_event(content, line)
+        events.append(event)
+        saw_end = type(event) is EndEvent
     if not saw_end:
         raise lines.end_error("missing 'end' event")
     return MovieScript(name, tuple(events))
@@ -371,6 +465,141 @@ def _boundary(work: _Replay, label: CrossedWord) -> FreeWord:
     return boundary_of_crossed_word(work, label)
 
 
+def _birth(work: _Replay, event: Birth) -> None:
+    if not valid_name(event.arc):
+        raise XmodError(f"bad arc id {event.arc!r}")
+    if event.arc in work.known:
+        raise XmodError(f"generator {event.arc!r} already exists")
+    if event.arc in work.cell_boundary:
+        raise XmodError(f"generator {event.arc!r} collides with a cell")
+    if event.arc in work.arcs:
+        raise XmodError(f"arc {event.arc!r} is already live")
+    _charge(work, 1)
+    work.arcs[event.arc] = FreeWord(((event.arc, 1),))
+    work.generators.append(event.arc)
+    work.known.add(event.arc)
+
+
+def _cross(work: _Replay, event: WirtingerCross) -> None:
+    over = _live_arc(work, event.over)
+    into = _live_arc(work, event.under_in)
+    if event.under_out in work.arcs:
+        raise XmodError(f"arc {event.under_out!r} is already live")
+    if event.sign < 0:
+        over = over.inverse()
+    _charge(work, 2 * len(over) + len(into))
+    work.arcs[event.under_out] = over.inverse() * into * over
+
+
+def _strand_band(work: _Replay, event: StrandBandCross) -> None:
+    _, direction, needs_out = _rule("sb", event.rule)
+    if needs_out != (event.out is not None):
+        raise XmodError(f"sb rule {event.rule} "
+                        f"{'needs' if needs_out else 'takes no'} out=")
+    band_label = _live_band(work, event.band)
+    strand = _live_arc(work, event.strand)
+    if event.out is not None:
+        if event.out in work.arcs:
+            raise XmodError(f"arc {event.out!r} is already live")
+        b = _boundary(work, band_label)
+        if direction < 0:
+            b = b.inverse()
+        _charge(work, 2 * len(b) + len(strand))
+        work.arcs[event.out] = b * strand * b.inverse()
+    else:
+        mover = strand if direction > 0 else strand.inverse()
+        work.bands[event.band] = _acted(work, band_label, mover)
+
+
+def _band_band(work: _Replay, event: BandBandCross) -> None:
+    direction = _rule("bb", event.rule)[1]
+    mover_label = _live_band(work, event.mover)
+    fixed_label = _live_band(work, event.fixed)
+    if event.mover == event.fixed:
+        raise XmodError("a band cannot cross itself")
+    if direction < 0:
+        fixed_label = fixed_label.inverse()
+    _charge(work, _size(mover_label) + 2 * _size(fixed_label))
+    work.bands[event.mover] = fixed_label * mover_label * fixed_label.inverse()
+
+
+def _saddle(work: _Replay, event: SaddleEvent) -> None:
+    u_label = _live_arc(work, event.u[0])
+    v_label = _live_arc(work, event.v[0])
+    if not valid_name(event.cell):
+        raise XmodError(f"bad cell id {event.cell!r}")
+    if event.cell in work.cell_boundary:
+        raise XmodError(f"cell {event.cell!r} already exists")
+    if event.cell in work.known:
+        raise XmodError(f"cell id {event.cell!r} collides with a generator")
+    if event.band in work.bands:
+        raise XmodError(f"band {event.band!r} is already live")
+    wu = u_label if event.u[1] > 0 else u_label.inverse()
+    wv = v_label if event.v[1] > 0 else v_label.inverse()
+    if len(set(event.merged)) != len(event.merged):
+        raise XmodError("merged arc ids must be distinct")
+    _charge(work, len(wu) + len(wv) + 1)
+    # The consumed arcs go first, so a merged arc may reuse their ids.
+    del work.arcs[event.u[0]]
+    work.arcs.pop(event.v[0], None)
+    inherited = (u_label, v_label)
+    for index, arc in enumerate(event.merged):
+        if arc in work.arcs:
+            raise XmodError(f"arc {arc!r} is already live")
+        work.arcs[arc] = inherited[index]
+    work.bands[event.band] = CrossedWord(((EMPTY_WORD, event.cell, 1),))
+    work.cells.append(event.cell)
+    work.cell_boundary[event.cell] = wu * wv.inverse()
+
+
+def _death(work: _Replay, event: DeathEvent) -> None:
+    if len(set(event.circle)) != len(event.circle):
+        raise XmodError("death circle lists an arc twice")
+    for arc in event.circle:
+        if arc not in work.arcs:
+            raise XmodError(f"arc {arc!r} is not live")
+        del work.arcs[arc]
+    # A disk meeting no bands yields the empty relation, which is omitted.
+    if not event.spanner:
+        return
+    known = work.known
+    terms: list = []
+    for band, conjugator, sign in event.spanner:
+        label = _live_band(work, band)
+        for gen, _ in conjugator.letters:
+            if gen not in known:
+                unknown = sorted(conjugator.generators() - known)
+                raise XmodError(
+                    f"spanner conjugator uses unknown generator {unknown[0]!r}"
+                )
+        # The charge of _acted; the terms are those of label.act(conjugator),
+        # inverted where the sign is negative.
+        _charge(work, _size(label) + len(label.terms) * len(conjugator.letters))
+        moved = label.terms
+        if conjugator.letters:
+            moved = [(conjugator * w, cell, s) for w, cell, s in moved]
+        if sign > 0:
+            terms += moved
+        else:
+            terms += [(w, cell, -s) for w, cell, s in reversed(moved)]
+    relation = _crossed(tuple(terms))
+    boundary = _boundary(work, relation)
+    if not boundary.is_empty:
+        raise XmodError(
+            f"death relation has nontrivial boundary {boundary}"
+        )
+    work.relations.append(relation)
+
+
+def _end(work: _Replay, event: EndEvent) -> None:
+    work.finished = True
+
+
+_STEPS = {Birth: _birth, WirtingerCross: _cross, StrandBandCross: _strand_band,
+          BandBandCross: _band_band, SaddleEvent: _saddle, DeathEvent: _death,
+          EndEvent: _end}
+
+
 def _step(work: _Replay, event: Event) -> None:
     """Apply one event to ``work`` in place.
 
@@ -379,114 +608,10 @@ def _step(work: _Replay, event: Event) -> None:
     """
     if work.finished:
         raise XmodError("script already ended")
-    if isinstance(event, Birth):
-        if not valid_name(event.arc):
-            raise XmodError(f"bad arc id {event.arc!r}")
-        if event.arc in work.known:
-            raise XmodError(f"generator {event.arc!r} already exists")
-        if event.arc in work.cell_boundary:
-            raise XmodError(f"generator {event.arc!r} collides with a cell")
-        if event.arc in work.arcs:
-            raise XmodError(f"arc {event.arc!r} is already live")
-        _charge(work, 1)
-        work.arcs[event.arc] = FreeWord(((event.arc, 1),))
-        work.generators.append(event.arc)
-        work.known.add(event.arc)
-    elif isinstance(event, WirtingerCross):
-        over = _live_arc(work, event.over)
-        into = _live_arc(work, event.under_in)
-        if event.under_out in work.arcs:
-            raise XmodError(f"arc {event.under_out!r} is already live")
-        if event.sign < 0:
-            over = over.inverse()
-        _charge(work, 2 * len(over) + len(into))
-        work.arcs[event.under_out] = over.inverse() * into * over
-    elif isinstance(event, StrandBandCross):
-        _, direction, needs_out = _rule("sb", event.rule)
-        if needs_out != (event.out is not None):
-            raise XmodError(f"sb rule {event.rule} "
-                            f"{'needs' if needs_out else 'takes no'} out=")
-        band_label = _live_band(work, event.band)
-        strand = _live_arc(work, event.strand)
-        if event.out is not None:
-            if event.out in work.arcs:
-                raise XmodError(f"arc {event.out!r} is already live")
-            b = _boundary(work, band_label)
-            if direction < 0:
-                b = b.inverse()
-            _charge(work, 2 * len(b) + len(strand))
-            work.arcs[event.out] = b * strand * b.inverse()
-        else:
-            mover = strand if direction > 0 else strand.inverse()
-            work.bands[event.band] = _acted(work, band_label, mover)
-    elif isinstance(event, BandBandCross):
-        direction = _rule("bb", event.rule)[1]
-        mover_label = _live_band(work, event.mover)
-        fixed_label = _live_band(work, event.fixed)
-        if event.mover == event.fixed:
-            raise XmodError("a band cannot cross itself")
-        if direction < 0:
-            fixed_label = fixed_label.inverse()
-        _charge(work, _size(mover_label) + 2 * _size(fixed_label))
-        work.bands[event.mover] = fixed_label * mover_label * fixed_label.inverse()
-    elif isinstance(event, SaddleEvent):
-        u_label = _live_arc(work, event.u[0])
-        v_label = _live_arc(work, event.v[0])
-        if not valid_name(event.cell):
-            raise XmodError(f"bad cell id {event.cell!r}")
-        if event.cell in work.cell_boundary:
-            raise XmodError(f"cell {event.cell!r} already exists")
-        if event.cell in work.known:
-            raise XmodError(f"cell id {event.cell!r} collides with a generator")
-        if event.band in work.bands:
-            raise XmodError(f"band {event.band!r} is already live")
-        wu = u_label if event.u[1] > 0 else u_label.inverse()
-        wv = v_label if event.v[1] > 0 else v_label.inverse()
-        if len(set(event.merged)) != len(event.merged):
-            raise XmodError("merged arc ids must be distinct")
-        _charge(work, len(wu) + len(wv) + 1)
-        # The consumed arcs go first, so a merged arc may reuse their ids.
-        del work.arcs[event.u[0]]
-        work.arcs.pop(event.v[0], None)
-        inherited = (u_label, v_label)
-        for index, arc in enumerate(event.merged):
-            if arc in work.arcs:
-                raise XmodError(f"arc {arc!r} is already live")
-            work.arcs[arc] = inherited[index]
-        work.bands[event.band] = CrossedWord(((EMPTY_WORD, event.cell, 1),))
-        work.cells.append(event.cell)
-        work.cell_boundary[event.cell] = wu * wv.inverse()
-    elif isinstance(event, DeathEvent):
-        if len(set(event.circle)) != len(event.circle):
-            raise XmodError("death circle lists an arc twice")
-        for arc in event.circle:
-            if arc not in work.arcs:
-                raise XmodError(f"arc {arc!r} is not live")
-            del work.arcs[arc]
-        # A disk meeting no bands yields the empty relation, which is omitted.
-        if not event.spanner:
-            return
-        terms: list = []
-        for band, conjugator, sign in event.spanner:
-            label = _live_band(work, band)
-            if not work.known.issuperset(conjugator.generators()):
-                unknown = sorted(conjugator.generators() - work.known)
-                raise XmodError(
-                    f"spanner conjugator uses unknown generator {unknown[0]!r}"
-                )
-            moved = _acted(work, label, conjugator)
-            terms += (moved if sign > 0 else moved.inverse()).terms
-        relation = _crossed(tuple(terms))
-        boundary = _boundary(work, relation)
-        if not boundary.is_empty:
-            raise XmodError(
-                f"death relation has nontrivial boundary {boundary}"
-            )
-        work.relations.append(relation)
-    elif isinstance(event, EndEvent):
-        work.finished = True
-    else:
+    step = _STEPS.get(type(event))
+    if step is None:
         raise XmodError(f"unknown event type {type(event).__name__}")
+    step(work, event)
 
 
 def compile_movie(script: MovieScript) -> CrossedPresentation:

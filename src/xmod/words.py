@@ -18,7 +18,9 @@ Letter = tuple[str, int]
 
 # Generator, cell, arc and band ids share one lexical rule.  The characters
 # used by the text formats (whitespace, = , ; ( ) [ ] # ^) are excluded.
-NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.'-]*\Z")
+# ``NAME`` is the rule's body, for patterns that read ids inside a line.
+NAME = r"[A-Za-z_][A-Za-z0-9_.'-]*"
+NAME_RE = re.compile(NAME + r"\Z")
 
 # An integer token is an optional sign and ASCII digits.  ``int`` alone would
 # also take "1_0", Unicode digits and surrounding whitespace.

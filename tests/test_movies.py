@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from xmod.movies import (
     parse_movie_script,
 )
 from xmod.presentations import format_presentation_text, validate_presentation
-from xmod.words import FreeWord, parse_word
+from xmod.words import FreeWord, LineReader, parse_word
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -504,6 +505,125 @@ def test_every_replayed_token_mutant_is_valid():
     assert replayed > 200
 
 
+# ---------------------------------------------------------------------------
+# A canonical line is read by its keyword's pattern and any other line by
+# the token reader; both must give the same events or the same error.
+# ---------------------------------------------------------------------------
+
+
+def on_pattern(content: str) -> bool:
+    """Whether the pattern of ``content``'s keyword reads it."""
+    canonical = movies._CANONICAL.get(content.partition(" ")[0])
+    return bool(canonical and canonical[0].fullmatch(content))
+
+
+def parse_outcome(text: str):
+    """The events of ``text``, or its ``FormatError`` message and line."""
+    try:
+        return parse_movie_script(text).events
+    except FormatError as exc:
+        return (str(exc), exc.line)
+
+
+def token_reader_outcome(text: str, monkeypatch):
+    """``parse_outcome`` with every line read by the token reader."""
+    with monkeypatch.context() as patch:
+        patch.setattr(movies, "_CANONICAL", {})
+        return parse_outcome(text)
+
+
+# One line each, read after "birth X" and before "end".  None of them is in
+# the canonical spelling: other spacing, keys in another order, other sign
+# and word spellings, and canonically spaced lines the token reader refuses.
+OFF_PATTERN = [
+    "birth  Y", "birth\tY", "birth Y Z", "birth 1x",
+    "cross  +  over=X in=X out=Z", "cross + in=X over=X out=Z",
+    "cross +1 over=X in=X out=Z", "cross -1 over=X in=X out=Z",
+    "cross ? over=X in=X out=Z", "cross + over=X in=X",
+    "sb 1 strand=X band=b out=Z", "sb 01 band=b strand=X out=Z", "sb +4 band=b strand=X",
+    "sb 1 band=b strand=X", "sb 4 band=b strand=X out=Z", "sb 2 band=b strand=X",
+    "bb 2 fixed=b mover=a", "bb 1 mover=a fixed=b", "bb\t5 mover=a fixed=b",
+    "saddle cell=e v=X u=X band=b merged=c", "saddle u=X^-1 cell=e v=X^-1 band=b merged=c1,c2",
+    "saddle cell=e u=X v=X band=b merged=c1,c2,c3",
+    "saddle cell=e u=X^-1 v=X^-1 band=b merged=c1,c2,c3",
+    "saddle cell=e u=X^2 v=X band=b merged=c", "saddle cell=e u=X v=X band=b merged=",
+    "saddle cell=e u=X v=X band=b  merged=c1,c2",
+    "death circle=X spanner=[(b,X^2,+)]", "death circle=X spanner=[(b,X^-3,-)]",
+    "death circle=X spanner=[(b,1 X,+)]", "death circle=X spanner=[(b,X 1 X^-1,+)]",
+    "death circle=X spanner=[( b , X X , + )]", "death circle=X spanner=[(b,X  X,+)]",
+    "death circle=X spanner=[(b,X,+1);(c,X,-1)]", "death circle=X spanner=[ (b,X,+) ; (c,1,-) ]",
+    "death circle=X spanner=[(b,X^-1^-1,+)]", "death circle=X,X  spanner=[]",
+    "death circle= spanner=[]", "death spanner=[] circle=X", "death circle=X spanner=[(b,1)]",
+]
+
+
+@pytest.mark.parametrize("line", OFF_PATTERN)
+def test_an_off_pattern_line_is_read_by_the_token_reader(line, monkeypatch):
+    assert not on_pattern(line)
+    text = f"birth X\n{line}\nend\n"
+    assert parse_outcome(text) == token_reader_outcome(text, monkeypatch)
+
+
+@pytest.mark.parametrize("source", [
+    *FIXTURE_NAMES, "ALL_RULES",
+    *[(seed, events) for seed in (1, 2, 3) for events in (60, 1000, 7000)],
+], ids=lambda source: source if isinstance(source, str) else "long_movie-seed%d-%d" % source)
+def test_the_patterns_read_what_the_token_reader_reads(source, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.inputs import long_movie
+
+    if source == "ALL_RULES":
+        text = ALL_RULES
+    elif isinstance(source, str):
+        text = fixture_text(source)
+    else:
+        text = long_movie(random.Random(source[0]), source[1])
+    # Every event of these movies is written in the canonical spelling.
+    assert all(on_pattern(content) for _, content in LineReader(text))
+    events = parse_outcome(text)
+    assert isinstance(events, tuple)
+    assert events == token_reader_outcome(text, monkeypatch)
+
+
+def test_token_mutants_parse_alike_on_both_paths(monkeypatch):
+    outcomes = Counter()
+    for text in token_mutants():
+        outcome = parse_outcome(text)
+        assert outcome == token_reader_outcome(text, monkeypatch), text
+        outcomes[isinstance(outcome, tuple) and isinstance(outcome[0], str)] += 1
+    # Both paths are met: most mutants are refused, some parse.
+    assert outcomes[True] > 1000 and outcomes[False] > 200
+
+
+def respelled(text: str) -> str:
+    """``text`` with the spaces of every line widened, so no line but
+    ``end`` (which has one spelling) is canonical any more."""
+    return "\n".join(line.replace(" ", ("  ", "\t", " \t ")[index % 3])
+                     for index, line in enumerate(text.splitlines())) + "\n"
+
+
+@pytest.mark.parametrize("source", [*FIXTURE_NAMES, (1, 1000)], ids=lambda source: (
+    source if isinstance(source, str) else "long_movie-seed%d-%d" % source))
+def test_a_respelled_movie_compiles_to_the_same_bytes(source, tmp_path, capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.inputs import long_movie
+
+    if isinstance(source, str):
+        text = fixture_text(source)
+    else:
+        text = long_movie(random.Random(source[0]), source[1])
+    respelled_text = respelled(text)
+    assert all(not on_pattern(content) or content == "end"
+               for _, content in LineReader(respelled_text))
+    results = []
+    for name, movie in (("original", text), ("respelled", respelled_text)):
+        path = tmp_path / f"{name}.movie"
+        path.write_text(movie, encoding="utf-8")
+        code = main(["compile", str(path)])
+        results.append((code, *capsys.readouterr()))
+    assert results[0] == results[1] and results[0][0] == 0
+
+
 @pytest.mark.parametrize("event, message", [
     (Birth("a b", 2), "bad arc id 'a b'"),
     (Birth("", 2), "bad arc id ''"),
@@ -573,6 +693,34 @@ def test_step_after_end_rejected():
     movies._step(work, EndEvent(1))
     with pytest.raises(XmodError):
         movies._step(work, Birth("X", 2))
+
+
+@dataclass(frozen=True)
+class Unknown:
+    line: int
+
+
+# One event of each type, and an object of a type replay does not know.
+EVERY_KIND = [
+    Birth("Y", 3), WirtingerCross(1, "X", "X", "Z", 3), StrandBandCross(1, "b", "X", "Z", 3),
+    BandBandCross(2, "a", "b", 3), SaddleEvent("e", ("X", 1), ("X", 1), "b", ("c",), 3),
+    DeathEvent(("X",), (), 3), EndEvent(3), Unknown(3),
+]
+
+
+@pytest.mark.parametrize("event", EVERY_KIND, ids=lambda event: type(event).__name__)
+def test_every_event_after_end_is_refused(event):
+    script = MovieScript("m", (Birth("X", 1), EndEvent(2), event))
+    with pytest.raises(ReplayError) as info:
+        compile_movie(script)
+    assert str(info.value) == "event 2 (line 3): script already ended"
+
+
+def test_an_event_of_an_unknown_type_is_refused():
+    script = MovieScript("m", (Birth("X", 1), Unknown(2), EndEvent(3)))
+    with pytest.raises(ReplayError) as info:
+        compile_movie(script)
+    assert str(info.value) == "event 1 (line 2): unknown event type Unknown"
 
 
 def test_compile_fails_where_step_fails():
@@ -734,6 +882,22 @@ HAND_REPLAYED = {
 
 
 LONG_MOVIES = [(seed, events) for seed in (1, 2, 3) for events in (1000, 7000)]
+
+# ALL_RULES meets every rule, and its last relation inverts a band label of
+# three terms, so the order of inverted terms shows.
+ALL_RULES_PRESENTATION = (
+    "pres v1\ngens X Y\ncells e f\nbnd e = X Y^-1\nbnd f = 1\n"
+    "rel = (X ; e ; +) (Y^-1 ; f ; +) (X ; e ; -)\n"
+    "rel = (X Y X ; e ; +) (X ; f ; -) (X Y X ; e ; -) (X Y X ; e ; +) (X Y X ; e ; +)"
+    " (X ; f ; +) (X Y X ; e ; -) (Y^-1 X ; e ; +) (Y^-1 Y^-1 ; f ; -) (Y^-1 X ; e ; -)"
+    " (X Y X ; e ; +) (X ; f ; -) (X Y X ; e ; -) (X Y X ; e ; -) (X Y X ; e ; +)"
+    " (X ; f ; +) (X Y X ; e ; -)\n"
+)
+
+
+def test_all_rules_presentation_is_pinned():
+    pres = compile_movie(parse_movie_script(ALL_RULES))
+    assert format_presentation_text(pres) == ALL_RULES_PRESENTATION
 
 
 @pytest.mark.parametrize("source", [*FIXTURE_NAMES, *LONG_MOVIES], ids=lambda source: (

@@ -152,3 +152,27 @@ def test_table_entry_out_of_range_is_a_parse_error(line, row, message, tmp_path,
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (
             2, "", f"error: line {line}: {message}\n"), argv
+
+
+# Two broken rows in one table: the earlier row's error is reported, whether
+# it is the range error or the other.  None ends the text before that line.
+@pytest.mark.parametrize("rows, line, message", [
+    ({6: "0 1 3", 7: "1 2"}, 6, "[fiber] index 3 out of range 0..2"),
+    ({6: "1 2", 7: "1 2 3"}, 6, "[fiber] expected 3 entries, got 2"),
+    ({12: "0 1 5", 13: "0 x 2"}, 12, "[action] index 5 out of range 0..2"),
+    ({12: "0 1 5", 13: None}, 12, "[action] index 5 out of range 0..2"),
+    ({3: "0 1", 4: "1 2"}, 4, "[base] index 2 out of range 0..1"),
+], ids=["range-then-length", "length-then-range", "range-then-integer",
+        "range-then-end", "second-row"])
+def test_the_first_broken_row_of_a_table_is_reported(rows, line, message, tmp_path, capsys):
+    lines = Z2_Z3_MODULE.splitlines()
+    for index, row in rows.items():
+        lines[index - 1] = row
+    text = "\n".join(lines[:lines.index(None)] if None in lines else lines) + "\n"
+    with pytest.raises(FormatError) as info:
+        parse_crossed_module_text(text)
+    assert str(info.value) == f"line {line}: {message}"
+    module = tmp_path / "bad.xmod"
+    module.write_text(text, encoding="utf-8")
+    assert main(["validate", str(module)]) == 2
+    assert capsys.readouterr() == ("", f"error: line {line}: {message}\n")
