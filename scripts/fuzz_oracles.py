@@ -2,7 +2,10 @@
 
 Generates seeded random presentations, counts homomorphisms with the
 backtracking engine, the linear engine and the naive oracle, and prints
-each instance where they disagree, with its presentation.  This is the
+each instance where they disagree, with its presentation.  Each instance
+with a cell is counted again by both engines after ``add_cancelling_pair``
+on one of its cells, which must change no count; the engines cancel the
+added pair when they compile.  This is the
 seeded engine check: ``xmod selftest`` runs the first 25 instances of
 seed 7, and this script runs any seed and count.  Exits 1 if any instance
 disagrees and 0 otherwise, so it doubles as a long-running CI check; the
@@ -24,7 +27,7 @@ from xmod.counting import (
     count_linear_fastpath,
 )
 from xmod.errors import FormatError
-from xmod.fuzz import random_instances
+from xmod.fuzz import add_cancelling_pair, random_instances
 from xmod.presentations import format_presentation_text
 from xmod.words import parse_integer
 
@@ -43,6 +46,10 @@ def run(seed: int, count: int) -> int:
             "linear": count_linear_fastpath(pres, cm),
             "naive": count_homomorphisms_naive(pres, cm),
         }
+        if pres.cells:
+            moved = add_cancelling_pair(pres, pres.cells[index % len(pres.cells)])
+            counts["moved backtracking"] = count_homomorphisms(moved, cm)
+            counts["moved linear"] = count_linear_fastpath(moved, cm)
         if len(set(counts.values())) != 1:
             mismatches += 1
             print(f"MISMATCH at instance {index} on {module_name}: {counts}")

@@ -32,9 +32,16 @@ trivial, one lift per assignment into base / im(boundary), since the count
 depends only on phi modulo the image; otherwise one phi per orbit of
 simultaneous conjugation, which is a symmetry of the count.
 
+Both engines read the form ``compile_presentation`` builds, which cancels
+2-handle/3-handle pairs.  Say a cell c is in one term (w ; c ; s) of all
+the relations, in relation r.  Once phi and the other cells are fixed, r
+fixes psi(c), since phi(w) |> - is an automorphism of the fiber; and then
+the boundary of psi(c) is phi(bnd c), since r's boundary word is trivial.
+So dropping c and r changes no count, for any module.
+
 The module picks the engine (``select_method``); a naive full-product
-oracle checks both.  All arithmetic is exact; counts are
-arbitrary-precision integers.
+oracle, which evaluates the presentation as given, checks both.  All
+arithmetic is exact; counts are arbitrary-precision integers.
 """
 from __future__ import annotations
 
@@ -118,13 +125,16 @@ Term = tuple[Letters, int, int]
 
 @dataclass(frozen=True)
 class CompiledPresentation:
-    """A validated presentation with every id replaced by its position.
+    """A validated presentation without its cancelling pairs, every id
+    replaced by its position.
 
-    ``boundaries[i]`` is the boundary word of cell i as (generator position,
-    sign) letters; ``relations[r]`` is relation r as (compiled conjugator,
-    cell position, sign) terms, empty relations included.  Only
-    ``compile_presentation`` builds one, so holding one means the
-    presentation passed ``validate_presentation``.
+    ``cells`` are the cells that remain, in declaration order, and cell
+    positions index them.  ``boundaries[i]`` is the boundary word of cell i
+    as (generator position, sign) letters; ``relations`` are the relations
+    that remain, each as (compiled conjugator, cell position, sign) terms,
+    empty relations included.  The number of 1-handles is not kept: it is
+    read from the presentation.  Only ``compile_presentation`` builds one,
+    so holding one means the presentation passed ``validate_presentation``.
     """
 
     generators: tuple[str, ...]
@@ -134,8 +144,16 @@ class CompiledPresentation:
 
 
 def compile_presentation(pres: CrossedPresentation) -> CompiledPresentation:
-    """Validate ``pres`` and index it for the counting engines: the one place
-    a presentation is validated, from a movie, a ``pres v1`` file or code."""
+    """Validate ``pres``, cancel its 2-handle/3-handle pairs and index the
+    rest for the counting engines: the one place a presentation is
+    validated, from a movie, a ``pres v1`` file or code.
+
+    A cell in exactly one term of all the relations is dropped with its
+    relation, which fixes its value (see the module docstring), and the
+    other cells of that relation each lose their terms in it; the cells
+    this leaves in one term go the same way, until none is left.  A cell
+    left in no term stays, free.  Positions index the cells that remain.
+    """
     report = validate_presentation(pres)
     if not report.ok:
         name, witness = report.violations[0]
@@ -148,14 +166,43 @@ def compile_presentation(pres: CrossedPresentation) -> CompiledPresentation:
     def letters(word: FreeWord) -> Letters:
         return tuple((gen_pos[gen], sign) for gen, sign in word.letters)
 
+    uses = [0] * len(pres.cells)  # terms of each cell over all relations
+    where = [0] * len(pres.cells)  # the sum of their relation indices
+    relations = []
+    for r, relation in enumerate(pres.relations):
+        terms = []
+        for w, cell, sign in relation.terms:
+            pos = cell_pos[cell]
+            uses[pos] += 1
+            where[pos] += r
+            terms.append((letters(w), pos, sign))
+        relations.append(tuple(terms))
+    # A cell in one term cancels with its relation; ``where`` then names it.
+    cancelled, dropped = set(), set()
+    queue = [pos for pos, n in enumerate(uses) if n == 1]
+    while queue:
+        pos = queue.pop()
+        if uses[pos] != 1:  # its relation went with another cell
+            continue
+        r = where[pos]
+        cancelled.add(pos)
+        dropped.add(r)
+        for _, other, _ in relations[r]:
+            uses[other] -= 1
+            where[other] -= r
+            if uses[other] == 1:
+                queue.append(other)
+    cells = [pos for pos in range(len(pres.cells)) if pos not in cancelled]
+    if cancelled:  # number the cells that remain
+        new = {pos: i for i, pos in enumerate(cells)}
+        relations = [tuple((w, new[pos], sign) for w, pos, sign in terms)
+                     for r, terms in enumerate(relations) if r not in dropped]
+    names = tuple(pres.cells[pos] for pos in cells)
     return CompiledPresentation(
         pres.generators,
-        pres.cells,
-        tuple(letters(pres.cell_boundary[c]) for c in pres.cells),
-        tuple(
-            tuple((letters(w), cell_pos[cell], sign) for w, cell, sign in relation.terms)
-            for relation in pres.relations
-        ),
+        names,
+        tuple(letters(pres.cell_boundary[c]) for c in names),
+        tuple(relations),
     )
 
 
@@ -478,13 +525,18 @@ def _span_order(rows, target, modulus, width, budget) -> int:
     vector of the span that is zero up to it, the pivot at a column with
     gcd g against the modulus multiplies the order by modulus / g, and
     ``target`` is reduced one pivot at a time.  Rows are kept in buckets by
-    leading column, so a path-shaped system is eliminated in linear time.
+    leading column.  A row equal to one already in its bucket adds nothing
+    to the span and is dropped, so the rows left over at one column do not
+    pile up in the next, and a path-shaped system is eliminated in linear
+    time.
     """
     buckets: dict[int, list[dict[int, int]]] = {}
 
     def put(row: dict[int, int]) -> None:
         if row:
-            buckets.setdefault(min(row), []).append(row)
+            bucket = buckets.setdefault(min(row), [])
+            if row not in bucket:
+                bucket.append(row)
 
     for row in rows:
         put({c: v % modulus for c, v in row.items() if v % modulus})

@@ -145,6 +145,23 @@ def random_presentation(rng: random.Random) -> CrossedPresentation:
     return pres
 
 
+def add_cancelling_pair(pres: CrossedPresentation, cell: str) -> CrossedPresentation:
+    """Add a fresh cell c with the boundary of ``cell`` and the relation
+    (1 ; c ; +) (1 ; cell ; -): a 2-handle and a 3-handle that cancel.
+
+    c is in one term, so the relation fixes psi(c) = psi(cell), and every
+    count stays the same.
+    """
+    fresh = cell + "'"
+    while fresh in pres.cells or fresh in pres.generators:
+        fresh += "'"
+    cell_boundary = dict(pres.cell_boundary)
+    cell_boundary[fresh] = pres.cell_boundary[cell]
+    relation = CrossedWord(((EMPTY_WORD, fresh, 1), (EMPTY_WORD, cell, -1)))
+    return CrossedPresentation(pres.generators, pres.cells + (fresh,), cell_boundary,
+                               pres.relations + (relation,))
+
+
 def random_instances(
     seed: int, count: int
 ) -> Iterator[tuple[CrossedPresentation, str, FiniteCrossedModule]]:

@@ -547,7 +547,7 @@ def _saddle(work: _Replay, event: SaddleEvent) -> None:
         if arc in work.arcs:
             raise XmodError(f"arc {arc!r} is already live")
         work.arcs[arc] = inherited[index]
-    work.bands[event.band] = CrossedWord(((EMPTY_WORD, event.cell, 1),))
+    work.bands[event.band] = _crossed(((EMPTY_WORD, event.cell, 1),))
     work.cells.append(event.cell)
     work.cell_boundary[event.cell] = wu * wv.inverse()
 

@@ -1,4 +1,4 @@
-"""Shared fixtures: the module battery, compiled movie fixtures, the deep chain.
+"""Shared fixtures: the module battery, compiled movie fixtures, the chains.
 
 ``scripts/`` is put on the import path so that tests can import the scripts
 as modules.
@@ -34,20 +34,38 @@ def compiled_fixtures():
     return {name: compile_movie(load_fixture(name)) for name in FIXTURE_NAMES}
 
 
+def chain(n_cells: int, padded: bool = False) -> CrossedPresentation:
+    """One generator X and ``n_cells`` cells of trivial boundary, relation i
+    making cell i the image of cell i-1 under X**(i % 2).
+
+    The count is |G| * |E| for a module with trivial boundary and |G| for
+    an injective one.  Each cell other than the ends is in two terms, so the
+    chain cancels from an end down to one cell and no relation.  Padded,
+    relation i also carries (1 ; c_i ; +) (1 ; c_i ; -) and the same pair for
+    c_{i-1}: every cell is then in at least three terms, nothing cancels,
+    the count is the same, and each relation ends one cell deeper than the
+    last, so a search nests once per cell.
+    """
+    cells = tuple(f"c{i}" for i in range(n_cells))
+    x = FreeWord((("X", 1),))
+    relations = []
+    for i in range(1, n_cells):
+        terms = ((x if i % 2 else EMPTY_WORD, cells[i], 1), (EMPTY_WORD, cells[i - 1], -1))
+        if padded:
+            terms += tuple((EMPTY_WORD, cells[j], sign)
+                           for j in (i, i - 1) for sign in (1, -1))
+        relations.append(CrossedWord(terms))
+    return CrossedPresentation(("X",), cells, {c: EMPTY_WORD for c in cells},
+                               tuple(relations))
+
+
 @pytest.fixture(scope="session")
 def deep_chain():
-    """One generator X and 1200 cells of trivial boundary, relation i making
-    cell i the image of cell i-1 under X**(i % 2).
+    """The 1200-cell chain, which cancels to one cell."""
+    return chain(1200)
 
-    Each relation ends one cell deeper than the last, so a search nests
-    once per cell.  The count is |G| * |E| for a module with trivial
-    boundary and |G| for an injective one.
-    """
-    cells = tuple(f"c{i}" for i in range(1200))
-    x = FreeWord((("X", 1),))
-    return CrossedPresentation(
-        ("X",), cells, {c: EMPTY_WORD for c in cells},
-        tuple(CrossedWord(((x if i % 2 else EMPTY_WORD, cells[i], 1),
-                           (EMPTY_WORD, cells[i - 1], -1)))
-              for i in range(1, len(cells))),
-    )
+
+@pytest.fixture(scope="session")
+def padded_chain():
+    """The padded 1200-cell chain, which nothing cancels."""
+    return chain(1200, padded=True)

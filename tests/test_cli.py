@@ -23,7 +23,7 @@ from xmod.words import MAX_EXPONENT
 
 
 @pytest.fixture(scope="session")
-def cli_files(tmp_path_factory, deep_chain):
+def cli_files(tmp_path_factory, deep_chain, padded_chain):
     """Battery modules, fixture movies, and a small presentation on disk."""
     root = tmp_path_factory.mktemp("cli")
     paths = {}
@@ -51,9 +51,10 @@ def cli_files(tmp_path_factory, deep_chain):
     path.write_text("pres v1\ngens X\ncells e\nbnd e = X\n", encoding="utf-8")
     paths["sphere.pres"] = str(path)
 
-    path = root / "deep_chain.pres"
-    path.write_text(format_presentation_text(deep_chain), encoding="utf-8")
-    paths["deep_chain.pres"] = str(path)
+    for name, pres in (("deep_chain", deep_chain), ("padded_chain", padded_chain)):
+        path = root / f"{name}.pres"
+        path.write_text(format_presentation_text(pres), encoding="utf-8")
+        paths[f"{name}.pres"] = str(path)
 
     for name, cm in (("inv_z2_z4", inversion_module(4)), ("sign_s3_z3", sign_module())):
         path = root / f"{name}.xmod"
@@ -379,14 +380,15 @@ def test_work_cap_exit_3_on_linear_target(module, cli_files, capsys):
     ("conj_s3", 6, "1/1", "backtracking"), ("inv_z2_z4", 8, "2/1", "linear"),
 ])
 def test_invariant_deep_chain(module, count, value, method, cli_files, capsys):
-    # 1200 cells, each relation one cell deeper: an answer, not a
-    # RecursionError, from either engine.
-    code, out, err = run_cli(capsys, "invariant", cli_files["deep_chain.pres"],
-                             cli_files[module])
-    assert (code, err) == (0, "")
-    assert report_lines(out) == [
-        f"count {count}", "one_handles 1", f"invariant {value}", f"method {method}",
-    ]
+    # The padded chain keeps 1200 cells, each relation one cell deeper: an
+    # answer, not a RecursionError, from either engine.  The chain cancels
+    # to one cell and has the same answer.
+    for name in ("deep_chain.pres", "padded_chain.pres"):
+        code, out, err = run_cli(capsys, "invariant", cli_files[name], cli_files[module])
+        assert (code, err) == (0, ""), name
+        assert report_lines(out) == [
+            f"count {count}", "one_handles 1", f"invariant {value}", f"method {method}",
+        ], name
 
 
 def test_validate_work_cap_exit_3(cli_files, tmp_path, capsys):

@@ -13,6 +13,7 @@ from xmod.counting import (
     METHOD_BACKTRACKING,
     METHOD_LINEAR,
     Assignment,
+    CompiledPresentation,
     CountReport,
     compile_presentation,
     count_homomorphisms,
@@ -50,6 +51,8 @@ from xmod.presentations import (
 )
 from xmod.words import EMPTY_WORD, FreeWord, parse_word
 
+from conftest import chain
+
 
 def word(text: str) -> FreeWord:
     return parse_word(text)
@@ -59,8 +62,22 @@ def sphere() -> CrossedPresentation:
     return CrossedPresentation(("X",), ("e",), {"e": word("X")})
 
 
-# Targets beyond the battery: K = ker(boundary) cyclic of order 4 and 8.
-EXTRA_MODULES = {"inv_z2_z4": inversion_module(4), "inv_z2_z8": inversion_module(8)}
+def inversion_module_z2_z4() -> FiniteCrossedModule:
+    """Z2 acting on Z2 x Z4 by inversion, with trivial boundary; (a, b) is
+    fiber element 4a + b."""
+    pairs = [(a, b) for a in range(2) for b in range(4)]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    fiber = FiniteGroup(8, tuple(
+        tuple(index[((a + c) % 2, (b + d) % 4)] for c, d in pairs) for a, b in pairs))
+    inverse = tuple(index[(a, -b % 4)] for a, b in pairs)
+    return FiniteCrossedModule(build_cyclic_group(2), fiber, (0,) * 8,
+                               (tuple(range(8)), inverse))
+
+
+# Targets beyond the battery: K = ker(boundary) cyclic of order 4 and 8,
+# and Z2 x Z4.
+EXTRA_MODULES = {"inv_z2_z4": inversion_module(4), "inv_z2_z8": inversion_module(8),
+                 "inv_z2_z2z4": inversion_module_z2_z4()}
 
 
 # ---------------------------------------------------------------------------
@@ -118,23 +135,53 @@ def test_evaluate_spun_hopf_style_term(battery_by_name):
 # ---------------------------------------------------------------------------
 
 
-def test_compile_presentation_indexes_ids():
-    pres = CrossedPresentation(
+def two_cell_presentation(*relation: tuple) -> CrossedPresentation:
+    return CrossedPresentation(
         ("X", "Y"),
         ("e", "f"),
         {"e": word("X Y^-1"), "f": EMPTY_WORD},
-        (
-            CrossedWord(),
-            CrossedWord(
-                ((EMPTY_WORD, "e", 1), (word("Y"), "f", 1), (EMPTY_WORD, "e", -1))
-            ),
-        ),
+        (CrossedWord(), CrossedWord(relation)),
     )
-    compiled = compile_presentation(pres)
+
+
+def test_compile_presentation_indexes_ids():
+    # Each cell is in two terms, so nothing cancels.
+    compiled = compile_presentation(two_cell_presentation(
+        (EMPTY_WORD, "e", 1), (word("Y"), "f", 1), (EMPTY_WORD, "e", -1), (EMPTY_WORD, "f", -1)))
     assert compiled.generators == ("X", "Y")
     assert compiled.cells == ("e", "f")
     assert compiled.boundaries == (((0, 1), (1, -1)), ())
-    assert compiled.relations == ((), (((), 0, 1), (((1, 1),), 1, 1), ((), 0, -1)))
+    assert compiled.relations == (
+        (), (((), 0, 1), (((1, 1),), 1, 1), ((), 0, -1), ((), 1, -1)))
+
+
+def test_compile_presentation_cancels_pairs():
+    # f is in one term: it goes with its relation, and e, left in none,
+    # stays; the empty relation stays too.
+    compiled = compile_presentation(two_cell_presentation(
+        (EMPTY_WORD, "e", 1), (word("Y"), "f", 1), (EMPTY_WORD, "e", -1)))
+    assert compiled == CompiledPresentation(("X", "Y"), ("e",), (((0, 1), (1, -1)),), ((),))
+    # Each cancellation leaves the next cell of the chain in one term.
+    assert compile_presentation(chain(5)) == CompiledPresentation(("X",), ("c0",), ((),), ())
+    # The cells that remain are numbered again: s moves from 2 to 1.
+    pres = parse_presentation_text(
+        "pres v1\ngens X\ncells p q s\nbnd p = 1\nbnd q = 1\nbnd s = 1\n"
+        "rel = (1 ; p ; +) (1 ; p ; -) (X ; s ; +) (1 ; s ; -)\n"
+        "rel = (1 ; q ; +) (1 ; s ; -)\n")
+    assert compile_presentation(pres) == CompiledPresentation(
+        ("X",), ("p", "s"), ((), ()), ((((), 0, 1), ((), 0, -1), (((0, 1),), 1, 1), ((), 1, -1)),))
+
+
+@pytest.mark.parametrize("target, shape", [
+    ("trivial1", (0, 0)), ("trivial2", (1, 0)), ("trivial3", (1, 0)), ("trivial4", (0, 0)),
+    ("two_spheres", (0, 0)), ("two_tori", (4, 0)), ("spun_hopf", (4, 2)),
+    ("spun_trefoil", (2, 1)), ("deep_chain", (1, 0)), ("padded_chain", (1200, 1199)),
+])
+def test_compiled_shapes(target, shape, compiled_fixtures, deep_chain, padded_chain):
+    # (cells, relations) left once the cancelling pairs are gone.
+    pres = {**compiled_fixtures, "deep_chain": deep_chain, "padded_chain": padded_chain}[target]
+    compiled = compile_presentation(pres)
+    assert (len(compiled.cells), len(compiled.relations)) == shape
 
 
 def test_count_report_validates_once(monkeypatch, battery_by_name):
@@ -248,21 +295,26 @@ EMPTY_RELATION_PRES = (
         # K is trivial and im = S3: one phi stands for all 36.
         (count_homomorphisms, "spun_hopf", "conj_s3", 31),
         (count_homomorphisms, "spun_trefoil", "ga_z3_p2", 819),
-        (count_linear_fastpath, "spun_hopf", "ga_z2_p2", 252),
+        (count_linear_fastpath, "spun_hopf", "ga_z2_p2", 172),
         # The empty relation is still charged by the linear engine.
-        pytest.param(count_linear_fastpath, EMPTY_RELATION_PRES, "ga_z2_p2", 32,
-                     id="count_linear_fastpath-empty_relation-ga_z2_p2-32"),
+        pytest.param(count_linear_fastpath, EMPTY_RELATION_PRES, "ga_z2_p2", 24,
+                     id="count_linear_fastpath-empty_relation-ga_z2_p2-24"),
         # K = Z4 is not elementary abelian.
-        (count_linear_fastpath, "spun_hopf", "inv_z2_z4", 138),
-        (count_linear_fastpath, "deep_chain", "inv_z2_z8", 28776),
+        (count_linear_fastpath, "spun_hopf", "inv_z2_z4", 130),
+        # The chain cancels to one cell and no relation.
+        (count_linear_fastpath, "deep_chain", "inv_z2_z8", 4),
+        # Nothing cancels, and with K = Z2 x Z4 each column leaves over a
+        # row equal to one already waiting two columns on.
+        (count_linear_fastpath, "padded_chain", "inv_z2_z2z4", 91104),
     ],
 )
 def test_exact_step_counts(engine, target, module, steps, compiled_fixtures, battery_by_name,
-                           deep_chain):
+                           deep_chain, padded_chain):
+    chains = {"deep_chain": deep_chain, "padded_chain": padded_chain}
     if target in compiled_fixtures:
         pres = compiled_fixtures[target]
-    elif target == "deep_chain":
-        pres = deep_chain
+    elif target in chains:
+        pres = chains[target]
     else:
         pres = parse_presentation_text(target)
     cm = {**battery_by_name, **EXTRA_MODULES}[module]
@@ -379,14 +431,33 @@ def test_linear_counts_conjugation_target():
         assert count_linear_fastpath(pres, cm) == count_homomorphisms_naive(pres, cm)
 
 
-def test_deep_chain_counts_without_recursion(deep_chain):
-    # 1200 nested cells: neither engine recurses once per cell.
-    pres = deep_chain
+def test_deep_chain_counts_without_recursion(deep_chain, padded_chain):
+    # The padded chain keeps 1200 nested cells: neither engine recurses
+    # once per cell.  The chain, which cancels, has the same counts.
     cm = EXTRA_MODULES["inv_z2_z8"]
-    assert count_homomorphisms(pres, cm) == 16
-    assert count_linear_fastpath(pres, cm) == 16
     conj = build_conjugation_crossed_module(build_symmetric_group(3))
-    assert count_homomorphisms(pres, conj) == count_linear_fastpath(pres, conj) == 6
+    for pres in (deep_chain, padded_chain):
+        assert count_homomorphisms(pres, cm) == 16
+        assert count_linear_fastpath(pres, cm) == 16
+        assert count_homomorphisms(pres, conj) == count_linear_fastpath(pres, conj) == 6
+
+
+def test_linear_steps_grow_linearly_down_a_chain(monkeypatch):
+    # Rows equal to one already waiting at their column are dropped, so the
+    # padded chain, which nothing cancels, is eliminated in linear time.
+    budgets = []
+
+    class Recording(Budget):
+        def __init__(self, cap):
+            super().__init__(cap)
+            budgets.append(self)
+    monkeypatch.setattr(counting, "Budget", Recording)
+    cm = EXTRA_MODULES["inv_z2_z2z4"]
+    steps = []
+    for n_cells in (100, 200, 400):
+        assert count_linear_fastpath(chain(n_cells, padded=True), cm) == 16
+        steps.append(budgets[-1].steps)
+    assert steps[1] <= 2.2 * steps[0] and steps[2] <= 2.2 * steps[1], steps
 
 
 def _search_module(m) -> FiniteCrossedModule:

@@ -7,9 +7,10 @@ a presentation and those of its image.  The change of cell basis e -> e f
 makes psi -> (psi(e) psi(f), psi(f)) such a bijection on cell values, and
 the Peiffer swap (u;a)(v;b) = (u bnd(a) u^-1 v; b)(u;a) (Brown-Higgins-
 Sivera, *Nonabelian Algebraic Topology*) holds in every crossed module, so
-it changes no relation's value.  These checks come from outside the
-engines' shared conventions: each engine must give the moved presentation
-the count it gave the original.
+it changes no relation's value.  A cancelling pair, a fresh copy c of a
+cell e and the relation c e^-1, fixes psi(c) = psi(e).  These checks come
+from outside the engines' shared conventions: each engine must give the
+moved presentation the count it gave the original.
 """
 from __future__ import annotations
 
@@ -22,12 +23,15 @@ from xmod.counting import (
     count_homomorphisms_naive,
     count_linear_fastpath,
 )
-from xmod.fuzz import module_pool, random_presentation
+from xmod.errors import NaiveCapExceeded
+from xmod.fixtures import FIXTURE_NAMES
+from xmod.fuzz import add_cancelling_pair, module_pool, random_presentation
 from xmod.presentations import CrossedPresentation, CrossedWord, validate_presentation
 from xmod.words import FreeWord, reduce_free_word
 
 SEED = 11
 COUNT = 64
+NAIVE_CAP = 10**4
 
 
 def substitute(pres, images, generators=None, cells=None, cell_names=None):
@@ -130,6 +134,14 @@ def peiffer_swap(pres, rng):
     return moved
 
 
+def cancelling_pair(pres, rng):
+    if not pres.cells:
+        return None
+    moved = add_cancelling_pair(pres, rng.choice(pres.cells))
+    assert validate_presentation(moved).ok
+    return moved
+
+
 def counts(pres, cm):
     return {
         "backtracking": count_homomorphisms(pres, cm),
@@ -140,7 +152,7 @@ def counts(pres, cm):
 
 @pytest.mark.parametrize("move, min_gens", [
     (rename_ids, 0), (permute, 0), (nielsen_product, 2), (nielsen_inverse, 1),
-    (cell_basis_change, 0), (peiffer_swap, 0),
+    (cell_basis_change, 0), (peiffer_swap, 0), (cancelling_pair, 0),
 ])
 def test_moves_keep_every_count(move, min_gens):
     # COUNT presentations with at least min_gens generators on which the
@@ -160,3 +172,23 @@ def test_moves_keep_every_count(move, min_gens):
         before = counts(pres, cm)
         assert len(set(before.values())) == 1, (done, module_name, before)
         assert counts(moved, cm) == before, (done, module_name)
+
+
+def test_cancelling_pair_keeps_fixture_counts(compiled_fixtures):
+    # A cancelling pair on each cell of each fixture, for every module of
+    # the pool: both engines, and the naive oracle where the moved
+    # presentation fits its cap, count what they counted before.
+    for fixture in FIXTURE_NAMES:
+        pres = compiled_fixtures[fixture]
+        for name, cm in module_pool():
+            before = count_linear_fastpath(pres, cm)
+            for cell in pres.cells:
+                moved = add_cancelling_pair(pres, cell)
+                where = (fixture, cell, name)
+                assert count_homomorphisms(moved, cm) == before, where
+                assert count_linear_fastpath(moved, cm) == before, where
+                try:
+                    naive = count_homomorphisms_naive(moved, cm, work_cap=NAIVE_CAP)
+                except NaiveCapExceeded:
+                    continue
+                assert naive == before, where

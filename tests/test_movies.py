@@ -28,7 +28,7 @@ from xmod.movies import (
     compile_movie,
     parse_movie_script,
 )
-from xmod.presentations import format_presentation_text, validate_presentation
+from xmod.presentations import CrossedWord, format_presentation_text, validate_presentation
 from xmod.words import FreeWord, LineReader, parse_word
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -855,7 +855,7 @@ def test_long_movies_stay_far_below_the_replay_bound(monkeypatch):
 def test_replay_checks_no_word_it_builds_itself(monkeypatch):
     # Products, inverses and reductions are reduced by construction; only
     # the one-letter label of each birth goes through the checked
-    # constructor.
+    # constructor, and no band label does.
     monkeypatch.syspath_prepend(str(ROOT))
     from perfbench.inputs import long_movie
 
@@ -867,9 +867,16 @@ def test_replay_checks_no_word_it_builds_itself(monkeypatch):
     def counted(self):
         checked["words"] += 1
         check(self)
+    check_crossed = CrossedWord.__post_init__
+
+    def counted_crossed(self):
+        checked["crossed words"] += 1
+        check_crossed(self)
     monkeypatch.setattr(FreeWord, "__post_init__", counted)
+    monkeypatch.setattr(CrossedWord, "__post_init__", counted_crossed)
     compile_movie(parse_movie_script(text))
     assert 0 < checked["words"] <= births
+    assert checked["crossed words"] == 0
 
 
 # perfbench.oracle replays only birth, cross, saddle, death and end; the two
