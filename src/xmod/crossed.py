@@ -36,10 +36,11 @@ from .words import LineReader, parse_integer, parse_integers
 
 # Largest fiber the group-algebra builder makes.  Its tables have q**2
 # entries: best of 3 on a 2-core VM, 0.01 s at 256, 0.05 s and 23 MB peak RSS
-# at 512, 0.22 s and 60 MB at 1024 (16 MB of that is the import).  Validating
-# a file of that module (Z_n over F_2) takes 0.015 / 0.11 / 0.49 s at
-# q = 256 / 512 / 1024, and `xmod validate` on it, parse and start-up
-# included, 0.2 / 0.4 / 1.1 s; no caller needs more than 512.
+# at 512, 0.22 s and 60 MB at 1024 (16 MB of that is the import).  Reading a
+# file of that module (Z_n over F_2) takes 0.008 / 0.028 / 0.13 s at
+# q = 256 / 512 / 1024 and validating it 0.010 / 0.044 / 0.19 s, and
+# `xmod validate` on it, start-up included, 0.15 / 0.21 / 0.46 s; no caller
+# needs more than 512.
 MAX_FIBER_ORDER = 512
 
 
@@ -400,36 +401,57 @@ def build_group_algebra_crossed_module(group: FiniteGroup, p: int) -> FiniteCros
 # ---------------------------------------------------------------------------
 
 
-def _parse_table(lines: LineReader, field: str, rows: int, width: int, bound: int):
-    """``rows`` rows of ``width`` entries in 0..bound-1.  The range is checked
-    once per table; an entry out of range is still reported before an error
-    in a later row."""
-    out, linenos = [], []
-    try:
-        for _ in range(rows):
-            lineno, content = lines.next(field)
+class _Indices(dict):
+    """Token -> index for the spellings ``str(i)`` with 0 <= i < bound.
+
+    Filled from the tokens read, never sized by ``bound``: a declared order
+    costs nothing until its entries are there.  Looking up any other token
+    raises ``KeyError``.  One parse keeps one per order, for the tables whose
+    entries index that group.
+    """
+
+    def __init__(self, bound: int):
+        super().__init__()
+        self.bound = bound
+
+    def __missing__(self, token: str) -> int:
+        try:
+            index = int(token)
+        except ValueError:  # not an integer, or more digits than int() converts
+            raise KeyError(token) from None
+        if not 0 <= index < self.bound or str(index) != token:
+            raise KeyError(token)
+        self[token] = index
+        return index
+
+
+def _parse_table(lines: LineReader, field: str, rows: int, width: int,
+                 indices: _Indices):
+    """``rows`` rows of ``width`` entries in 0..bound-1, bound ``indices.bound``.
+
+    A row whose entries are all spelled ``str(i)`` in range is read by one
+    ``map`` over ``indices``; any other row by ``parse_integers``.
+    The first broken row is reported, and in it a malformed token before a
+    wrong length, and a wrong length before an entry out of range.
+    """
+    bound = indices.bound
+    out = []
+    for _ in range(rows):
+        lineno, content = lines.next(field)
+        bad = None
+        try:
+            values = tuple(map(indices.__getitem__, content.split()))
+        except KeyError:
             values = parse_integers(content, lineno, field)
-            if len(values) != width:
-                raise FormatError(f"expected {width} entries, got {len(values)}",
-                                  line=lineno, field=field)
-            out.append(values)
-            linenos.append(lineno)
-    except FormatError:
-        _check_range(out, linenos, field, bound)
-        raise
-    _check_range(out, linenos, field, bound)
-    return tuple(out)
-
-
-def _check_range(rows: list, linenos: list, field: str, bound: int) -> None:
-    """``FormatError`` at the first of ``rows`` with an entry outside 0..bound-1."""
-    if first_out_of_range(rows, bound) is None:
-        return
-    for row, lineno in zip(rows, linenos):
-        bad = first_out_of_range((row,), bound)
+            bad = next((value for value in values if not 0 <= value < bound), None)
+        if len(values) != width:
+            raise FormatError(f"expected {width} entries, got {len(values)}",
+                              line=lineno, field=field)
         if bad is not None:
             raise FormatError(f"index {bad} out of range 0..{bound - 1}",
                               line=lineno, field=field)
+        out.append(values)
+    return tuple(out)
 
 
 def parse_crossed_module_text(text: str) -> FiniteCrossedModule:
@@ -461,15 +483,17 @@ def parse_crossed_module_text(text: str) -> FiniteCrossedModule:
         return 0
 
     base_order = section("base", with_order=True)
+    base_indices = _Indices(base_order)
     base = FiniteGroup(base_order, _parse_table(lines, "base", base_order,
-                                                base_order, base_order))
+                                                base_order, base_indices))
     fiber_order = section("fiber", with_order=True)
+    fiber_indices = _Indices(fiber_order)
     fiber = FiniteGroup(fiber_order, _parse_table(lines, "fiber", fiber_order,
-                                                  fiber_order, fiber_order))
+                                                  fiber_order, fiber_indices))
     section("boundary", with_order=False)
-    (boundary,) = _parse_table(lines, "boundary", 1, fiber_order, base_order)
+    (boundary,) = _parse_table(lines, "boundary", 1, fiber_order, base_indices)
     section("action", with_order=False)
-    action = _parse_table(lines, "action", base_order, fiber_order, fiber_order)
+    action = _parse_table(lines, "action", base_order, fiber_order, fiber_indices)
     for lineno, content in lines:
         raise FormatError(f"unexpected trailing content {content!r}",
                           line=lineno, field="trailer")

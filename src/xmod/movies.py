@@ -45,17 +45,18 @@ from .presentations import (
     validate_presentation,
 )
 from .words import (
+    _SIGN,
     _SIGNS,
+    _WORD,
     EMPTY_WORD,
-    EMPTY_WORD_TOKEN,
     NAME,
     FreeWord,
     LineReader,
+    _canonical_word,
     parse_id,
     parse_integer,
     parse_sign,
     parse_word,
-    reduce_free_word,
     valid_name,
 )
 
@@ -300,14 +301,11 @@ def _read_event(content: str, line: int) -> Event:
 # in the order of the grammar, signs ``+`` and ``-``, rule ids as ``_RULES``
 # writes them, and spanner words in letters ``X`` and ``X^-1`` or ``1``.  A
 # line in it is read by one ``fullmatch`` of its keyword's pattern.  The
-# patterns are built from the id rule, the key tuples, ``_RULES`` and
-# ``_SIGNS`` the token reader uses, and accept no line that the token reader
-# refuses or reads otherwise.
+# patterns are built from the id rule, the key tuples, ``_RULES``, and the
+# sign and word pieces of ``words`` that the presentation reader shares, and
+# accept no line that the token reader refuses or reads otherwise.
 _ID = f"({NAME})"
-_SIGN = "(" + "|".join(re.escape(sign) for sign in _SIGNS if len(sign) == 1) + ")"
 _ARC_REF = rf"({NAME})(\^-1)?"
-_LETTER = rf"{NAME}(?:\^-1)?"
-_WORD = rf"{re.escape(EMPTY_WORD_TOKEN)}|{_LETTER}(?: {_LETTER})*"
 _TERM = rf"\(({NAME}),({_WORD}),{_SIGN}\)"
 _TERM_RE = re.compile(_TERM)
 
@@ -323,14 +321,6 @@ def _rule_ids(keyword: str, needs_out: bool) -> str:
     alternatives."""
     return "|".join(str(rule) for rule, (kind, _, out) in _RULES.items()
                     if (kind, out) == (keyword, needs_out))
-
-
-def _canonical_word(text: str) -> FreeWord:
-    """The word of a canonical spelling: ``1``, or letters ``X`` and ``X^-1``."""
-    if text == EMPTY_WORD_TOKEN:
-        return EMPTY_WORD
-    return reduce_free_word([(token[:-3], -1) if token.endswith("^-1") else (token, 1)
-                             for token in text.split(" ")])
 
 
 def _canonical_saddle(match: re.Match, line: int) -> SaddleEvent:

@@ -9,13 +9,19 @@ or anywhere else; relations are evaluated pointwise against finite targets.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .crossed import ValidationReport
 from .errors import FormatError, UnknownIdError
 from .words import (
+    _SIGN,
+    _SIGNS,
+    _WORD,
+    NAME,
     FreeWord,
     LineReader,
+    _canonical_word,
     format_word,
     parse_id,
     parse_sign,
@@ -237,6 +243,17 @@ def stabilize(pres: CrossedPresentation) -> CrossedPresentation:
 # '#' starts a comment.  parse and print round-trip on canonical form.
 # ---------------------------------------------------------------------------
 
+# The canonical spelling of 'bnd' and 'rel' lines, the one
+# ``format_presentation_text`` writes: one space between tokens, signs ``+``
+# and ``-``, and words in letters ``X`` and ``X^-1`` or ``1``.  A line in it
+# is read by one match of its pattern and the terms of a relation by one
+# ``findall``; any other line goes to the token reader, which reads the other
+# spellings alike and refuses every malformed line with its ``FormatError``.
+_BND_RE = re.compile(rf"bnd ({NAME}) = ({_WORD})")
+_TERM = rf"\(({_WORD}) ; ({NAME}) ; {_SIGN}\)"
+_TERM_RE = re.compile(_TERM)
+_REL_RE = re.compile(rf"rel =((?: {_TERM})*)")
+
 
 def format_crossed_word(crossed: CrossedWord) -> str:
     return " ".join(
@@ -302,6 +319,10 @@ def parse_presentation_text(text: str) -> CrossedPresentation:
     cell_boundary: dict[str, FreeWord] = {}
     for cell in cells:
         lineno, line = lines.next("bnd")
+        match = _BND_RE.fullmatch(line)
+        if match and match[1] == cell:
+            cell_boundary[cell] = _canonical_word(match[2])
+            continue
         head, eq, rest = line.partition("=")
         tokens = head.split()
         if len(tokens) != 2 or tokens[0] != "bnd" or not eq:
@@ -316,6 +337,12 @@ def parse_presentation_text(text: str) -> CrossedPresentation:
 
     relations: list[CrossedWord] = []
     for lineno, line in lines:
+        match = _REL_RE.fullmatch(line)
+        if match:
+            relations.append(_crossed(tuple([
+                (_canonical_word(word), cell, _SIGNS[sign])
+                for word, cell, sign in _TERM_RE.findall(match[1])])))
+            continue
         head, eq, rest = line.partition("=")
         if head.split() != ["rel"] or not eq:
             raise FormatError(f"expected 'rel = ...' line, got {line!r}",

@@ -32,6 +32,14 @@ _SIGNS = {"+": 1, "+1": 1, "-": -1, "-1": -1}
 # Token standing for the empty word in every text format.
 EMPTY_WORD_TOKEN = "1"
 
+# Pattern pieces of the canonical spelling the writers use, for the readers
+# that take a canonical line in one match: a sign ``+`` or ``-`` (one group),
+# and a word ``1`` or letters ``X`` and ``X^-1`` one space apart (no group).
+# ``_canonical_word`` reads a word that ``_WORD`` matched.
+_SIGN = "(" + "|".join(re.escape(sign) for sign in _SIGNS if len(sign) == 1) + ")"
+_LETTER = rf"{NAME}(?:\^-1)?"
+_WORD = rf"{re.escape(EMPTY_WORD_TOKEN)}|{_LETTER}(?: {_LETTER})*"
+
 # Largest |n| a word token ``X^n`` may carry in text.  The token expands to
 # |n| letters before any work cap applies, at about 0.5 s per 10**6 letters.
 MAX_EXPONENT = 1000
@@ -97,13 +105,6 @@ def parse_integers(text: str, line: int | None = None,
                    field: str | None = None) -> tuple[int, ...]:
     """The values of a row of integer tokens; else ``FormatError``."""
     tokens = text.split()
-    # On ASCII text without "_", int() accepts exactly the integer tokens, so
-    # a well-formed table row pays no per-entry check.
-    if text.isascii() and "_" not in text:
-        try:
-            return tuple(map(int, tokens))
-        except ValueError:
-            pass
     values = tuple(map(_integer_or_none, tokens))
     if None in values:
         bad = tokens[values.index(None)]
@@ -231,6 +232,14 @@ def parse_word(text: str, line: int | None = None, field: str | None = None) -> 
             exp = 1
         raw.append((base, exp))
     return reduce_free_word(raw)
+
+
+def _canonical_word(text: str) -> FreeWord:
+    """The word of a canonical spelling, one that ``_WORD`` matches."""
+    if text == EMPTY_WORD_TOKEN:
+        return EMPTY_WORD
+    return reduce_free_word([(token[:-3], -1) if token.endswith("^-1") else (token, 1)
+                             for token in text.split(" ")])
 
 
 def format_word(word: FreeWord) -> str:

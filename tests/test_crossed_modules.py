@@ -6,9 +6,10 @@ from itertools import permutations
 import pytest
 from knottedness_report import module_bank
 
-from xmod import counting
+from xmod import counting, groups
 from xmod.battery import standard_battery
 from xmod.budget import Budget
+from xmod.cli import main
 from xmod.crossed import (
     MAX_FIBER_ORDER,
     FiniteCrossedModule,
@@ -443,3 +444,29 @@ def test_parse_truncated_file_reports_end():
     with pytest.raises(FormatError) as info:
         parse_crossed_module_text("xmod v1\nbase 2\n0 1\n")
     assert "end of input" in str(info.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("xmod v1\nbase 1000000000\n0\n", "line 3: [base] expected 1000000000 entries, got 1"),
+    ("xmod v1\nbase 1\n0\nfiber 1000000000\n0\n",
+     "line 5: [fiber] expected 1000000000 entries, got 1"),
+], ids=["base", "fiber"])
+def test_a_huge_declared_order_allocates_nothing(text, message, monkeypatch, tmp_path, capsys):
+    # Reading the first row of a table must not build anything sized by the
+    # order its section declares: with a set of 10**9 indices the error
+    # would take gigabytes.
+    indices = groups._indices
+
+    def small_indices(bound):
+        if bound > 10**6:
+            raise AssertionError(f"set of {bound} indices")
+        return indices(bound)
+
+    monkeypatch.setattr(groups, "_indices", small_indices)
+    with pytest.raises(FormatError) as info:
+        parse_crossed_module_text(text)
+    assert str(info.value) == message
+    module = tmp_path / "huge.xmod"
+    module.write_text(text, encoding="utf-8")
+    assert main(["validate", str(module)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
