@@ -1,15 +1,14 @@
-"""Stress the counting engines against each other on random instances.
+"""Stress the counting engines against the naive oracle on random instances.
 
-Generates seeded random presentations, counts homomorphisms with the
-backtracking engine, the linear engine and the naive oracle, and prints
-each instance where they disagree, with its presentation.  Each instance
-with a cell is counted again by both engines after ``add_cancelling_pair``
-on one of its cells, which must change no count; the engines cancel the
-added pair when they compile.  This is the
-seeded engine check: ``xmod selftest`` runs the first 25 instances of
-seed 7, and this script runs any seed and count.  Exits 1 if any instance
-disagrees and 0 otherwise, so it doubles as a long-running CI check; the
-summary line gives the number of mismatches.
+Generates seeded random presentations and checks each with
+``xmod.fuzz.engine_mismatch``: the engine ``count_report`` picks and the
+linear engine against the naive oracle, and the linear engine again after
+``add_cancelling_pair`` on one of the instance's cells, which must change
+no count.  It prints each instance where they disagree, with its
+presentation.  This is the seeded engine check: ``xmod selftest`` runs the
+first 25 instances of seed 7, and this script runs any seed and count.
+Exits 1 if any instance disagrees and 0 otherwise, so it doubles as a
+long-running CI check; the summary line gives the number of mismatches.
 
 Usage:
     python scripts/fuzz_oracles.py [--seed S] [--count N]
@@ -21,13 +20,8 @@ import sys
 import time
 from collections import Counter
 
-from xmod.counting import (
-    count_homomorphisms,
-    count_homomorphisms_naive,
-    count_linear_fastpath,
-)
 from xmod.errors import FormatError
-from xmod.fuzz import add_cancelling_pair, random_instances
+from xmod.fuzz import engine_mismatch, random_instances
 from xmod.presentations import format_presentation_text
 from xmod.words import parse_integer
 
@@ -41,16 +35,8 @@ def run(seed: int, count: int) -> int:
         random_instances(seed, count)
     ):
         per_module[module_name] += 1
-        counts = {
-            "backtracking": count_homomorphisms(pres, cm),
-            "linear": count_linear_fastpath(pres, cm),
-            "naive": count_homomorphisms_naive(pres, cm),
-        }
-        if pres.cells:
-            moved = add_cancelling_pair(pres, pres.cells[index % len(pres.cells)])
-            counts["moved backtracking"] = count_homomorphisms(moved, cm)
-            counts["moved linear"] = count_linear_fastpath(moved, cm)
-        if len(set(counts.values())) != 1:
+        counts = engine_mismatch(index, pres, cm)
+        if counts is not None:
             mismatches += 1
             print(f"MISMATCH at instance {index} on {module_name}: {counts}")
             print(format_presentation_text(pres), end="")

@@ -1,11 +1,11 @@
 """Invariant table for the shipped surfaces across a bank of small targets.
 
-Runs every fixture movie against the standard battery plus conjugation
-modules on small cyclic groups, prints the invariant table, and reports
-which surfaces are separated from the unknotted baseline of the same
-genus by at least one target.  An empty fixture list or a non-positive
-cap is a usage error (exit 2); a run the cap stops prints one ``error:``
-line and exits 3, as ``xmod invariant`` does.
+Runs every fixture movie against the standard battery plus two modules of
+the fuzz pool whose boundary is not injective, prints the invariant table,
+and reports which surfaces are separated from the unknotted baseline of
+the same genus by at least one target.  An empty fixture list or a
+non-positive cap is a usage error (exit 2); a run the cap stops prints one
+``error:`` line and exits 3, as ``xmod invariant`` does.
 
 Usage:
     python scripts/knottedness_report.py [--work-cap N] [--fixtures a,b,...]
@@ -19,10 +19,9 @@ from fractions import Fraction
 
 from xmod.battery import standard_battery
 from xmod.counting import DEFAULT_WORK_CAP, invariant
-from xmod.crossed import build_conjugation_crossed_module
 from xmod.errors import CapExceeded, FormatError
 from xmod.fixtures import FIXTURE_NAMES, load_fixture
-from xmod.groups import build_cyclic_group
+from xmod.fuzz import module_pool
 from xmod.movies import compile_movie
 from xmod.words import parse_integer
 
@@ -34,15 +33,15 @@ BASELINES = {
     "two_tori": None,
 }
 
-# Orders of the cyclic groups whose conjugation modules join the battery.
-EXTRA_CYCLIC = (2, 3, 4)
+# Fuzz-pool modules that join the battery.  A module with an injective
+# boundary gives |Hom(pi1, base / im)|, which is 1 on every input for a
+# conjugation module, so none joins: such a column could separate nothing.
+EXTRA_TARGETS = ("inv_z2_z4", "sign_s3_z3")
 
 
 def module_bank():
-    bank = list(standard_battery())
-    for n in EXTRA_CYCLIC:
-        bank.append((f"conj_z{n}", build_conjugation_crossed_module(build_cyclic_group(n))))
-    return bank
+    pool = dict(module_pool())
+    return list(standard_battery()) + [(name, pool[name]) for name in EXTRA_TARGETS]
 
 
 def build_table(fixtures: list[str], work_cap: int):

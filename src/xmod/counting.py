@@ -23,8 +23,11 @@ where n1 is ``pres.one_handles``, the number of base generators (1-handles).
     system over K: |K|**cells / |image| when the right-hand side lies in
     the image, else 0.  The image is put in Howell echelon form over
     Z/exponent(K), so no cell is searched.
-  * ``backtracking`` (``count_homomorphisms``) searches cell by cell, each
-    over its boundary fiber, checking a relation at its last cell.
+  * ``backtracking`` (``count_homomorphisms``) counts a module whose
+    boundary is injective by a closed form.  With K trivial each phi has
+    one psi or none, and every relation holds, so the count is the weight
+    of the phis that map every cell boundary into im(boundary).  The name
+    no longer describes a search; it stays until the engine is retired.
 
 Neither engine walks all of base ** gens.  Both take (phi, weight) pairs
 from ``phi_classes`` and multiply the count at phi by its weight: with K
@@ -302,90 +305,27 @@ def count_homomorphisms(
     *,
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> int:
-    """Count homomorphisms by backtracking over cells within each phi.
+    """Count homomorphisms into a module whose boundary is injective.
 
-    Base generators are assigned in declaration order, then cells in
-    declaration order; each cell's candidates are the fiber elements over
-    phi of its boundary word, and a relation is checked as soon as its last
-    cell is assigned.
+    With K = ker(boundary) trivial a phi has one psi, the preimages of phi
+    of the cell boundaries, if these all lie in im(boundary), and none
+    otherwise; every relation then holds, its value lying in K.  So the
+    count is the weight of the phi classes that map every cell boundary
+    into the image, |im| ** gens * |Hom(pi1, base / im)|, and relations are
+    not read.  Raises ``ValueError`` on any other module.
     """
+    if cm.kernel.order != 1:
+        raise ValueError("count_homomorphisms needs an injective boundary")
     compiled = compile_presentation(pres)
-    base, fiber = cm.base, cm.fiber
-    n_gens, n_cells = len(compiled.generators), len(compiled.cells)
-    fibers = boundary_fibers(cm)
+    base, n_gens = cm.base, len(compiled.generators)
+    image = set(cm.boundary)
     budget = Budget(work_cap)
-
-    # Relations grouped by depth, the last cell position they mention, in
-    # declaration order; an empty relation always holds and is dropped.
-    by_depth: list[list[tuple[Term, ...]]] = [[] for _ in range(n_cells)]
-    for terms in compiled.relations:
-        if terms:
-            by_depth[max(pos for _, pos, _ in terms)].append(terms)
-    # First depth at or beyond which no relation can still fire; unconstrained
-    # suffixes contribute a plain product of candidate counts.
-    free_tail = 0
-    for depth in range(n_cells):
-        if by_depth[depth]:
-            free_tail = depth + 1
-
     total = 0
-    psi = [0] * n_cells
-    tried = [0] * n_cells  # candidates of each depth tried so far
     for phi_tuple, weight in phi_classes(cm, n_gens, budget):
         budget.spend(1 + n_gens)
-        candidates = []
-        empty = False
-        for word in compiled.boundaries:
-            target = _eval_compiled(word, phi_tuple, base)
-            block = fibers[target]
-            if not block:
-                empty = True
-                break
-            candidates.append(block)
-        if empty:
-            continue
-        # Evaluate each relation's conjugators and action rows once per phi.
-        checks: list[list[tuple]] = [[] for _ in range(n_cells)]
-        for depth, terms_list in enumerate(by_depth):
-            for terms in terms_list:
-                prepared = tuple(
-                    (cm.action[_eval_compiled(w, phi_tuple, base)], pos, sign)
-                    for w, pos, sign in terms
-                )
-                checks[depth].append(prepared)
-        tail = weight
-        for block in candidates[free_tail:]:
-            tail *= len(block)
-        if free_tail == 0:
-            total += tail
-            continue
-        # Depth-first over the cells before free_tail, one loop and an
-        # explicit stack of positions in ``tried``: no recursion per cell.
-        depth = 0
-        while depth >= 0:
-            if tried[depth] == len(candidates[depth]):
-                tried[depth] = 0
-                depth -= 1
-                continue
-            value = candidates[depth][tried[depth]]
-            tried[depth] += 1
-            budget.spend()
-            psi[depth] = value
-            ok = True
-            for prepared in checks[depth]:
-                budget.spend(len(prepared))
-                acc = fiber.identity
-                for action_row, pos, sign in prepared:
-                    moved = action_row[psi[pos]]
-                    acc = fiber.mul(acc, moved if sign > 0 else fiber.inv(moved))
-                if acc != fiber.identity:
-                    ok = False
-                    break
-            if ok:
-                if depth + 1 == free_tail:
-                    total += tail
-                else:
-                    depth += 1
+        if all(_eval_compiled(word, phi_tuple, base) in image
+               for word in compiled.boundaries):
+            total += weight
     return total
 
 
@@ -591,9 +531,9 @@ def select_method(cm: FiniteCrossedModule) -> str:
 
     Backtracking iff the boundary is injective on a nontrivial fiber, else
     linear.  The linear engine counts every module.  On an injective
-    boundary each cell has at most one candidate per phi, so backtracking
-    never branches there; it stays for those modules until the benchmark's
-    tracer no longer needs both engines on the command-line path.
+    boundary ``count_homomorphisms`` counts by its closed form and searches
+    nothing; the ``backtracking`` name and report label stay until that
+    engine is retired.
     """
     if cm.kernel.order == 1 and cm.fiber.order > 1:
         return METHOD_BACKTRACKING

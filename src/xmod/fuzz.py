@@ -8,7 +8,7 @@ each relation is a product of blocks of the form
 where either the cell m has trivial boundary word (any w, w'), or
 w' = w * bnd(m)**k, which conjugates bnd(m) to the same base element.  Cells
 with trivial boundary may also contribute single terms.  This produces
-constraints that genuinely prune the search without ever violating the
+constraints that genuinely cut the count without ever violating the
 boundary-triviality invariant.
 """
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
+from .counting import count_homomorphisms_naive, count_linear_fastpath, count_report
 from .crossed import (
     FiniteCrossedModule,
     build_central_quotient_crossed_module,
@@ -160,6 +161,28 @@ def add_cancelling_pair(pres: CrossedPresentation, cell: str) -> CrossedPresenta
     relation = CrossedWord(((EMPTY_WORD, fresh, 1), (EMPTY_WORD, cell, -1)))
     return CrossedPresentation(pres.generators, pres.cells + (fresh,), cell_boundary,
                                pres.relations + (relation,))
+
+
+def engine_mismatch(
+    index: int, pres: CrossedPresentation, cm: FiniteCrossedModule
+) -> dict[str, int] | None:
+    """The seeded engine check on one instance: the counts by engine if they
+    disagree, else None.
+
+    The engine ``count_report`` picks and the linear engine are checked
+    against the naive oracle.  An instance with a cell is counted again by
+    the linear engine after ``add_cancelling_pair`` on cell ``index`` (mod
+    the number of cells), which must change no count.
+    """
+    counts = {
+        "report": count_report(pres, cm).count,
+        "linear": count_linear_fastpath(pres, cm),
+        "naive": count_homomorphisms_naive(pres, cm),
+    }
+    if pres.cells:
+        moved = add_cancelling_pair(pres, pres.cells[index % len(pres.cells)])
+        counts["moved linear"] = count_linear_fastpath(moved, cm)
+    return counts if len(set(counts.values())) > 1 else None
 
 
 def random_instances(

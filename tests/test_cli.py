@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import xmod
-from xmod import cli, counting, movies
+from xmod import cli, counting, fuzz, movies
 from xmod.battery import standard_battery
 from xmod.cli import main
 from xmod.crossed import (
@@ -18,7 +18,7 @@ from xmod.crossed import (
 from xmod.fixtures import fixture_text
 from xmod.fuzz import inversion_module, sign_module
 from xmod.groups import build_cyclic_group
-from xmod.presentations import format_presentation_text
+from xmod.presentations import format_presentation_text, stabilize
 from xmod.words import MAX_EXPONENT
 
 
@@ -353,14 +353,15 @@ def test_linear_method_unavailable_exit_2(cli_files, capsys):
 
 
 def test_work_cap_flag_exit_3(cli_files, capsys):
-    # conj_s3 is not a linear target, so this run backtracks.  The count
-    # takes 31 steps in all (test_exact_step_counts), 12 of them the coset
-    # set-up of phi_classes, so a cap of 30 stops it in the count itself.
+    # conj_s3 is not a linear target, so this run takes the closed form for
+    # an injective boundary.  The count takes 15 steps in all
+    # (test_exact_step_counts), 12 of them the coset set-up of phi_classes,
+    # so a cap of 14 stops it in the count itself.
     argv = ["invariant", cli_files["spun_hopf"], cli_files["conj_s3"], "--work-cap"]
-    code, out, err = run_cli(capsys, *argv, "30")
+    code, out, err = run_cli(capsys, *argv, "14")
     assert code == 3 and out == ""
-    assert err == "error: work cap of 30 elementary steps exceeded\n"
-    code, out, err = run_cli(capsys, *argv, "31")
+    assert err == "error: work cap of 14 elementary steps exceeded\n"
+    code, out, err = run_cli(capsys, *argv, "15")
     assert (code, err) == (0, "")
     assert report_lines(out) == [
         "count 36", "one_handles 2", "invariant 1/1", "method backtracking",
@@ -539,6 +540,16 @@ def test_selftest_checks_that_compiled_fixtures_round_trip(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 1
     assert "FAIL compile spun_hopf" in out.splitlines()
+
+
+def test_selftest_checks_the_cancelling_pair(capsys, monkeypatch):
+    # selftest shares the fuzz script's check, the moved count included:
+    # a "cancelling pair" that stabilizes instead multiplies some count
+    # by |E|.
+    monkeypatch.setattr(fuzz, "add_cancelling_pair", lambda pres, cell: stabilize(pres))
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL counting oracles agree"
 
 
 def test_selftest_stops_at_the_work_cap(capsys):

@@ -203,8 +203,13 @@ def test_count_report_validates_once(monkeypatch, battery_by_name):
 
 
 # ---------------------------------------------------------------------------
-# Backtracking counts against closed forms
+# Counts against closed forms
 # ---------------------------------------------------------------------------
+
+
+def reported(pres: CrossedPresentation, cm: FiniteCrossedModule) -> int:
+    """The count by the engine the module picks."""
+    return count_report(pres, cm).count
 
 
 def test_sphere_counts(battery):
@@ -213,7 +218,7 @@ def test_sphere_counts(battery):
     # fiber, so the total is its order.
     pres = sphere()
     for _, cm in battery:
-        assert count_homomorphisms(pres, cm) == cm.fiber.order
+        assert reported(pres, cm) == cm.fiber.order
 
 
 def test_free_cell_over_trivial_boundary(battery):
@@ -224,13 +229,13 @@ def test_free_cell_over_trivial_boundary(battery):
             1 for e in range(cm.fiber.order)
             if cm.boundary[e] == cm.base.identity
         )
-        assert count_homomorphisms(pres, cm) == cm.base.order * kernel
+        assert reported(pres, cm) == cm.base.order * kernel
 
 
 def test_no_generators_no_cells(battery):
     pres = CrossedPresentation((), (), {})
     for _, cm in battery:
-        assert count_homomorphisms(pres, cm) == 1
+        assert reported(pres, cm) == 1
 
 
 def test_relation_can_cut_count(battery_by_name):
@@ -250,15 +255,17 @@ def test_relation_can_cut_count(battery_by_name):
     # Boundary is identity-only: phi(X) must make the boundary word land on
     # the identity... X evaluates to phi(X), so only phi(X)=0 contributes,
     # and then e = f cuts 16 pairs to 4.
-    assert count_homomorphisms(pres, ga) == 4
+    assert count_linear_fastpath(pres, ga) == 4
 
 
 def test_invalid_presentation_is_rejected(battery_by_name):
     bad = CrossedPresentation(("X",), ("e",), {"e": word("Z")})
-    cm = battery_by_name["ga_z2_p2"]
-    for engine in (count_homomorphisms, count_homomorphisms_naive, count_linear_fastpath):
+    # The closed form counts only modules with an injective boundary.
+    for engine, name in ((count_homomorphisms, "conj_s3"),
+                         (count_homomorphisms_naive, "ga_z2_p2"),
+                         (count_linear_fastpath, "ga_z2_p2")):
         with pytest.raises(InvalidPresentationError, match="violates boundary.unknown_generator"):
-            engine(bad, cm)
+            engine(bad, battery_by_name[name])
 
 
 def test_relation_order_does_not_change_count(compiled_fixtures, battery_by_name):
@@ -270,7 +277,7 @@ def test_relation_order_does_not_change_count(compiled_fixtures, battery_by_name
         tuple(reversed(pres.relations)),
     )
     cm = battery_by_name["ga_z2_p2"]
-    assert count_homomorphisms(pres, cm) == count_homomorphisms(reordered, cm)
+    assert count_linear_fastpath(pres, cm) == count_linear_fastpath(reordered, cm)
 
 
 def test_work_cap_raises():
@@ -278,7 +285,7 @@ def test_work_cap_raises():
     # orbits of S3**3, so the cap is reached inside the phi loop.
     pres = free_product(sphere(), free_product(sphere(), sphere()))
     with pytest.raises(WorkCapExceeded):
-        count_homomorphisms(pres, sign_module(), work_cap=10)
+        count_linear_fastpath(pres, sign_module(), work_cap=10)
 
 
 # Exact step counts are machine-independent cost gates: each case succeeds
@@ -293,8 +300,9 @@ EMPTY_RELATION_PRES = (
     "engine, target, module, steps",
     [
         # K is trivial and im = S3: one phi stands for all 36.
-        (count_homomorphisms, "spun_hopf", "conj_s3", 31),
-        (count_homomorphisms, "spun_trefoil", "ga_z3_p2", 819),
+        (count_homomorphisms, "spun_hopf", "conj_s3", 15),
+        # K is trivial and im = A3: four lifts into S3 / A3.
+        (count_homomorphisms, "spun_trefoil", "incl_a3_s3", 21),
         (count_linear_fastpath, "spun_hopf", "ga_z2_p2", 172),
         # The empty relation is still charged by the linear engine.
         pytest.param(count_linear_fastpath, EMPTY_RELATION_PRES, "ga_z2_p2", 24,
@@ -317,11 +325,13 @@ def test_exact_step_counts(engine, target, module, steps, compiled_fixtures, bat
         pres = chains[target]
     else:
         pres = parse_presentation_text(target)
-    cm = {**battery_by_name, **EXTRA_MODULES}[module]
-    # Linear counts are checked against backtracking, which reaches the
-    # deep chain; backtracking against the naive oracle.
-    reference = count_homomorphisms if engine is count_linear_fastpath else count_homomorphisms_naive
-    expected = reference(pres, cm)
+    cm = {**battery_by_name, **EXTRA_MODULES, **dict(module_pool())}[module]
+    # Counts are checked against the naive oracle, and the chains, out of
+    # its reach, against their closed form |G| * |E| (trivial boundary).
+    if target in chains:
+        expected = cm.base.order * cm.fiber.order
+    else:
+        expected = count_homomorphisms_naive(pres, cm)
     assert engine(pres, cm, work_cap=steps) == expected
     with pytest.raises(WorkCapExceeded):
         engine(pres, cm, work_cap=steps - 1)
@@ -367,6 +377,62 @@ def test_group_algebra_over_s3_counts_conjugation_orbits(compiled_fixtures):
     assert (report.count, report.method) == (56623104000, METHOD_LINEAR)
 
 
+def boundaries_in_image(pres: CrossedPresentation, cm: FiniteCrossedModule) -> int:
+    """#{phi in base ** gens : phi of every cell boundary lies in
+    im(boundary)}, by plain enumeration of base ** gens."""
+    image = set(cm.boundary)
+    total = 0
+    for values in product(cm.base.elements, repeat=len(pres.generators)):
+        phi = Assignment(dict(zip(pres.generators, values)), {})
+        total += all(evaluate_free_word(pres.cell_boundary[c], phi, cm) in image
+                     for c in pres.cells)
+    return total
+
+
+def test_injective_boundary_counts_match_closed_form_1(compiled_fixtures):
+    # With K trivial a phi has one psi exactly when it maps every cell
+    # boundary into the image, and every relation holds: closed form 1,
+    # counted without phi_classes.  A free product's condition splits over
+    # its factors, so P2 and P3 are enumerated one trefoil at a time.
+    modules = [(name, cm) for name, cm in module_pool() if cm.kernel.order == 1]
+    modules.append(("conj_s4", build_conjugation_crossed_module(build_symmetric_group(4))))
+    assert [name for name, _ in modules] == [
+        "conj_z1", "conj_z2", "conj_z3", "conj_z4", "conj_s3", "incl_a3_s3", "conj_s4"]
+    trefoil = compiled_fixtures["spun_trefoil"]
+    inputs = [(name, pres, (pres,)) for name, pres in compiled_fixtures.items()]
+    inputs += [(f"P{k}", trefoils(compiled_fixtures, k), (trefoil,) * k) for k in (2, 3)]
+    for label, pres, factors in inputs:
+        for name, cm in modules:
+            expected = 1
+            for factor in factors:
+                expected *= boundaries_in_image(factor, cm)
+            assert count_homomorphisms(pres, cm) == expected, (label, name)
+            assert count_report(pres, cm).count == expected, (label, name)
+    draws = 0
+    for pres, name, cm in random_instances(5, 1000):
+        if cm.kernel.order == 1:
+            expected = boundaries_in_image(pres, cm)
+            assert count_homomorphisms(pres, cm) == expected, (name, pres)
+            assert count_report(pres, cm).count == expected, (name, pres)
+            draws += 1
+    assert draws > 400
+
+
+def test_closed_form_refuses_a_non_injective_boundary():
+    # It refuses before reading the presentation, invalid as this one is,
+    # and the module never picks it there.
+    bad = CrossedPresentation(("X",), ("e",), {"e": word("Z")})
+    refused = 0
+    for name, cm in module_pool():
+        if cm.kernel.order == 1:
+            continue
+        assert select_method(cm) == METHOD_LINEAR, name
+        with pytest.raises(ValueError, match="injective boundary"):
+            count_homomorphisms(bad, cm)
+        refused += 1
+    assert refused == 7
+
+
 def test_naive_cap_is_checked_up_front():
     pres = free_product(sphere(), sphere())
     cm = build_conjugation_crossed_module(build_symmetric_group(3))
@@ -385,7 +451,7 @@ def test_engines_agree_on_fixtures(compiled_fixtures, battery):
     for name, pres in compiled_fixtures.items():
         for module_name, cm in battery:
             slow = count_homomorphisms_naive(pres, cm)
-            assert count_homomorphisms(pres, cm) == slow, (name, module_name)
+            assert reported(pres, cm) == slow, (name, module_name)
             assert count_linear_fastpath(pres, cm) == slow, (name, module_name)
 
 
@@ -422,7 +488,8 @@ def test_linear_counts_trivial_action_z4_fiber():
 
 def test_linear_counts_conjugation_target():
     # An injective boundary: K is trivial and every cell has one candidate;
-    # the module keeps backtracking, and the linear engine agrees.
+    # the module keeps the closed form, reported as backtracking, and the
+    # linear engine agrees.
     cm = build_conjugation_crossed_module(build_symmetric_group(3))
     assert select_method(cm) == METHOD_BACKTRACKING
     assert count_linear_fastpath(sphere(), cm) == 6
@@ -432,12 +499,12 @@ def test_linear_counts_conjugation_target():
 
 
 def test_deep_chain_counts_without_recursion(deep_chain, padded_chain):
-    # The padded chain keeps 1200 nested cells: neither engine recurses
-    # once per cell.  The chain, which cancels, has the same counts.
+    # The padded chain keeps 1200 nested cells: the linear engine does not
+    # recurse once per cell.  The chain, which cancels, has the same
+    # counts, |G| * |E| for a trivial boundary and |G| for an injective one.
     cm = EXTRA_MODULES["inv_z2_z8"]
     conj = build_conjugation_crossed_module(build_symmetric_group(3))
     for pres in (deep_chain, padded_chain):
-        assert count_homomorphisms(pres, cm) == 16
         assert count_linear_fastpath(pres, cm) == 16
         assert count_homomorphisms(pres, conj) == count_linear_fastpath(pres, conj) == 6
 
@@ -482,34 +549,40 @@ def test_linear_agrees_on_fixtures_and_search_targets(
     perfbench_inputs, compiled_fixtures, battery_by_name
 ):
     # Every fixture x (battery + the benchmark's search targets), against
-    # backtracking: the targets have kernels Z4, Z8, Z2 x Z4 and the Z2 of
-    # Q8 -> V4, acted on by Z2 or S3.
-    targets = dict(battery_by_name)
-    targets.update({name: _search_module(m)
-                    for name, m in perfbench_inputs.search_targets().items()})
+    # the benchmark's own counter, which shares no code with xmod: the
+    # targets have kernels Z4, Z8, Z2 x Z4 and the Z2 of Q8 -> V4, acted on
+    # by Z2 or S3.
+    oracle = perfbench_inputs.oracle
+    targets = {name: oracle.Module(cm.base.product, cm.fiber.product, cm.boundary, cm.action)
+               for name, cm in battery_by_name.items()}
+    targets.update(perfbench_inputs.search_targets())
     assert len(targets) == 9
     for fixture in FIXTURE_NAMES:
         pres = compiled_fixtures[fixture]
-        for name, cm in targets.items():
-            assert count_linear_fastpath(pres, cm) == count_homomorphisms(pres, cm), (
-                fixture, name)
+        plain = oracle.Pres(
+            list(pres.generators), list(pres.cells),
+            {c: w.letters for c, w in pres.cell_boundary.items()},
+            [[(w.letters, c, sign) for w, c, sign in rel.terms] for rel in pres.relations])
+        for name, m in targets.items():
+            assert count_linear_fastpath(pres, _search_module(m)) == oracle.count_homs(
+                plain, m), (fixture, name)
 
 
 def test_linear_agrees_on_search_random_presentations(perfbench_inputs):
     # The four random presentations the benchmark's search workload draws at
-    # seed 1 x its four random-op targets: 16 pairs, against backtracking.
-    targets = {name: _search_module(m)
-               for name, m in perfbench_inputs.search_targets().items()}
+    # seed 1 x its four random-op targets: 16 pairs, against the
+    # benchmark's own counter.
+    oracle = perfbench_inputs.oracle
+    targets = perfbench_inputs.search_targets()
     rng = random.Random("search:1")
     pairs = 0
     for shape in perfbench_inputs.SHAPES:
-        text = perfbench_inputs.oracle.format_pres(
-            perfbench_inputs.random_presentation(rng, shape))
-        pres = parse_presentation_text(text)
+        plain = perfbench_inputs.random_presentation(rng, shape)
+        pres = parse_presentation_text(oracle.format_pres(plain))
         for name in ("inv_z2_z8", "inv_z2_z2z4", "inv_s3_z4", "cq_q8_v4"):
-            cm = targets[name]
-            assert count_linear_fastpath(pres, cm) == count_homomorphisms(pres, cm), (
-                shape, name)
+            m = targets[name]
+            assert count_linear_fastpath(pres, _search_module(m)) == oracle.count_homs(
+                plain, m), (shape, name)
             pairs += 1
     assert pairs == 16
 

@@ -132,7 +132,7 @@ def builder_made_modules():
     made = [("battery", name, cm) for name, cm in standard_battery()]
     made += [("fuzz", name, cm) for name, cm in module_pool()]
     made += [("report", name, cm) for name, cm in module_bank()
-             if name.startswith("conj_z")]
+             if name not in dict(standard_battery())]
     bench = {
         "conj_s4": build_conjugation_crossed_module(build_symmetric_group(4)),
         "ga_z5_p2": build_group_algebra_crossed_module(build_cyclic_group(5), 2),

@@ -19,9 +19,9 @@ import random
 import pytest
 
 from xmod.counting import (
-    count_homomorphisms,
     count_homomorphisms_naive,
     count_linear_fastpath,
+    count_report,
 )
 from xmod.errors import NaiveCapExceeded
 from xmod.fixtures import FIXTURE_NAMES
@@ -144,7 +144,7 @@ def cancelling_pair(pres, rng):
 
 def counts(pres, cm):
     return {
-        "backtracking": count_homomorphisms(pres, cm),
+        "report": count_report(pres, cm).count,
         "linear": count_linear_fastpath(pres, cm),
         "naive": count_homomorphisms_naive(pres, cm),
     }
@@ -176,8 +176,9 @@ def test_moves_keep_every_count(move, min_gens):
 
 def test_cancelling_pair_keeps_fixture_counts(compiled_fixtures):
     # A cancelling pair on each cell of each fixture, for every module of
-    # the pool: both engines, and the naive oracle where the moved
-    # presentation fits its cap, count what they counted before.
+    # the pool: the engine the module picks, the linear engine, and the
+    # naive oracle where the moved presentation fits its cap, count what
+    # they counted before.
     for fixture in FIXTURE_NAMES:
         pres = compiled_fixtures[fixture]
         for name, cm in module_pool():
@@ -185,7 +186,7 @@ def test_cancelling_pair_keeps_fixture_counts(compiled_fixtures):
             for cell in pres.cells:
                 moved = add_cancelling_pair(pres, cell)
                 where = (fixture, cell, name)
-                assert count_homomorphisms(moved, cm) == before, where
+                assert count_report(moved, cm).count == before, where
                 assert count_linear_fastpath(moved, cm) == before, where
                 try:
                     naive = count_homomorphisms_naive(moved, cm, work_cap=NAIVE_CAP)

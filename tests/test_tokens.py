@@ -96,7 +96,8 @@ TOKENS = st.one_of(
 
 @given(st.lists(TOKENS, max_size=5), st.sampled_from([" ", "  ", "\t", "\u00a0"]))
 def test_parse_integers_is_the_integer_rule_per_token(tokens, space):
-    # A row is read without a per-token match where that gives the same result.
+    # A row is read token by token under the integer rule: the first token
+    # outside it is named, and otherwise each token's value is int()'s.
     def strict(token):
         digits = token[1:] if token[:1] in "+-" else token
         return digits != "" and all(c in "0123456789" for c in digits)
