@@ -30,7 +30,7 @@ from math import lcm
 
 from .budget import DEFAULT_WORK_CAP, Budget
 from .errors import FormatError
-from .groups import (FiniteGroup, differing, entries_at, first_out_of_range,
+from .groups import (FiniteGroup, _unchecked, differing, entries_at, first_out_of_range,
                      group_violations)
 from .words import LineReader, parse_integer, parse_integers
 
@@ -455,7 +455,8 @@ def _parse_table(lines: LineReader, field: str, rows: int, width: int,
 
 
 def parse_crossed_module_text(text: str) -> FiniteCrossedModule:
-    """Parse the crossed-module text format.  Strict; does not check axioms."""
+    """Parse the crossed-module text format.  Strict; does not check axioms.
+    Tables are checked for shape and range as they are read, not again."""
     lines = LineReader(text)
 
     lineno, header = lines.next("header")
@@ -484,12 +485,12 @@ def parse_crossed_module_text(text: str) -> FiniteCrossedModule:
 
     base_order = section("base", with_order=True)
     base_indices = _Indices(base_order)
-    base = FiniteGroup(base_order, _parse_table(lines, "base", base_order,
-                                                base_order, base_indices))
+    base = _unchecked(FiniteGroup, order=base_order, product=_parse_table(
+        lines, "base", base_order, base_order, base_indices))
     fiber_order = section("fiber", with_order=True)
     fiber_indices = _Indices(fiber_order)
-    fiber = FiniteGroup(fiber_order, _parse_table(lines, "fiber", fiber_order,
-                                                  fiber_order, fiber_indices))
+    fiber = _unchecked(FiniteGroup, order=fiber_order, product=_parse_table(
+        lines, "fiber", fiber_order, fiber_order, fiber_indices))
     section("boundary", with_order=False)
     (boundary,) = _parse_table(lines, "boundary", 1, fiber_order, base_indices)
     section("action", with_order=False)
@@ -497,7 +498,8 @@ def parse_crossed_module_text(text: str) -> FiniteCrossedModule:
     for lineno, content in lines:
         raise FormatError(f"unexpected trailing content {content!r}",
                           line=lineno, field="trailer")
-    return FiniteCrossedModule(base, fiber, boundary, action)
+    return _unchecked(FiniteCrossedModule, base=base, fiber=fiber, boundary=boundary,
+                      action=action)
 
 
 def format_crossed_module_text(cm: FiniteCrossedModule) -> str:

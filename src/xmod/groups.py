@@ -121,6 +121,15 @@ class FiniteGroup:
         return self.inverse[a]
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` whose fields are already
+    checked, built without the checks of its constructor."""
+    made = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(made, name, value)
+    return made
+
+
 def find_identity(group: FiniteGroup) -> int | None:
     for e in range(group.order):
         row = group.product[e]

@@ -20,10 +20,17 @@ order of the grammar) is read by one compiled pattern for its event kind.
 Any other line goes to the token reader, which reads the other spellings to
 the same events and refuses every malformed line with its ``FormatError``.
 
-Replay tracks labels only.  It checks that ids are well formed, fresh and
-live and that every emitted relation has trivial boundary, so it returns a
-valid presentation, validated again only where it is counted.  It does not
-verify that a script is geometrically realizable.
+Events are slotted dataclasses, so equal fields make equal events only
+within one class.
+
+Replay tracks labels only, as plain letter tuples ``((gen, +1 or -1), ...)``
+and term tuples ``(letters, cell, sign)``, through the letter-tuple routines
+of ``words`` and ``presentations``; the words become ``FreeWord`` and
+``CrossedWord`` values only when ``compile_movie`` returns.  It checks that
+ids are well formed, fresh and live and that every emitted relation has
+trivial boundary, so it returns a valid presentation, validated again only
+where it is counted.  It does not verify that a script is geometrically
+realizable.
 
 The ``sb`` and ``bb`` crossing rules are the table ``_RULES``.  Replay
 builds at most ``MAX_REPLAY_SIZE`` letters and terms per movie, so a movie
@@ -38,9 +45,9 @@ from dataclasses import dataclass
 from .errors import FormatError, ReplayError, XmodError
 from .presentations import (
     CrossedPresentation,
-    CrossedWord,
+    _boundary_letters,
     _crossed,
-    boundary_of_crossed_word,
+    _inverse_terms,
     # Not called here: perfbench.loop.WRAPPED patches this name in movies.
     validate_presentation,
 )
@@ -48,11 +55,15 @@ from .words import (
     _SIGN,
     _SIGNS,
     _WORD,
-    EMPTY_WORD,
     NAME,
     FreeWord,
+    Letters,
     LineReader,
     _canonical_word,
+    _inverse,
+    _product,
+    _reduced,
+    format_word,
     parse_id,
     parse_integer,
     parse_sign,
@@ -62,15 +73,17 @@ from .words import (
 
 ArcRef = tuple[str, int]  # (arc id, +1 or -1 for a reversed reading)
 SpannerTerm = tuple[str, FreeWord, int]  # (band id, conjugator, sign)
+# A band label or relation during replay: (conjugator letters, cell, sign) terms.
+Terms = tuple[tuple[Letters, str, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Birth:
     arc: str
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WirtingerCross:
     sign: int
     over: str
@@ -79,7 +92,7 @@ class WirtingerCross:
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StrandBandCross:
     rule: int
     band: str
@@ -88,7 +101,7 @@ class StrandBandCross:
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BandBandCross:
     rule: int
     mover: str
@@ -96,7 +109,7 @@ class BandBandCross:
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SaddleEvent:
     cell: str
     u: ArcRef
@@ -106,14 +119,14 @@ class SaddleEvent:
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DeathEvent:
     circle: tuple[str, ...]
     spanner: tuple[SpannerTerm, ...]
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EndEvent:
     line: int
 
@@ -392,35 +405,40 @@ class _Replay:
     """Labels of the current diagram plus everything emitted so far: the
     working state one replay folds its events into, in place.
 
-    ``known`` holds the ids of ``generators`` and ``cell_boundary`` is keyed
-    by the ids of ``cells``, so every freshness check is a lookup and each
-    event costs time independent of how many came before it.  ``size``
-    counts the letters and terms built so far.
+    Every word here is a plain tuple of letters (gen, +1 or -1), freely
+    reduced, and every band label and relation a tuple of terms (conjugator
+    letters, cell, sign).  ``compile_movie`` turns the cell boundaries and
+    relations into ``FreeWord`` and ``CrossedWord`` values once, when it
+    returns; no event builds one.  ``known`` holds the ids of
+    ``generators`` and ``cell_boundary`` is keyed by the ids of ``cells``,
+    so every freshness check is a lookup and each event costs time
+    independent of how many came before it.  ``size`` counts the letters
+    and terms built so far.
     """
 
     __slots__ = ("arcs", "bands", "generators", "known", "cells",
                  "cell_boundary", "relations", "finished", "size")
 
     def __init__(self):
-        self.arcs: dict[str, FreeWord] = {}
-        self.bands: dict[str, CrossedWord] = {}
+        self.arcs: dict[str, Letters] = {}
+        self.bands: dict[str, Terms] = {}
         self.generators: list[str] = []
         self.known: set[str] = set()
         self.cells: list[str] = []
-        self.cell_boundary: dict[str, FreeWord] = {}
-        self.relations: list[CrossedWord] = []
+        self.cell_boundary: dict[str, Letters] = {}
+        self.relations: list[Terms] = []
         self.finished = False
         self.size = 0
 
 
-def _live_arc(work: _Replay, arc: str) -> FreeWord:
+def _live_arc(work: _Replay, arc: str) -> Letters:
     try:
         return work.arcs[arc]
     except KeyError:
         raise XmodError(f"arc {arc!r} is not live") from None
 
 
-def _live_band(work: _Replay, band: str) -> CrossedWord:
+def _live_band(work: _Replay, band: str) -> Terms:
     try:
         return work.bands[band]
     except KeyError:
@@ -435,24 +453,26 @@ def _charge(work: _Replay, size: int) -> None:
         raise XmodError(f"labels grow past {MAX_REPLAY_SIZE} letters and terms")
 
 
-def _size(label: CrossedWord) -> int:
+def _size(label: Terms) -> int:
     """Terms plus conjugator letters."""
-    return sum([1 + len(word.letters) for word, _, _ in label.terms])
+    return sum([1 + len(word) for word, _, _ in label])
 
 
-def _acted(work: _Replay, label: CrossedWord, word: FreeWord) -> CrossedWord:
-    """``label.act(word)``, charged before it is built."""
-    _charge(work, _size(label) + len(label.terms) * len(word.letters))
-    return label.act(word)
+def _acted(work: _Replay, label: Terms, word: Letters) -> Terms:
+    """The left action of ``word`` on ``label``: ``word`` prepended to every
+    conjugator, charged before it is built."""
+    _charge(work, _size(label) + len(label) * len(word))
+    if not word:
+        return label
+    return tuple([(_product(word, w), cell, sign) for w, cell, sign in label])
 
 
-def _boundary(work: _Replay, label: CrossedWord) -> FreeWord:
-    """The boundary word of ``label``, charged by the letters it joins
+def _boundary(work: _Replay, label: Terms) -> Letters:
+    """The boundary letters of ``label``, charged by the letters it joins
     before reducing them."""
     cells = work.cell_boundary
-    _charge(work, sum([2 * len(word.letters) + len(cells[cell].letters)
-                       for word, cell, _ in label.terms]))
-    return boundary_of_crossed_word(work, label)
+    _charge(work, sum([2 * len(word) + len(cells[cell]) for word, cell, _ in label]))
+    return _boundary_letters(label, cells.__getitem__)
 
 
 def _birth(work: _Replay, event: Birth) -> None:
@@ -465,7 +485,7 @@ def _birth(work: _Replay, event: Birth) -> None:
     if event.arc in work.arcs:
         raise XmodError(f"arc {event.arc!r} is already live")
     _charge(work, 1)
-    work.arcs[event.arc] = FreeWord(((event.arc, 1),))
+    work.arcs[event.arc] = ((event.arc, 1),)
     work.generators.append(event.arc)
     work.known.add(event.arc)
 
@@ -476,9 +496,9 @@ def _cross(work: _Replay, event: WirtingerCross) -> None:
     if event.under_out in work.arcs:
         raise XmodError(f"arc {event.under_out!r} is already live")
     if event.sign < 0:
-        over = over.inverse()
+        over = _inverse(over)
     _charge(work, 2 * len(over) + len(into))
-    work.arcs[event.under_out] = over.inverse() * into * over
+    work.arcs[event.under_out] = _product(_product(_inverse(over), into), over)
 
 
 def _strand_band(work: _Replay, event: StrandBandCross) -> None:
@@ -493,11 +513,11 @@ def _strand_band(work: _Replay, event: StrandBandCross) -> None:
             raise XmodError(f"arc {event.out!r} is already live")
         b = _boundary(work, band_label)
         if direction < 0:
-            b = b.inverse()
+            b = _inverse(b)
         _charge(work, 2 * len(b) + len(strand))
-        work.arcs[event.out] = b * strand * b.inverse()
+        work.arcs[event.out] = _product(_product(b, strand), _inverse(b))
     else:
-        mover = strand if direction > 0 else strand.inverse()
+        mover = strand if direction > 0 else _inverse(strand)
         work.bands[event.band] = _acted(work, band_label, mover)
 
 
@@ -508,9 +528,9 @@ def _band_band(work: _Replay, event: BandBandCross) -> None:
     if event.mover == event.fixed:
         raise XmodError("a band cannot cross itself")
     if direction < 0:
-        fixed_label = fixed_label.inverse()
+        fixed_label = _inverse_terms(fixed_label)
     _charge(work, _size(mover_label) + 2 * _size(fixed_label))
-    work.bands[event.mover] = fixed_label * mover_label * fixed_label.inverse()
+    work.bands[event.mover] = fixed_label + mover_label + _inverse_terms(fixed_label)
 
 
 def _saddle(work: _Replay, event: SaddleEvent) -> None:
@@ -524,8 +544,8 @@ def _saddle(work: _Replay, event: SaddleEvent) -> None:
         raise XmodError(f"cell id {event.cell!r} collides with a generator")
     if event.band in work.bands:
         raise XmodError(f"band {event.band!r} is already live")
-    wu = u_label if event.u[1] > 0 else u_label.inverse()
-    wv = v_label if event.v[1] > 0 else v_label.inverse()
+    wu = u_label if event.u[1] > 0 else _inverse(u_label)
+    wv = v_label if event.v[1] > 0 else _inverse(v_label)
     if len(set(event.merged)) != len(event.merged):
         raise XmodError("merged arc ids must be distinct")
     _charge(work, len(wu) + len(wv) + 1)
@@ -537,9 +557,9 @@ def _saddle(work: _Replay, event: SaddleEvent) -> None:
         if arc in work.arcs:
             raise XmodError(f"arc {arc!r} is already live")
         work.arcs[arc] = inherited[index]
-    work.bands[event.band] = _crossed(((EMPTY_WORD, event.cell, 1),))
+    work.bands[event.band] = (((), event.cell, 1),)
     work.cells.append(event.cell)
-    work.cell_boundary[event.cell] = wu * wv.inverse()
+    work.cell_boundary[event.cell] = _product(wu, _inverse(wv))
 
 
 def _death(work: _Replay, event: DeathEvent) -> None:
@@ -562,21 +582,13 @@ def _death(work: _Replay, event: DeathEvent) -> None:
                 raise XmodError(
                     f"spanner conjugator uses unknown generator {unknown[0]!r}"
                 )
-        # The charge of _acted; the terms are those of label.act(conjugator),
-        # inverted where the sign is negative.
-        _charge(work, _size(label) + len(label.terms) * len(conjugator.letters))
-        moved = label.terms
-        if conjugator.letters:
-            moved = [(conjugator * w, cell, s) for w, cell, s in moved]
-        if sign > 0:
-            terms += moved
-        else:
-            terms += [(w, cell, -s) for w, cell, s in reversed(moved)]
-    relation = _crossed(tuple(terms))
+        moved = _acted(work, label, conjugator.letters)
+        terms += moved if sign > 0 else _inverse_terms(moved)
+    relation = tuple(terms)
     boundary = _boundary(work, relation)
-    if not boundary.is_empty:
+    if boundary:
         raise XmodError(
-            f"death relation has nontrivial boundary {boundary}"
+            f"death relation has nontrivial boundary {format_word(_reduced(boundary))}"
         )
     work.relations.append(relation)
 
@@ -621,5 +633,9 @@ def compile_movie(script: MovieScript) -> CrossedPresentation:
                               line=getattr(event, "line", None)) from exc
     if not work.finished:
         raise ReplayError("script has no 'end' event", event_index=len(script.events))
+    # Each stored word becomes a FreeWord here, once.
+    cell_boundary = {cell: _reduced(letters) for cell, letters in work.cell_boundary.items()}
+    relations = tuple([_crossed(tuple([(_reduced(w), cell, sign) for w, cell, sign in terms]))
+                       for terms in work.relations])
     return CrossedPresentation(tuple(work.generators), tuple(work.cells),
-                               work.cell_boundary, tuple(work.relations))
+                               cell_boundary, relations)

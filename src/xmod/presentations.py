@@ -10,6 +10,7 @@ or anywhere else; relations are evaluated pointwise against finite targets.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .crossed import ValidationReport
@@ -20,13 +21,17 @@ from .words import (
     _WORD,
     NAME,
     FreeWord,
+    Letter,
+    Letters,
     LineReader,
     _canonical_word,
+    _free_reduction,
+    _inverse,
+    _reduced,
     format_word,
     parse_id,
     parse_sign,
     parse_word,
-    reduce_free_word,
     valid_name,
 )
 
@@ -52,7 +57,7 @@ class CrossedWord:
         return _crossed(self.terms + other.terms)
 
     def inverse(self) -> CrossedWord:
-        return _crossed(tuple([(w, cell, -sign) for w, cell, sign in reversed(self.terms)]))
+        return _crossed(_inverse_terms(self.terms))
 
     def act(self, word: FreeWord) -> CrossedWord:
         """Left action of a base word: prepend it to every conjugator."""
@@ -73,6 +78,35 @@ def _crossed(terms: tuple[Term, ...]) -> CrossedWord:
     crossed = object.__new__(CrossedWord)
     object.__setattr__(crossed, "terms", terms)
     return crossed
+
+
+def _inverse_terms(terms: tuple) -> tuple:
+    """The terms of the inverse of a crossed word, whatever its conjugators
+    are: the terms in reverse order, each with its sign flipped."""
+    return tuple([(w, cell, -sign) for w, cell, sign in reversed(terms)])
+
+
+def _boundary_letters(terms: Iterable[tuple[Letters, str, int]],
+                      cell_letters: Callable[[str], Letters]) -> Letters:
+    """The boundary of terms (conjugator letters, cell, sign), as letters.
+
+    ``cell_letters`` gives the boundary letters of a cell and raises
+    ``KeyError`` for one it does not know, which becomes ``UnknownIdError``.
+    The letters of every term are joined and freely reduced once.  A term
+    whose cell has the empty boundary is skipped, as w 1 w^-1 cancels.
+    """
+    letters: list[Letter] = []
+    for conjugator, cell, sign in terms:
+        try:
+            boundary = cell_letters(cell)
+        except KeyError:
+            raise UnknownIdError(f"unknown cell {cell!r}") from None
+        if not boundary:
+            continue
+        letters += conjugator
+        letters += boundary if sign > 0 else _inverse(boundary)
+        letters += _inverse(conjugator)
+    return _free_reduction(letters)
 
 
 @dataclass(frozen=True)
@@ -106,25 +140,13 @@ def boundary_of_crossed_word(
 ) -> FreeWord:
     """Boundary in the free base group: product of conjugated cell boundaries.
 
-    Reads only ``pres.cell_boundary``; the letters of every term are joined
-    and freely reduced once.  A term whose cell has the empty boundary is
-    skipped, as w 1 w^-1 cancels.  Raises ``UnknownIdError`` for a cell not
-    in it.
+    Reads only ``pres.cell_boundary``; raises ``UnknownIdError`` for a cell
+    not in it.
     """
-    letters: list[tuple[str, int]] = []
-    for conjugator, cell, sign in crossed.terms:
-        try:
-            boundary = pres.cell_boundary[cell].letters
-        except KeyError:
-            raise UnknownIdError(f"unknown cell {cell!r}") from None
-        if not boundary:
-            continue
-        if sign < 0:
-            boundary = [(gen, -s) for gen, s in reversed(boundary)]
-        letters += conjugator.letters
-        letters += boundary
-        letters += [(gen, -s) for gen, s in reversed(conjugator.letters)]
-    return reduce_free_word(letters)
+    cells = pres.cell_boundary
+    return _reduced(_boundary_letters(
+        [(w.letters, cell, sign) for w, cell, sign in crossed.terms],
+        lambda cell: cells[cell].letters))
 
 
 def validate_presentation(pres: CrossedPresentation) -> ValidationReport:

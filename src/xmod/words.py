@@ -5,6 +5,10 @@ A ``FreeWord`` value is always freely reduced; reduction by adjacent
 cancellation is confluent, hence canonical.  Only the public constructor
 checks this.  Products, inverses and ``reduce_free_word`` results are
 reduced by construction, so they skip the check.
+
+Product, inverse and free reduction are computed on plain letter tuples by
+``_product``, ``_inverse`` and ``_free_reduction``; the ``FreeWord`` methods
+wrap them, and movie replay calls them directly.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ from typing import Iterable, Iterator
 from .errors import FormatError
 
 Letter = tuple[str, int]
+Letters = tuple[Letter, ...]
 
 # Generator, cell, arc and band ids share one lexical rule.  The characters
 # used by the text formats (whitespace, = , ; ( ) [ ] # ^) are excluded.
@@ -128,15 +133,9 @@ def parse_id(token: str, what: str, line: int | None = None,
     return token
 
 
-# The unit exponents, each mapped to the int sign its letter stores.
+# The unit exponents, each mapped to the int sign its letter stores.  Any
+# other exponent is expanded into repeated unit letters.
 _UNIT_SIGNS = {1: 1, -1: -1}
-
-
-def _expanded(gen: str, exp: int) -> Iterator[Letter]:
-    # Exponents outside {-1, +1} are expanded into repeated unit letters.
-    step = 1 if exp > 0 else -1
-    for _ in range(abs(exp)):
-        yield (gen, step)
 
 
 @dataclass(frozen=True)
@@ -162,17 +161,10 @@ class FreeWord:
         return len(self.letters)
 
     def __mul__(self, other: FreeWord) -> FreeWord:
-        left, right = self.letters, other.letters
-        if not right:
-            return self
-        # Both are reduced, so only a suffix of left cancels a prefix of right.
-        cut, most = 0, min(len(left), len(right))
-        while cut < most and left[-1 - cut] == (right[cut][0], -right[cut][1]):
-            cut += 1
-        return _reduced(left[: len(left) - cut] + right[cut:])
+        return _reduced(_product(self.letters, other.letters))
 
     def inverse(self) -> FreeWord:
-        return _reduced(tuple([(gen, -sign) for gen, sign in reversed(self.letters)]))
+        return _reduced(_inverse(self.letters))
 
     def generators(self) -> set[str]:
         return {gen for gen, _ in self.letters}
@@ -184,24 +176,53 @@ class FreeWord:
 EMPTY_WORD = FreeWord()
 
 
-def _reduced(letters: tuple[Letter, ...]) -> FreeWord:
-    """The ``FreeWord`` of letters that are reduced by construction, unchecked."""
+def _reduced(letters: Letters) -> FreeWord:
+    """The ``FreeWord`` of letters that are reduced by construction, unchecked.
+    Every empty word is the one ``EMPTY_WORD``."""
+    if not letters:
+        return EMPTY_WORD
     word = object.__new__(FreeWord)
     object.__setattr__(word, "letters", letters)
     return word
 
 
+def _product(left: Letters, right: Letters) -> Letters:
+    """The letters of the product of two reduced letter tuples."""
+    if not right:
+        return left
+    # Both are reduced, so only a suffix of left cancels a prefix of right.
+    cut, most = 0, min(len(left), len(right))
+    while cut < most and left[-1 - cut] == (right[cut][0], -right[cut][1]):
+        cut += 1
+    return left[: len(left) - cut] + right[cut:]
+
+
+def _inverse(letters: Letters) -> Letters:
+    """The letters of the inverse of a reduced letter tuple."""
+    return tuple([(gen, -sign) for gen, sign in reversed(letters)])
+
+
+def _free_reduction(letters: Iterable[Letter]) -> Letters:
+    """The free reduction of a sequence of unit letters."""
+    out: list[Letter] = []
+    for letter in letters:
+        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
 def reduce_free_word(letters: Iterable[tuple[str, int]]) -> FreeWord:
     """Freely reduce a raw letter sequence; exponents of any size are expanded."""
-    out: list[Letter] = []
+    units: list[Letter] = []
     for gen, exp in letters:
         sign = _UNIT_SIGNS.get(exp)
-        for gen, sign in ((gen, sign),) if sign else _expanded(gen, exp):
-            if out and out[-1] == (gen, -sign):
-                out.pop()
-            else:
-                out.append((gen, sign))
-    return _reduced(tuple(out))
+        if sign:
+            units.append((gen, sign))
+        else:
+            units += [(gen, 1 if exp > 0 else -1)] * abs(exp)
+    return _reduced(_free_reduction(units))
 
 
 def parse_word(text: str, line: int | None = None, field: str | None = None) -> FreeWord:
@@ -238,8 +259,9 @@ def _canonical_word(text: str) -> FreeWord:
     """The word of a canonical spelling, one that ``_WORD`` matches."""
     if text == EMPTY_WORD_TOKEN:
         return EMPTY_WORD
-    return reduce_free_word([(token[:-3], -1) if token.endswith("^-1") else (token, 1)
-                             for token in text.split(" ")])
+    # A canonical token holds a ^ only in its suffix ^-1.
+    return _reduced(_free_reduction([(token[:-3], -1) if "^" in token else (token, 1)
+                                     for token in text.split(" ")]))
 
 
 def format_word(word: FreeWord) -> str:

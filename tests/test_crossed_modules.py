@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from knottedness_report import module_bank
@@ -395,6 +396,34 @@ def test_text_round_trip(battery):
         assert parsed.boundary == cm.boundary
         assert parsed.action == cm.action
         assert format_crossed_module_text(parsed) == text
+
+
+def test_benchmark_target_files_parse_equal_to_the_builders(monkeypatch):
+    # The reader builds its groups and module without the constructors'
+    # checks; the tables it reads from the benchmark's module files must
+    # still make the modules the builders make, with the same derived values.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import oracle
+    from perfbench.inputs import _package_targets
+
+    built = {
+        "conj_s3": build_conjugation_crossed_module(build_symmetric_group(3)),
+        "ga_z2_p2": build_group_algebra_crossed_module(build_cyclic_group(2), 2),
+        "ga_z3_p2": build_group_algebra_crossed_module(build_cyclic_group(3), 2),
+        "conj_s4": build_conjugation_crossed_module(build_symmetric_group(4)),
+        "ga_z5_p2": build_group_algebra_crossed_module(build_cyclic_group(5), 2),
+        "ga_s3_p2": build_group_algebra_crossed_module(build_symmetric_group(3), 2),
+        "ga_z4_p3": build_group_algebra_crossed_module(build_cyclic_group(4), 3),
+    }
+    targets = _package_targets()
+    assert targets.keys() == built.keys()
+    for name, cm in built.items():
+        parsed = parse_crossed_module_text(oracle.module_text(targets[name]))
+        assert parsed == cm, name
+        assert type(parsed) is FiniteCrossedModule and type(parsed.base) is FiniteGroup
+        assert (parsed.base.identity, parsed.fiber.inverse) == (cm.base.identity,
+                                                               cm.fiber.inverse)
+        assert parsed.kernel == cm.kernel, name
 
 
 def test_parse_small_module_with_comments():

@@ -28,7 +28,12 @@ from xmod.movies import (
     compile_movie,
     parse_movie_script,
 )
-from xmod.presentations import CrossedWord, format_presentation_text, validate_presentation
+from xmod.presentations import (
+    CrossedPresentation,
+    CrossedWord,
+    format_presentation_text,
+    validate_presentation,
+)
 from xmod.words import FreeWord, LineReader, parse_word
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,6 +41,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def word(text: str) -> FreeWord:
     return parse_word(text)
+
+
+def letters(text: str) -> tuple:
+    """The letter tuple replay stores for the word ``text``."""
+    return parse_word(text).letters
 
 
 def replay(text: str) -> movies._Replay:
@@ -77,6 +87,56 @@ def test_parse_saddle_arc_refs():
     assert isinstance(saddle, SaddleEvent)
     assert saddle.u == ("X", -1) and saddle.v == ("X", 1)
     assert saddle.merged == ("c1", "c2")
+
+
+def test_event_equality_depends_on_the_class():
+    # Events with the same fields are equal only within one class.
+    assert WirtingerCross(1, "a", "b", "c", 3) != StrandBandCross(1, "a", "b", "c", 3)
+    assert Birth("X", 1) != ("X", 1)
+    assert Birth("X", 1) == Birth(arc="X", line=1)
+
+
+def event_by_keyword(content: str, line: int):
+    """The event of a canonical fixture line, built by keyword from its
+    tokens without either movie reader."""
+    keyword, _, rest = content.partition(" ")
+    if keyword == "death":
+        circle, _, spanner = rest.removeprefix("circle=").partition(" spanner=")
+        terms = [term[1:-1].split(",") for term in spanner[1:-1].split(";") if term]
+        return DeathEvent(circle=tuple(circle.split(",")), line=line, spanner=tuple(
+            (band, parse_word(text), 1 if sign == "+" else -1) for band, text, sign in terms))
+    tokens = rest.split()
+    args = dict(token.split("=") for token in tokens if "=" in token)
+
+    def ref(token: str) -> tuple[str, int]:
+        return token.removesuffix("^-1"), -1 if token.endswith("^-1") else 1
+
+    if keyword == "birth":
+        return Birth(arc=rest, line=line)
+    if keyword == "cross":
+        return WirtingerCross(sign=1 if tokens[0] == "+" else -1,
+                              over=args["over"], under_in=args["in"],
+                              under_out=args["out"], line=line)
+    if keyword == "sb":
+        return StrandBandCross(rule=int(tokens[0]), band=args["band"],
+                               strand=args["strand"], out=args.get("out"), line=line)
+    if keyword == "bb":
+        return BandBandCross(rule=int(tokens[0]), mover=args["mover"],
+                             fixed=args["fixed"], line=line)
+    if keyword == "saddle":
+        return SaddleEvent(cell=args["cell"], u=ref(args["u"]), v=ref(args["v"]),
+                           band=args["band"], merged=tuple(args["merged"].split(",")),
+                           line=line)
+    assert keyword == "end" and not rest
+    return EndEvent(line=line)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_parsed_events_equal_events_built_by_keyword(name):
+    text = fixture_text(name)
+    expected = tuple(event_by_keyword(content, line)
+                     for line, content in LineReader(text))
+    assert parse_movie_script(text).events == expected
 
 
 def test_parse_errors_carry_line_numbers():
@@ -188,7 +248,7 @@ def test_each_argument_is_read_as_its_kind(key):
 def test_birth_introduces_generator_labelled_arc():
     state = replay("birth X")
     assert state.generators == ["X"]
-    assert state.arcs == {"X": word("X")}
+    assert state.arcs == {"X": letters("X")}
 
 
 def test_birth_rejects_duplicate():
@@ -226,9 +286,9 @@ def test_saddle_rejects_a_used_cell_id():
 
 def test_wirtinger_positive_and_negative():
     state = replay("birth X\nbirth Y\ncross + over=X in=Y out=Z")
-    assert state.arcs["Z"] == word("X^-1 Y X")
+    assert state.arcs["Z"] == letters("X^-1 Y X")
     state = replay("birth X\nbirth Y\ncross - over=X in=Y out=Z")
-    assert state.arcs["Z"] == word("X Y X^-1")
+    assert state.arcs["Z"] == letters("X Y X^-1")
     # The input arc stays live; crossings do not consume strands.
     assert "Y" in state.arcs
 
@@ -240,29 +300,29 @@ def test_wirtinger_r2_insertion_is_identity():
         "cross + over=X in=Y out=Z\n"
         "cross - over=X in=Z out=W"
     )
-    assert state.arcs["W"] == state.arcs["Y"] == word("Y")
+    assert state.arcs["W"] == state.arcs["Y"] == letters("Y")
 
 
 def test_saddle_reads_boundary_and_spawns_band():
     state = replay("birth X\nbirth Y\nsaddle cell=e u=X v=Y band=b merged=c1,c2")
     assert state.cells == ["e"]
-    assert state.cell_boundary["e"] == word("X Y^-1")
+    assert state.cell_boundary["e"] == letters("X Y^-1")
     assert set(state.arcs) == {"c1", "c2"}
     # Merged arcs inherit the consumed labels positionally.
-    assert state.arcs["c1"] == word("X") and state.arcs["c2"] == word("Y")
-    assert state.bands["b"].terms == ((word(""), "e", 1),)
+    assert state.arcs["c1"] == letters("X") and state.arcs["c2"] == letters("Y")
+    assert state.bands["b"] == ((letters(""), "e", 1),)
 
 
 def test_saddle_with_reversed_refs():
     state = replay("birth X\nbirth Y\nsaddle cell=e u=X^-1 v=Y^-1 band=b merged=c1,c2")
-    assert state.cell_boundary["e"] == word("X^-1 Y")
+    assert state.cell_boundary["e"] == letters("X^-1 Y")
 
 
 def test_saddle_on_single_arc():
     # u and v on the same arc: the arc splits, boundary reads twice.
     state = replay("birth X\nsaddle cell=e u=X v=X band=b merged=c1,c2")
-    assert state.cell_boundary["e"] == word("")
-    assert state.arcs == {"c1": word("X"), "c2": word("X")}
+    assert state.cell_boundary["e"] == letters("")
+    assert state.arcs == {"c1": letters("X"), "c2": letters("X")}
 
 
 def test_saddle_liveness_errors():
@@ -280,25 +340,25 @@ def test_strand_band_rules_relabel_strand():
     base = "birth X\nbirth Y\nsaddle cell=e u=X v=X band=b merged=c1,c2\n"
     state = replay(base + "sb 1 band=b strand=Y out=Z")
     # The band boundary is trivial here, so conjugation is invisible.
-    assert state.arcs["Z"] == word("Y")
+    assert state.arcs["Z"] == letters("Y")
     state = replay(
         "birth X\nbirth Y\nsaddle cell=e u=X v=Y band=b merged=c1,c2\n"
         "sb 1 band=b strand=c1 out=Z"
     )
-    assert state.arcs["Z"] == word("X Y^-1 X Y X^-1")
+    assert state.arcs["Z"] == letters("X Y^-1 X Y X^-1")
     state = replay(
         "birth X\nbirth Y\nsaddle cell=e u=X v=Y band=b merged=c1,c2\n"
         "sb 3 band=b strand=c1 out=Z"
     )
-    assert state.arcs["Z"] == word("Y X Y^-1")
+    assert state.arcs["Z"] == letters("Y X Y^-1")
 
 
 def test_strand_band_rules_move_band():
     base = "birth X\nsaddle cell=e u=X v=X band=b merged=c1,c2\n"
     state = replay(base + "sb 6 band=b strand=c1")
-    assert state.bands["b"].terms == ((word("X"), "e", 1),)
+    assert state.bands["b"] == ((letters("X"), "e", 1),)
     state = replay(base + "sb 4 band=b strand=c1")
-    assert state.bands["b"].terms == ((word("X^-1"), "e", 1),)
+    assert state.bands["b"] == ((letters("X^-1"), "e", 1),)
 
 
 def test_band_band_rules_conjugate_label():
@@ -309,11 +369,11 @@ def test_band_band_rules_conjugate_label():
     )
     state = replay(base + "bb 2 mover=bf fixed=be")
     label = state.bands["bf"]
-    assert [term[1] for term in label.terms] == ["e", "f", "e"]
-    assert [term[2] for term in label.terms] == [1, 1, -1]
+    assert [term[1] for term in label] == ["e", "f", "e"]
+    assert [term[2] for term in label] == [1, 1, -1]
     state = replay(base + "bb 5 mover=bf fixed=be")
     label = state.bands["bf"]
-    assert [term[2] for term in label.terms] == [-1, 1, 1]
+    assert [term[2] for term in label] == [-1, 1, 1]
 
 
 def test_band_cannot_cross_itself():
@@ -330,7 +390,7 @@ def test_death_removes_arcs_and_emits_relation():
     )
     assert set(state.arcs) == {"c2"}
     assert len(state.relations) == 1
-    assert state.relations[0].terms == ((word(""), "e", 1),)
+    assert state.relations[0] == ((letters(""), "e", 1),)
 
 
 def test_death_with_empty_spanner_emits_nothing():
@@ -853,14 +913,13 @@ def test_long_movies_stay_far_below_the_replay_bound(monkeypatch):
 
 
 def test_replay_checks_no_word_it_builds_itself(monkeypatch):
-    # Products, inverses and reductions are reduced by construction; only
-    # the one-letter label of each birth goes through the checked
-    # constructor, and no band label does.
+    # Replay works on letter tuples that are reduced by construction, and
+    # builds its words and crossed words unchecked when it returns, so no
+    # word goes through a checked constructor.
     monkeypatch.syspath_prepend(str(ROOT))
     from perfbench.inputs import long_movie
 
     text = long_movie(random.Random(1), 4000)
-    births = sum(line.startswith("birth ") for line in text.splitlines())
     checked = Counter()
     check = FreeWord.__post_init__
 
@@ -875,7 +934,7 @@ def test_replay_checks_no_word_it_builds_itself(monkeypatch):
     monkeypatch.setattr(FreeWord, "__post_init__", counted)
     monkeypatch.setattr(CrossedWord, "__post_init__", counted_crossed)
     compile_movie(parse_movie_script(text))
-    assert 0 < checked["words"] <= births
+    assert checked["words"] == 0
     assert checked["crossed words"] == 0
 
 
@@ -944,6 +1003,40 @@ def test_replay_builds_no_state_per_event(monkeypatch):
 
     expected = Counter({"_Replay": 1, "CrossedPresentation": 1})
     assert constructions(500) == constructions(4000) == expected
+
+
+def test_replay_builds_each_stored_word_once(monkeypatch):
+    # Replay works on letter tuples, so one compile builds a FreeWord for
+    # each cell boundary and relation conjugator and a CrossedWord for each
+    # relation, when it returns, and none per product, inverse or action.
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.inputs import long_movie
+    from xmod import presentations, words
+
+    def built(events: int) -> tuple[Counter, CrossedPresentation]:
+        script = parse_movie_script(long_movie(random.Random(1), events))
+        counts: Counter = Counter()
+        with monkeypatch.context() as patch:
+            for kind, name, modules in (("words", "_reduced", (words, presentations, movies)),
+                                        ("crossed words", "_crossed", (presentations, movies))):
+                for module in modules:
+                    def unchecked(*args, _kind=kind, _build=getattr(module, name)):
+                        counts[_kind] += 1
+                        return _build(*args)
+                    patch.setattr(module, name, unchecked)
+            for kind, cls in (("words", FreeWord), ("crossed words", CrossedWord)):
+                def checked(self, _kind=kind, _check=cls.__post_init__):
+                    counts[_kind] += 1
+                    _check(self)
+                patch.setattr(cls, "__post_init__", checked)
+            pres = compile_movie(script)
+        return counts, pres
+
+    for events in (500, 4000):
+        counts, pres = built(events)
+        terms = sum(len(relation.terms) for relation in pres.relations)
+        assert counts["words"] <= len(pres.cells) + terms
+        assert counts["crossed words"] == len(pres.relations) > 0
 
 
 # ---------------------------------------------------------------------------
