@@ -167,19 +167,20 @@ def compile_presentation(pres: CrossedPresentation) -> CompiledPresentation:
     cell_pos = {c: i for i, c in enumerate(pres.cells)}
 
     def letters(word: FreeWord) -> Letters:
-        return tuple((gen_pos[gen], sign) for gen, sign in word.letters)
+        if not word.letters:
+            return ()
+        return tuple([(gen_pos[gen], sign) for gen, sign in word.letters])
 
     uses = [0] * len(pres.cells)  # terms of each cell over all relations
     where = [0] * len(pres.cells)  # the sum of their relation indices
     relations = []
     for r, relation in enumerate(pres.relations):
-        terms = []
-        for w, cell, sign in relation.terms:
-            pos = cell_pos[cell]
+        terms = tuple([(letters(w), cell_pos[cell], sign)
+                       for w, cell, sign in relation.terms])
+        for _, pos, _ in terms:
             uses[pos] += 1
             where[pos] += r
-            terms.append((letters(w), pos, sign))
-        relations.append(tuple(terms))
+        relations.append(terms)
     # A cell in one term cancels with its relation; ``where`` then names it.
     cancelled, dropped = set(), set()
     queue = [pos for pos, n in enumerate(uses) if n == 1]
@@ -198,13 +199,13 @@ def compile_presentation(pres: CrossedPresentation) -> CompiledPresentation:
     cells = [pos for pos in range(len(pres.cells)) if pos not in cancelled]
     if cancelled:  # number the cells that remain
         new = {pos: i for i, pos in enumerate(cells)}
-        relations = [tuple((w, new[pos], sign) for w, pos, sign in terms)
+        relations = [tuple([(w, new[pos], sign) for w, pos, sign in terms])
                      for r, terms in enumerate(relations) if r not in dropped]
-    names = tuple(pres.cells[pos] for pos in cells)
+    names = tuple([pres.cells[pos] for pos in cells])
     return CompiledPresentation(
         pres.generators,
         names,
-        tuple(letters(pres.cell_boundary[c]) for c in names),
+        tuple([letters(pres.cell_boundary[c]) for c in names]),
         tuple(relations),
     )
 

@@ -150,7 +150,13 @@ def boundary_of_crossed_word(
 
 
 def validate_presentation(pres: CrossedPresentation) -> ValidationReport:
-    """Id hygiene plus boundary triviality of every relation.  Never raises."""
+    """Id hygiene plus boundary triviality of every relation.  Never raises.
+
+    Ids are looked up letter by letter, and a word's unknown generators are
+    listed only once one is found.  A boundary is computed only for a
+    relation with a term on a cell of nonempty boundary: the other terms
+    contribute w 1 w^-1, which cancels.
+    """
     out: list[tuple[str, tuple]] = []
     gens = set(pres.generators)
     cells = set(pres.cells)
@@ -170,20 +176,27 @@ def validate_presentation(pres: CrossedPresentation) -> ValidationReport:
         if name not in cells:
             out.append(("boundary.extra", (name,)))
     for cell, word in pres.cell_boundary.items():
-        if not gens.issuperset(word.generators()):
-            for gen in sorted(word.generators() - gens):
-                out.append(("boundary.unknown_generator", (cell, gen)))
+        for gen, _ in word.letters:
+            if gen not in gens:
+                out += [("boundary.unknown_generator", (cell, unknown))
+                        for unknown in sorted(word.generators() - gens)]
+                break
 
     for index, relation in enumerate(pres.relations):
         for term_index, (conjugator, cell, _) in enumerate(relation.terms):
             if cell not in cells:
                 out.append(("relation.unknown_cell", (index, term_index, cell)))
-            if not gens.issuperset(conjugator.generators()):
-                for gen in sorted(conjugator.generators() - gens):
-                    out.append(("relation.unknown_generator", (index, term_index, gen)))
+            for gen, _ in conjugator.letters:
+                if gen not in gens:
+                    out += [("relation.unknown_generator", (index, term_index, unknown))
+                            for unknown in sorted(conjugator.generators() - gens)]
+                    break
     # Boundary triviality only makes sense once every id resolves.
-    if not out:
+    bounded = {cell for cell, word in pres.cell_boundary.items() if word.letters}
+    if not out and bounded:
         for index, relation in enumerate(pres.relations):
+            if bounded.isdisjoint([cell for _, cell, _ in relation.terms]):
+                continue
             boundary = boundary_of_crossed_word(pres, relation)
             if not boundary.is_empty:
                 out.append(
@@ -314,7 +327,20 @@ def _parse_crossed_word(text: str, lineno: int, field: str) -> CrossedWord:
     return CrossedWord(tuple(terms))
 
 
+class _Words(dict):
+    """Canonical word text -> ``FreeWord``, each distinct text read once.
+
+    One parse keeps one; its equal words are then one shared value, which is
+    safe as words are immutable.
+    """
+
+    def __missing__(self, text: str) -> FreeWord:
+        word = self[text] = _canonical_word(text)
+        return word
+
+
 def parse_presentation_text(text: str) -> CrossedPresentation:
+    words = _Words()
     lines = LineReader(text)
     first = next(iter(lines), None)
     if first is None:
@@ -343,7 +369,7 @@ def parse_presentation_text(text: str) -> CrossedPresentation:
         lineno, line = lines.next("bnd")
         match = _BND_RE.fullmatch(line)
         if match and match[1] == cell:
-            cell_boundary[cell] = _canonical_word(match[2])
+            cell_boundary[cell] = words[match[2]]
             continue
         head, eq, rest = line.partition("=")
         tokens = head.split()
@@ -362,7 +388,7 @@ def parse_presentation_text(text: str) -> CrossedPresentation:
         match = _REL_RE.fullmatch(line)
         if match:
             relations.append(_crossed(tuple([
-                (_canonical_word(word), cell, _SIGNS[sign])
+                (words[word], cell, _SIGNS[sign])
                 for word, cell, sign in _TERM_RE.findall(match[1])])))
             continue
         head, eq, rest = line.partition("=")

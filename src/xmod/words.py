@@ -70,7 +70,7 @@ class LineReader:
 
     def _content(self) -> Iterator[tuple[int, str]]:
         for lineno, raw in enumerate(self._lines, start=1):
-            content = raw.split("#", 1)[0].strip()
+            content = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
             if content:
                 yield lineno, content
 

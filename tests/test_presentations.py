@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from xmod import presentations
+from xmod.crossed import ValidationReport
 from xmod.errors import FormatError, UnknownIdError
+from xmod.fuzz import random_instances
 from xmod.presentations import (
     EMPTY_CROSSED_WORD,
     EMPTY_PRESENTATION,
@@ -17,7 +22,14 @@ from xmod.presentations import (
     stabilize,
     validate_presentation,
 )
-from xmod.words import EMPTY_WORD, FreeWord, parse_word, reduce_free_word
+from xmod.words import (
+    EMPTY_WORD,
+    FreeWord,
+    format_word,
+    parse_word,
+    reduce_free_word,
+    valid_name,
+)
 
 
 def word(text: str) -> FreeWord:
@@ -180,6 +192,198 @@ def test_validate_skips_triviality_until_ids_resolve():
     )
     axioms = {axiom for axiom, _ in validate_presentation(pres).violations}
     assert "relation.nontrivial_boundary" not in axioms
+
+
+def test_validate_reports_ids_in_declaration_order():
+    pres = CrossedPresentation(("X", "3bad", "X"), ("3bad", "e"),
+                               {"3bad": EMPTY_WORD, "e": EMPTY_WORD})
+    assert validate_presentation(pres).violations == (
+        ("ids.bad_name", ("3bad",)),
+        ("ids.duplicate", ("X",)),
+        ("ids.bad_name", ("3bad",)),
+        ("ids.duplicate", ("3bad",)),
+    )
+
+
+def test_validate_reports_missing_then_extra_boundaries():
+    # An extra boundary's generators are checked too, in the dict's order.
+    pres = CrossedPresentation(("X",), ("e", "f"),
+                               {"g": word("X"), "f": EMPTY_WORD, "h": word("Z")})
+    assert validate_presentation(pres).violations == (
+        ("boundary.missing", ("e",)),
+        ("boundary.extra", ("g",)),
+        ("boundary.extra", ("h",)),
+        ("boundary.unknown_generator", ("h", "Z")),
+    )
+
+
+def test_validate_lists_each_unknown_generator_once_sorted():
+    pres = CrossedPresentation(
+        ("X",),
+        ("e",),
+        {"e": word("Z X Y Z")},
+        (CrossedWord(((word("X"), "e", 1), (word("Q X P Q"), "e", -1))),),
+    )
+    assert validate_presentation(pres).violations == (
+        ("boundary.unknown_generator", ("e", "Y")),
+        ("boundary.unknown_generator", ("e", "Z")),
+        ("relation.unknown_generator", (0, 1, "P")),
+        ("relation.unknown_generator", (0, 1, "Q")),
+    )
+
+
+def test_validate_reports_a_term_cell_before_its_conjugator():
+    pres = CrossedPresentation(
+        ("X",),
+        ("e",),
+        {"e": word("X")},
+        (CrossedWord(((word("X"), "e", 1), (word("X"), "e", -1))),
+         CrossedWord(((EMPTY_WORD, "ghost", 1), (word("Z"), "ghost2", -1)))),
+    )
+    assert validate_presentation(pres).violations == (
+        ("relation.unknown_cell", (1, 0, "ghost")),
+        ("relation.unknown_cell", (1, 1, "ghost2")),
+        ("relation.unknown_generator", (1, 1, "Z")),
+    )
+
+
+def test_validate_reports_nontrivial_boundaries_of_mixed_relations():
+    # f has the empty boundary, so its terms drop out of every boundary.
+    pres = CrossedPresentation(
+        ("X", "Y"),
+        ("e", "f"),
+        {"e": word("X"), "f": EMPTY_WORD},
+        (CrossedWord(((EMPTY_WORD, "f", 1), (word("X"), "f", -1))),
+         CrossedWord(((EMPTY_WORD, "e", 1), (word("Y"), "f", 1), (word("Y"), "e", -1))),
+         CrossedWord(((word("X"), "e", 1), (EMPTY_WORD, "e", -1))),
+         CrossedWord(((EMPTY_WORD, "e", 1), (EMPTY_WORD, "f", -1)))),
+    )
+    assert validate_presentation(pres).violations == (
+        ("relation.nontrivial_boundary", (1, "X Y X^-1 Y^-1")),
+        ("relation.nontrivial_boundary", (3, "X")),
+    )
+
+
+def reference_validate(pres: CrossedPresentation) -> ValidationReport:
+    """The validator written plainly: set differences per word, and every
+    relation's boundary multiplied out term by term with ``FreeWord``."""
+    out: list[tuple[str, tuple]] = []
+    gens = set(pres.generators)
+    cells = set(pres.cells)
+    seen: set[str] = set()
+    for name in pres.generators + pres.cells:
+        if not valid_name(name):
+            out.append(("ids.bad_name", (name,)))
+        if name in seen:
+            out.append(("ids.duplicate", (name,)))
+        seen.add(name)
+    for cell in pres.cells:
+        if cell not in pres.cell_boundary:
+            out.append(("boundary.missing", (cell,)))
+    for name in pres.cell_boundary:
+        if name not in cells:
+            out.append(("boundary.extra", (name,)))
+    for cell, w in pres.cell_boundary.items():
+        for gen in sorted(w.generators() - gens):
+            out.append(("boundary.unknown_generator", (cell, gen)))
+    for index, relation in enumerate(pres.relations):
+        for term_index, (conjugator, cell, _) in enumerate(relation.terms):
+            if cell not in cells:
+                out.append(("relation.unknown_cell", (index, term_index, cell)))
+            for gen in sorted(conjugator.generators() - gens):
+                out.append(("relation.unknown_generator", (index, term_index, gen)))
+    if not out:
+        for index, relation in enumerate(pres.relations):
+            boundary = EMPTY_WORD
+            for conjugator, cell, sign in relation.terms:
+                cell_word = pres.cell_boundary[cell]
+                boundary = (boundary * conjugator
+                            * (cell_word if sign > 0 else cell_word.inverse())
+                            * conjugator.inverse())
+            if not boundary.is_empty:
+                out.append(("relation.nontrivial_boundary", (index, format_word(boundary))))
+    return ValidationReport(tuple(out))
+
+
+def mutants(pres: CrossedPresentation, rng: random.Random):
+    """(kind, presentation) pairs, each ``pres`` with one seeded change:
+    a conjugator letter renamed to an unknown generator, a term's cell
+    renamed to an unknown cell, and an empty cell boundary made one letter.
+    A kind ``pres`` has nothing to change for is left out."""
+    relations = [list(r.terms) for r in pres.relations]
+    letters = [(r, t, k) for r, terms in enumerate(relations)
+               for t, (w, _, _) in enumerate(terms) for k in range(len(w))]
+    if letters:
+        r, t, k = rng.choice(letters)
+        w, cell, sign = relations[r][t]
+        renamed = list(w.letters)
+        renamed[k] = ("ghost_gen", renamed[k][1])
+        yield "conjugator", _with_term(pres, r, t, (FreeWord(tuple(renamed)), cell, sign))
+    terms = [(r, t) for r, terms in enumerate(relations) for t in range(len(terms))]
+    if terms:
+        r, t = rng.choice(terms)
+        w, _, sign = relations[r][t]
+        yield "cell", _with_term(pres, r, t, (w, "ghost_cell", sign))
+    empty = [c for c in pres.cells if pres.cell_boundary.get(c) == EMPTY_WORD]
+    if empty and pres.generators:
+        cell_boundary = dict(pres.cell_boundary)
+        cell_boundary[rng.choice(empty)] = FreeWord(((pres.generators[0], 1),))
+        yield "boundary", CrossedPresentation(pres.generators, pres.cells,
+                                              cell_boundary, pres.relations)
+
+
+def _with_term(pres: CrossedPresentation, r: int, t: int, term) -> CrossedPresentation:
+    terms = list(pres.relations[r].terms)
+    terms[t] = term
+    relations = list(pres.relations)
+    relations[r] = CrossedWord(tuple(terms))
+    return CrossedPresentation(pres.generators, pres.cells, pres.cell_boundary,
+                               tuple(relations))
+
+
+@pytest.fixture(scope="module")
+def valid_presentations(compiled_fixtures, deep_chain, padded_chain):
+    cases = {**compiled_fixtures, "deep_chain": deep_chain, "padded_chain": padded_chain}
+    for index, (pres, _, _) in enumerate(random_instances(3, 200)):
+        cases[f"random{index}"] = pres
+    return cases
+
+
+def test_validate_agrees_with_the_reference_on_presentations_and_mutants(
+        valid_presentations):
+    kinds = set()
+    for name, pres in valid_presentations.items():
+        assert validate_presentation(pres) == reference_validate(pres), name
+        for kind, mutant in mutants(pres, random.Random(name)):
+            kinds.add(kind)
+            report = validate_presentation(mutant)
+            assert report == reference_validate(mutant), (name, kind)
+    assert kinds == {"conjugator", "cell", "boundary"}
+
+
+def test_validate_computes_a_boundary_only_for_relations_on_bounded_cells(
+        monkeypatch, valid_presentations):
+    # A work gate: a term whose cell has the empty boundary adds nothing to
+    # the relation's boundary, so a relation without a bounded cell needs none.
+    calls = []
+    original = presentations._boundary_letters
+
+    def counted(terms, cell_letters):
+        calls.append(1)
+        return original(terms, cell_letters)
+
+    monkeypatch.setattr(presentations, "_boundary_letters", counted)
+    total = 0
+    for name, pres in valid_presentations.items():
+        bounded = {cell for cell, w in pres.cell_boundary.items() if not w.is_empty}
+        calls.clear()
+        assert validate_presentation(pres).ok, name
+        assert len(calls) == sum(any(cell in bounded for _, cell, _ in r.terms)
+                                 for r in pres.relations), name
+        if name.endswith("chain"):
+            assert not calls, name
+        total += len(calls)
+    assert total  # the random presentations have bounded relations
 
 
 # ---------------------------------------------------------------------------
