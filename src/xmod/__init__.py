@@ -18,7 +18,6 @@ from .counting import (
 from .crossed import (
     FiniteCrossedModule,
     ValidationReport,
-    boundary_fibers,
     build_central_quotient_crossed_module,
     build_conjugation_crossed_module,
     build_group_algebra_crossed_module,
@@ -63,7 +62,6 @@ __all__ = [
     "FreeWord",
     "MovieScript",
     "ValidationReport",
-    "boundary_fibers",
     "boundary_of_crossed_word",
     "build_central_quotient_crossed_module",
     "build_conjugation_crossed_module",

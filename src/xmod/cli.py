@@ -51,7 +51,7 @@ from .presentations import (
     parse_presentation_text,
     validate_presentation,
 )
-from .words import LineReader, parse_integer
+from .words import first_content, parse_integer
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -89,12 +89,10 @@ def _work_cap(flag: str | None) -> int:
 
 def _load_module(path: str, work_cap: int) -> FiniteCrossedModule:
     cm = parse_crossed_module_text(_read_file(path))
-    report = validate_crossed_module(cm, work_cap)
+    report = validate_crossed_module(cm, work_cap, first_only=True)
     if not report.ok:
-        first = report.violations[0]
-        raise XmodError(
-            f"crossed module in {path} violates {first[0]} at witness {first[1]}"
-        )
+        name, witness = report.violations[0]
+        raise XmodError(f"crossed module in {path} violates {name} at witness {witness}")
     return cm
 
 
@@ -127,8 +125,7 @@ def _load_target(path: str) -> CrossedPresentation:
     Either kind is validated where it is counted, by ``compile_presentation``.
     """
     text = _read_file(path)
-    first = next((content for _, content in LineReader(text)), "")
-    if first == "pres v1":
+    if first_content(text) == "pres v1":
         return parse_presentation_text(text)
     return compile_movie(parse_movie_script(text, name=path))
 

@@ -12,39 +12,35 @@ and a cell assignment psi (cell -> fiber element) such that
 ``count_report(pres, cm)`` and ``invariant(pres, cm)`` take a presentation
 and a module.  The invariant is the exact rational count / (#fiber)**n1,
 where n1 is ``pres.one_handles``, the number of base generators (1-handles).
-``count_report`` runs one of two engines:
+Every count runs one loop, ``_count``, over the kernel K of the boundary.
+K is central in the fiber and stable under the action, so once phi is fixed
+each cell ranges over one coset e_c K of its boundary fiber, and each
+relation is a constant R_r of the fiber times a signed sum of the g |> k_c
+in the abelian group K.  The count for phi is 0 if a coset is empty, and
+otherwise the number of solutions of an affine system over K:
+|K|**cells / |image| when the right-hand side lies in the image, else 0.
+The image is put in Howell echelon form over Z/exponent(K), so no cell is
+searched.  With K trivial no relation is read: the count is the closed
+form |im| ** gens * |Hom(pi1, base / im)|, im the image of the boundary.
+phi runs over ``phi_classes``, not all of base ** gens: one phi per class
+of phis that count the same, weighted by the size of its class.
 
-  * ``linear`` (``count_linear_fastpath``) counts over the kernel K of the
-    boundary.  K is central in the fiber and stable under the action, so
-    once phi is fixed each cell ranges over one coset e_c K of its boundary
-    fiber, and each relation is a constant R_r of the fiber times a signed
-    sum of the g |> k_c in the abelian group K.  The count for phi is 0 if
-    a coset is empty, and otherwise the number of solutions of an affine
-    system over K: |K|**cells / |image| when the right-hand side lies in
-    the image, else 0.  The image is put in Howell echelon form over
-    Z/exponent(K), so no cell is searched.
-  * ``backtracking`` (``count_homomorphisms``) counts a module whose
-    boundary is injective by a closed form.  With K trivial each phi has
-    one psi or none, and every relation holds, so the count is the weight
-    of the phis that map every cell boundary into im(boundary).  The name
-    no longer describes a search; it stays until the engine is retired.
+The loop has two doors, ``count_linear_fastpath`` for any module and
+``count_homomorphisms`` for an injective boundary; ``select_method`` names
+the one ``count_report`` takes, ``linear`` or ``backtracking``.  Both stay
+because the benchmark's tracer wraps each door and ``select_method`` by
+name to report which one ran.
 
-Neither engine walks all of base ** gens.  Both take (phi, weight) pairs
-from ``phi_classes`` and multiply the count at phi by its weight: with K
-trivial, one lift per assignment into base / im(boundary), since the count
-depends only on phi modulo the image; otherwise one phi per orbit of
-simultaneous conjugation, which is a symmetry of the count.
-
-Both engines read the form ``compile_presentation`` builds, which cancels
+The loop reads the form ``compile_presentation`` builds, which cancels
 2-handle/3-handle pairs.  Say a cell c is in one term (w ; c ; s) of all
 the relations, in relation r.  Once phi and the other cells are fixed, r
 fixes psi(c), since phi(w) |> - is an automorphism of the fiber; and then
 the boundary of psi(c) is phi(bnd c), since r's boundary word is trivial.
 So dropping c and r changes no count, for any module.
 
-The module picks the engine (``select_method``); a naive full-product
-oracle, which evaluates the presentation as given, checks both.  All
-arithmetic is exact; counts are arbitrary-precision integers.
+A naive full-product oracle, which evaluates the presentation as given,
+checks the loop.  All arithmetic is exact; counts are arbitrary-precision
+integers.
 """
 from __future__ import annotations
 
@@ -55,7 +51,7 @@ from itertools import product
 from math import gcd
 
 from .budget import DEFAULT_WORK_CAP, Budget
-from .crossed import FiniteCrossedModule, boundary_fibers
+from .crossed import FiniteCrossedModule
 from .errors import (
     EvaluationError,
     InvalidPresentationError,
@@ -71,7 +67,7 @@ from .words import FreeWord
 METHOD_BACKTRACKING = "backtracking"
 METHOD_LINEAR = "linear"
 
-# Distinct per-phi systems the linear engine keeps; past it, it starts over.
+# Distinct per-phi systems ``_count`` keeps; past it, it starts over.
 _MAX_SYSTEMS = 4096
 
 
@@ -148,8 +144,8 @@ class CompiledPresentation:
 
 def compile_presentation(pres: CrossedPresentation) -> CompiledPresentation:
     """Validate ``pres``, cancel its 2-handle/3-handle pairs and index the
-    rest for the counting engines: the one place a presentation is
-    validated, from a movie, a ``pres v1`` file or code.
+    rest for ``_count``: the one place a presentation is validated, from a
+    movie, a ``pres v1`` file or code.
 
     A cell in exactly one term of all the relations is dropped with its
     relation, which fixes its value (see the module docstring), and the
@@ -300,36 +296,6 @@ def _orbits(base, stabiliser: tuple[int, ...], budget: Budget) -> list:
     return out
 
 
-def count_homomorphisms(
-    pres: CrossedPresentation,
-    cm: FiniteCrossedModule,
-    *,
-    work_cap: int = DEFAULT_WORK_CAP,
-) -> int:
-    """Count homomorphisms into a module whose boundary is injective.
-
-    With K = ker(boundary) trivial a phi has one psi, the preimages of phi
-    of the cell boundaries, if these all lie in im(boundary), and none
-    otherwise; every relation then holds, its value lying in K.  So the
-    count is the weight of the phi classes that map every cell boundary
-    into the image, |im| ** gens * |Hom(pi1, base / im)|, and relations are
-    not read.  Raises ``ValueError`` on any other module.
-    """
-    if cm.kernel.order != 1:
-        raise ValueError("count_homomorphisms needs an injective boundary")
-    compiled = compile_presentation(pres)
-    base, n_gens = cm.base, len(compiled.generators)
-    image = set(cm.boundary)
-    budget = Budget(work_cap)
-    total = 0
-    for phi_tuple, weight in phi_classes(cm, n_gens, budget):
-        budget.spend(1 + n_gens)
-        if all(_eval_compiled(word, phi_tuple, base) in image
-               for word in compiled.boundaries):
-            total += weight
-    return total
-
-
 def count_homomorphisms_naive(
     pres: CrossedPresentation,
     cm: FiniteCrossedModule,
@@ -340,8 +306,8 @@ def count_homomorphisms_naive(
 
     The full product space must fit under the cap, otherwise a
     ``NaiveCapExceeded`` is raised up front.  Words are evaluated from the
-    presentation itself, not from its compiled form, so that the engines
-    are checked against an independent evaluation.
+    presentation itself, not from its compiled form, so that ``_count`` is
+    checked against an independent evaluation.
     """
     compile_presentation(pres)
     base, fiber = cm.base, cm.fiber
@@ -373,41 +339,58 @@ def count_homomorphisms_naive(
     return total
 
 
+def count_homomorphisms(
+    pres: CrossedPresentation,
+    cm: FiniteCrossedModule,
+    *,
+    work_cap: int = DEFAULT_WORK_CAP,
+) -> int:
+    """Count homomorphisms into a module whose boundary is injective, by the
+    ``backtracking`` door of ``_count``; ``ValueError`` on any other module."""
+    if cm.kernel.order != 1:
+        raise ValueError("count_homomorphisms needs an injective boundary")
+    return _count(compile_presentation(pres), cm, Budget(work_cap))
+
+
 def count_linear_fastpath(
     pres: CrossedPresentation,
     cm: FiniteCrossedModule,
     *,
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> int:
-    """Count homomorphisms by one affine system over K = ker(boundary) per phi.
+    """Count homomorphisms into any module, by the ``linear`` door of
+    ``_count``."""
+    return _count(compile_presentation(pres), cm, Budget(work_cap))
 
-    Cell c takes the values e_c k_c, e_c a fixed element of its boundary
-    fiber and k_c in K.  K is central, so relation r reads R_r * M_r(k) = 1
-    with R_r the relation evaluated on the e_c and M_r(k) = sum(s g |> k_c)
-    linear over K.  R_r lies in K, since its boundary is phi of the
-    relation's trivial boundary word.  The phi contributes
-    |K|**cells / |image M| if (R_r ** -1)_r lies in the image of M, and 0
-    otherwise.  In the coordinates of ``cm.kernel`` the image, lifted to
-    (Z/N)**(d * relations) with N the exponent of K, is spanned by one
-    sparse row per (cell, generator of K) and by K's relation vectors in
-    each relation's block, so |image M| = |span| / |relation span|**relations.
+
+def _count(compiled: CompiledPresentation, cm: FiniteCrossedModule, budget: Budget) -> int:
+    """The count over ``phi_classes`` behind both doors (module docstring).
+
+    e_c is the least element of cell c's boundary fiber.  R_r lies in K,
+    since its boundary is phi of the relation's trivial boundary word, and
+    phi contributes |K|**cells / |image M| if (R_r ** -1)_r lies in the
+    image of M(k) = (sum(s g |> k_c))_r, else 0.  In the coordinates of
+    ``cm.kernel`` the image, lifted to (Z/N)**(d * relations) with N the
+    exponent of K, is spanned by one sparse row per (cell, generator of K)
+    and by K's relation vectors in each relation's block, so
+    |image M| = |span| / |relation span|**relations.
     """
-    compiled = compile_presentation(pres)
-    base, fiber = cm.base, cm.fiber
-    kernel = cm.kernel
-    coords, modulus, d = kernel.coords, kernel.exponent, len(kernel.generators)
+    base, fiber, kernel = cm.base, cm.fiber, cm.kernel
     n_gens, n_cells = len(compiled.generators), len(compiled.cells)
-    width = d * len(compiled.relations)
-    # |K|**cells * |relation span|**relations, the relation span having
-    # N**d / |K| elements.
-    scale = kernel.order**n_cells * (modulus**d // kernel.order) ** len(compiled.relations)
-    chosen = [block[0] if block else None for block in boundary_fibers(cm)]
-    # The system depends on phi only through the action on K of each
-    # conjugator and the right-hand side: phis that agree on both share it.
-    kinds: dict = {}
-    kind = [kinds.setdefault(images, len(kinds)) for images in kernel.action]
-    spans: dict[tuple, int] = {}
-    budget = Budget(work_cap)
+    chosen: list[int | None] = [None] * base.order  # e_c over g; None off im
+    for e in reversed(fiber.elements):
+        chosen[cm.boundary[e]] = e
+    if kernel.order > 1:
+        coords, modulus, d = kernel.coords, kernel.exponent, len(kernel.generators)
+        width = d * len(compiled.relations)
+        # |K|**cells * |relation span|**relations, the relation span having
+        # N**d / |K| elements.
+        scale = kernel.order**n_cells * (modulus**d // kernel.order) ** len(compiled.relations)
+        # The system depends on phi only through the action on K of each
+        # conjugator and the right-hand side: phis that agree on both share it.
+        kinds: dict = {}
+        kind = [kinds.setdefault(images, len(kinds)) for images in kernel.action]
+        spans: dict[tuple, int] = {}
 
     total = 0
     for phi_tuple, weight in phi_classes(cm, n_gens, budget):
@@ -415,6 +398,9 @@ def count_linear_fastpath(
         cosets = [chosen[_eval_compiled(word, phi_tuple, base)]
                   for word in compiled.boundaries]
         if None in cosets:
+            continue
+        if kernel.order == 1:
+            total += weight
             continue
         conjugators: list[list[int]] = []  # phi of each term's conjugator
         target: dict[int, int] = {}  # the coordinates of each R_r ** -1
@@ -528,13 +514,12 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def select_method(cm: FiniteCrossedModule) -> str:
-    """The engine ``count_report`` runs on ``cm``, backtracking or linear.
+    """The door of ``_count`` that ``count_report`` takes on ``cm``.
 
-    Backtracking iff the boundary is injective on a nontrivial fiber, else
-    linear.  The linear engine counts every module.  On an injective
-    boundary ``count_homomorphisms`` counts by its closed form and searches
-    nothing; the ``backtracking`` name and report label stay until that
-    engine is retired.
+    ``backtracking`` (``count_homomorphisms``) iff the boundary is injective
+    on a nontrivial fiber, else ``linear`` (``count_linear_fastpath``).  Both
+    run the same loop; the name is the report's ``method`` line, and the
+    benchmark's tracer reads it to say which door ran.
     """
     if cm.kernel.order == 1 and cm.fiber.order > 1:
         return METHOD_BACKTRACKING
@@ -558,7 +543,7 @@ def count_report(
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> CountReport:
     method = select_method(cm)
-    # Engines are looked up at call time, so a wrapper patched onto this
+    # The doors are looked up at call time, so a wrapper patched onto this
     # module sees every call.
     if method == METHOD_LINEAR:
         count = count_linear_fastpath(pres, cm, work_cap=work_cap)

@@ -14,10 +14,10 @@ witness instead of raising.  One routine, ``_module_violations``, checks the
 six module axioms over the quantifier domains it is given.  It runs first
 over greedy generating sets: the elements that pass each axiom are closed
 under products, so a valid module is settled in O(n^2 log n) table lookups,
-n the larger order.  Only a module with a witness there is run again over
-whole groups, in O(n^3), one work-cap step per table entry compared.  The
-check runs where a module comes in from outside: a module file read by the
-CLI, ``xmod validate``, and the ``selftest`` checks of the standard battery.
+n the larger order.  A module file read for counting is refused at the
+first witness there; ``xmod validate`` runs a module with a witness again
+over whole groups, in O(n^3), one work-cap step per table entry compared,
+to list every witness.  ``selftest`` runs the check on the battery.
 The builders here do not run it: they check their input group with
 ``group_violations``, and a group makes both of their tables valid by
 construction.
@@ -156,17 +156,18 @@ def _kernel_presentation(cm: FiniteCrossedModule) -> KernelPresentation:
 
 
 def validate_crossed_module(
-    cm: FiniteCrossedModule, work_cap: int = DEFAULT_WORK_CAP
+    cm: FiniteCrossedModule, work_cap: int = DEFAULT_WORK_CAP, *, first_only: bool = False
 ) -> ValidationReport:
-    """Axiom check; never raises on a violation, collects every witness.
+    """Axiom check; never raises on a violation, reports it by witnesses.
 
     Group axioms of base and fiber are checked first; if either table fails
     to be a group the dependent checks are skipped, since they have no
     meaning without identities and inverses.  ``_module_violations`` then
     runs over the greedy generating sets; a module with no witness there is
     valid, and any other is listed with every variable over its whole group.
-    Raises ``WorkCapExceeded`` if a listing compares more than ``work_cap``
-    entries.
+    With ``first_only`` it is not listed: the report holds the first witness
+    over generating sets, of the axiom the listing names first.  Raises
+    ``WorkCapExceeded`` if a listing compares more than ``work_cap`` entries.
     """
     budget = Budget(work_cap)
     out: list[tuple[str, tuple]] = []
@@ -175,8 +176,9 @@ def validate_crossed_module(
     if out:
         return ValidationReport(tuple(out))
     base, fiber = cm.base, cm.fiber
-    if not _module_violations(cm, base.generators, fiber.generators, None):
-        return ValidationReport()
+    found = _module_violations(cm, base.generators, fiber.generators, None)
+    if not found or first_only:
+        return ValidationReport(tuple(found[:1]))
     return ValidationReport(tuple(
         _module_violations(cm, base.elements, fiber.elements, budget)))
 
@@ -247,17 +249,6 @@ def _module_violations(
     if not bad:
         return []
     return [(_MODULE_AXIOMS[axiom], witness) for axiom, witness in sorted(bad)]
-
-
-def boundary_fibers(cm: FiniteCrossedModule) -> tuple[tuple[int, ...], ...]:
-    """For each base element g, the fiber elements whose boundary is g.
-
-    The returned tuple is indexed by g; the per-g tuples partition the fiber.
-    """
-    out: list[list[int]] = [[] for _ in range(cm.base.order)]
-    for e in range(cm.fiber.order):
-        out[cm.boundary[e]].append(e)
-    return tuple(tuple(block) for block in out)
 
 
 def _require_group(group: FiniteGroup) -> None:

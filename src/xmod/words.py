@@ -88,6 +88,20 @@ class LineReader:
         return FormatError(message, line=len(self._lines) or 1, field=field)
 
 
+# A run of characters between the line breaks of ``str.splitlines``.
+_LINE_RE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]+")
+
+
+def first_content(text: str) -> str:
+    """The first content line ``LineReader(text)`` yields, or "" if it yields
+    none; the text after that line is not read."""
+    for match in _LINE_RE.finditer(text):
+        content = match[0].split("#", 1)[0].strip()
+        if content:
+            return content
+    return ""
+
+
 def _integer_or_none(token: str) -> int | None:
     if _INTEGER_RE.match(token):
         try:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -341,6 +342,36 @@ def test_invariant_invalid_presentation_exit_1(cli_files, capsys):
     assert "violates" in err
 
 
+@pytest.mark.parametrize("head", [
+    "# a comment first\n", "\n  \n\t\n", "pres v1  # a note\n",
+], ids=["comment_first", "blank_first", "noted_header"])
+def test_invariant_reads_a_pres_file_by_its_first_content_line(head, cli_files, tmp_path,
+                                                               capsys):
+    # A target is a presentation iff its first content line is "pres v1",
+    # whatever comments and blank lines come before it or after the header.
+    text = Path(cli_files["sphere.pres"]).read_text(encoding="utf-8")
+    if head.startswith("pres v1"):
+        text = text.replace("pres v1\n", head, 1)
+    else:
+        text = head + text
+    path = tmp_path / "target.txt"
+    path.write_text(text, encoding="utf-8")
+    expected = run_cli(capsys, "invariant", cli_files["sphere.pres"], cli_files["conj_s3"])
+    code, out, err = run_cli(capsys, "invariant", str(path), cli_files["conj_s3"])
+    assert (code, err) == (0, "")
+    assert report_lines(out) == report_lines(expected[1])
+
+
+def test_invariant_reads_any_other_target_as_a_movie(cli_files, tmp_path, capsys):
+    # "pres v1" in a comment does not make a movie a presentation.
+    path = tmp_path / "target.txt"
+    path.write_text("# pres v1\n" + fixture_text("spun_trefoil"), encoding="utf-8")
+    expected = run_cli(capsys, "invariant", cli_files["spun_trefoil"], cli_files["conj_s3"])
+    code, out, err = run_cli(capsys, "invariant", str(path), cli_files["conj_s3"])
+    assert (code, err) == (0, "")
+    assert report_lines(out) == report_lines(expected[1])
+
+
 def test_linear_method_unavailable_exit_2(cli_files, capsys):
     # The module picks the engine; there is no option to ask for one.
     code, out, err = run_cli(
@@ -403,12 +434,35 @@ def test_validate_work_cap_exit_3(cli_files, tmp_path, capsys):
         cm.base, cm.fiber, cm.boundary, tuple(map(tuple, action)))), encoding="utf-8")
     message = "error: work cap of 1000 elementary steps exceeded\n"
     assert run_cli(capsys, "validate", str(path), "--work-cap", "1000") == (3, "", message)
-    assert run_cli(capsys, "invariant", cli_files["sphere.pres"], str(path),
-                   "--work-cap", "1000") == (3, "", message)
     code, out, _ = run_cli(capsys, "validate", str(path), "--work-cap", "1000000")
     assert code == 1 and out.startswith("violation action.composition 1 1 1\n")
     # A valid module is settled on generators and spends no steps.
     assert run_cli(capsys, "validate", cli_files["ga_z3_p2"], "--work-cap", "1") == (0, "ok\n", "")
+
+
+def test_invariant_refuses_an_invalid_module_at_its_first_witness(cli_files, tmp_path,
+                                                                   capsys):
+    # Two entries of one action row swapped: validate lists 484 witnesses,
+    # while invariant names the first axiom with one witness of it, found
+    # on generating sets, so the listing's cost does not meet the cap.
+    cm = build_group_algebra_crossed_module(build_cyclic_group(4), 3)
+    action = [list(row) for row in cm.action]
+    action[1][1], action[1][2] = action[1][2], action[1][1]
+    path = tmp_path / "swapped_ga_z4_p3.xmod"
+    path.write_text(format_crossed_module_text(FiniteCrossedModule(
+        cm.base, cm.fiber, cm.boundary, tuple(map(tuple, action)))), encoding="utf-8")
+    code, listing, _ = run_cli(capsys, "validate", str(path))
+    lines = listing.splitlines()
+    assert code == 1 and len(lines) == 484
+    code, out, err = run_cli(capsys, "invariant", cli_files["sphere.pres"], str(path),
+                             "--work-cap", "1000")
+    assert (code, out) == (1, "")
+    match = re.fullmatch(rf"error: crossed module in {re.escape(str(path))} "
+                         r"violates (\S+) at witness \(([\d, ]+)\)\n", err)
+    assert match, err
+    axiom, witness = match[1], match[2].replace(",", "")
+    assert axiom == lines[0].split()[1]
+    assert f"violation {axiom} {witness}" in lines
 
 
 def test_work_cap_env(cli_files, capsys, monkeypatch):

@@ -303,6 +303,10 @@ EMPTY_RELATION_PRES = (
         (count_homomorphisms, "spun_hopf", "conj_s3", 15),
         # K is trivial and im = A3: four lifts into S3 / A3.
         (count_homomorphisms, "spun_trefoil", "incl_a3_s3", 21),
+        # Both doors run one loop, so with K trivial the linear door charges
+        # the same steps and reads no relation either.
+        (count_linear_fastpath, "spun_hopf", "conj_s3", 15),
+        (count_linear_fastpath, "spun_trefoil", "incl_a3_s3", 21),
         (count_linear_fastpath, "spun_hopf", "ga_z2_p2", 172),
         # The empty relation is still charged by the linear engine.
         pytest.param(count_linear_fastpath, EMPTY_RELATION_PRES, "ga_z2_p2", 24,

@@ -14,7 +14,6 @@ from xmod.cli import main
 from xmod.crossed import (
     MAX_FIBER_ORDER,
     FiniteCrossedModule,
-    boundary_fibers,
     build_central_quotient_crossed_module,
     build_conjugation_crossed_module,
     build_group_algebra_crossed_module,
@@ -104,6 +103,13 @@ def test_group_algebra_on_trivial_group():
 def test_constructors_name_the_entry_out_of_range():
     z2, z3 = build_cyclic_group(2), build_cyclic_group(3)
     cases = [
+        (lambda: FiniteGroup(0, ()), "group order must be positive"),
+        (lambda: FiniteCrossedModule(z2, z3, (0, 0), (z3.product[0],) * 2),
+         "boundary table length does not match fiber order"),
+        (lambda: FiniteCrossedModule(z2, z3, (0, 0, 0), (z3.product[0],)),
+         "action table shape does not match base x fiber"),
+        (lambda: FiniteCrossedModule(z2, z3, (0, 0, 0), ((0, 1, 2), (0, 1))),
+         "action table shape does not match base x fiber"),
         (lambda: FiniteGroup(2, ((0, 1), (1, 2))), "product entry 2 out of range 0..1"),
         (lambda: FiniteGroup(2, ((0, -1), (1, 0))), "product entry -1 out of range 0..1"),
         (lambda: FiniteCrossedModule(z2, z3, (0, 2, 0), (z3.product[0],) * 2),
@@ -281,25 +287,6 @@ def corrupt_action(cm: FiniteCrossedModule, rng: random.Random) -> FiniteCrossed
     rows[g][e] = rng.choice([v for v in range(nE) if v != rows[g][e]])
     return FiniteCrossedModule(cm.base, cm.fiber, cm.boundary,
                                tuple(tuple(r) for r in rows))
-
-
-def test_boundary_fibers_partition(battery):
-    for _, cm in battery:
-        fibers = boundary_fibers(cm)
-        seen = [e for block in fibers for e in block]
-        assert sorted(seen) == list(range(cm.fiber.order))
-        for g, block in enumerate(fibers):
-            for e in block:
-                assert cm.boundary[e] == g
-
-
-def test_boundary_fibers_shapes():
-    conj = build_conjugation_crossed_module(build_symmetric_group(3))
-    assert boundary_fibers(conj) == tuple((g,) for g in range(6))
-    ga = build_group_algebra_crossed_module(build_cyclic_group(2), 2)
-    fibers = boundary_fibers(ga)
-    assert fibers[ga.base.identity] == tuple(range(4))
-    assert all(not block for g, block in enumerate(fibers) if g != ga.base.identity)
 
 
 def test_kernel_elements_are_central(battery):

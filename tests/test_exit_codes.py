@@ -89,3 +89,38 @@ def test_corrupted_inputs_end_in_a_documented_exit(tmp_path, capsys):
                 codes[check_run(capsys, argv)] += 1
     # The corruptions reach every outcome but the work cap.
     assert codes[0] and codes[1] and codes[2], codes
+
+
+ORDER_1_TABLES = "xmod v1\nbase 1\n0\nfiber 1\n0\n"
+
+# (command, file suffix, text, exit code, message): one refusal each, made
+# through the command that reads the file.
+REFUSALS = [
+    pytest.param("compile", "movie", "birth X\nbirth Y\ncross + over=X in=Y out=b\n"
+                 "birth b\nend\n", 1, "event 3 (line 4): arc 'b' is already live",
+                 id="birth_onto_a_crossing_output"),
+    pytest.param("compile", "movie", "birth X\nbirth Y\ncross + over=X in=Y out=X\nend\n",
+                 1, "event 2 (line 3): arc 'X' is already live", id="cross_onto_a_live_arc"),
+    pytest.param("compile", "movie", "birth X\nsaddle cell=e u=X v=X band=b merged=c1,c2\n"
+                 "birth Y\nsb 1 band=b strand=Y out=c1\nend\n", 1,
+                 "event 3 (line 4): arc 'c1' is already live",
+                 id="sb_onto_a_live_arc"),
+    pytest.param("compile", "movie", "birth X\nsb\nend\n", 2, "line 2: sb takes a rule id",
+                 id="sb_without_a_rule"),
+    pytest.param("compile", "movie", "bb\nend\n", 2, "line 1: bb takes a rule id",
+                 id="bb_without_a_rule"),
+    pytest.param("validate", "xmod", ORDER_1_TABLES + "boundary 3\n0\naction\n0\n", 2,
+                 "line 6: [boundary] 'boundary' takes no arguments",
+                 id="boundary_header_with_an_argument"),
+    pytest.param("validate", "xmod", ORDER_1_TABLES + "boundary\n0\naction x\n0\n", 2,
+                 "line 8: [action] 'action' takes no arguments",
+                 id="action_header_with_an_argument"),
+]
+
+
+@pytest.mark.parametrize("command, suffix, text, code, message", REFUSALS)
+def test_refusal_is_one_line(command, suffix, text, code, message, tmp_path, capsys):
+    path = tmp_path / f"input.{suffix}"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, str(path)]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")

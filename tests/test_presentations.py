@@ -107,6 +107,12 @@ def test_built_crossed_words_pass_the_checked_constructor(c, d, w):
             assert FreeWord(conjugator.letters) == conjugator
 
 
+def test_crossed_word_str_is_the_canonical_text():
+    crossed = CrossedWord(((parse_word("X"), "e", 1), (EMPTY_WORD, "f", -1)))
+    assert str(crossed) == "(X ; e ; +) (1 ; f ; -)"
+    assert str(EMPTY_CROSSED_WORD) == ""
+
+
 def test_crossed_word_rejects_bad_sign():
     with pytest.raises(ValueError):
         CrossedWord(((EMPTY_WORD, "e", 2),))

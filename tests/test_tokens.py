@@ -10,7 +10,7 @@ from xmod.crossed import parse_crossed_module_text
 from xmod.errors import FormatError
 from xmod.movies import parse_movie_script
 from xmod.presentations import parse_presentation_text
-from xmod.words import LineReader, parse_integers, parse_word
+from xmod.words import LineReader, first_content, parse_integers, parse_word
 
 PARSERS = {
     "xmod": parse_crossed_module_text,
@@ -37,6 +37,10 @@ MALFORMED_TOKENS = [
      "bad arc id ''"),
     ("movie", "birth X\ndeath circle=,X, spanner=[]\nend\n", 2, "bad arc id ''"),
     ("movie", "birth X\ndeath circle=X,,Y spanner=[]\nend\n", 2, "bad arc id ''"),
+    # More digits than int() converts by default (4300): refused by the
+    # integer rule like any other bad token, not raised from int().
+    pytest.param("xmod", "xmod v1\nbase " + "9" * 4301 + "\n", 2,
+                 f"[base] bad order '{'9' * 4301}'", id="xmod-order-past-int-digits"),
 ]
 
 
@@ -110,6 +114,19 @@ def test_parse_integers_is_the_integer_rule_per_token(tokens, space):
         assert str(info.value) == f"line 3: [base] expected an integer, got {bad[0]!r}"
     else:
         assert parse_integers(text) == tuple(int(token) for token in tokens)
+
+
+# Every line break of str.splitlines, other characters, and "#".
+LINE_PIECES = st.sampled_from([
+    "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+    "\u2029", "\x1f", " ", "\t", "#", "pres v1", "x", "a#b",
+])
+
+
+@given(st.lists(LINE_PIECES, max_size=8))
+def test_first_content_is_the_first_line_the_reader_yields(pieces):
+    text = "".join(pieces)
+    assert first_content(text) == next((content for _, content in LineReader(text)), "")
 
 
 def test_end_of_input_is_the_last_line_of_the_text():

@@ -34,6 +34,11 @@ def test_reduce_expands_exponents():
     assert reduce_free_word([("X", 0)]) == EMPTY_WORD
 
 
+def test_str_is_the_canonical_text():
+    assert str(parse_word("X Y^-1 X^2")) == "X Y^-1 X X"
+    assert str(EMPTY_WORD) == "1"
+
+
 def test_constructor_rejects_unreduced():
     with pytest.raises(ValueError):
         FreeWord((("X", 1), ("X", -1)))
