@@ -106,8 +106,8 @@ def cmd_validate(args) -> int:
     if report.ok:
         print("ok")
         return EXIT_OK
-    for axiom, witness in report.violations:
-        print(f"violation {axiom} {_witness_text(witness)}".rstrip())
+    sys.stdout.write("".join(f"violation {axiom} {_witness_text(witness)}".rstrip() + "\n"
+                             for axiom, witness in report.violations))
     return EXIT_VIOLATION
 
 

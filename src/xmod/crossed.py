@@ -15,9 +15,13 @@ six module axioms over the quantifier domains it is given.  It runs first
 over greedy generating sets: the elements that pass each axiom are closed
 under products, so a valid module is settled in O(n^2 log n) table lookups,
 n the larger order.  A module file read for counting is refused at the
-first witness there; ``xmod validate`` runs a module with a witness again
+first witness there, or at the first witness of Light's test on a table
+that is not a group; ``xmod validate`` runs a module with a witness again
 over whole groups, in O(n^3), one work-cap step per table entry compared,
-to list every witness.  ``selftest`` runs the check on the battery.
+to list every witness.  Both runs compose and compare whole rows, of the
+row type ``groups.row_type`` picks from the larger order, and share the
+byte rows of the two groups with their group checks.  ``selftest`` runs the
+check on the battery.
 The builders here do not run it: they check their input group with
 ``group_violations``, and a group makes both of their tables valid by
 construction.
@@ -30,17 +34,17 @@ from math import lcm
 
 from .budget import DEFAULT_WORK_CAP, Budget
 from .errors import FormatError
-from .groups import (FiniteGroup, _unchecked, differing, entries_at, first_out_of_range,
-                     group_violations)
+from .groups import (FiniteGroup, _unchecked, differing, first_out_of_range,
+                     group_violations, row_type)
 from .words import LineReader, parse_integer, parse_integers
 
 # Largest fiber the group-algebra builder makes.  Its tables have q**2
 # entries: best of 3 on a 2-core VM, 0.01 s at 256, 0.05 s and 23 MB peak RSS
 # at 512, 0.22 s and 60 MB at 1024 (16 MB of that is the import).  Reading a
-# file of that module (Z_n over F_2) takes 0.008 / 0.028 / 0.13 s at
-# q = 256 / 512 / 1024 and validating it 0.010 / 0.044 / 0.19 s, and
-# `xmod validate` on it, start-up included, 0.15 / 0.21 / 0.46 s; no caller
-# needs more than 512.
+# file of that module (Z_n over F_2) takes 0.01 / 0.03 / 0.10 s at
+# q = 256 / 512 / 1024 and validating it 0.003 / 0.045 / 0.18 s (byte rows
+# at 256, tuple rows above), and `xmod validate` on it, start-up included,
+# 0.10 / 0.16 / 0.40 s (best of 7); no caller needs more than 512.
 MAX_FIBER_ORDER = 512
 
 
@@ -170,13 +174,18 @@ def validate_crossed_module(
     ``WorkCapExceeded`` if a listing compares more than ``work_cap`` entries.
     """
     budget = Budget(work_cap)
-    out: list[tuple[str, tuple]] = []
-    out.extend(group_violations(cm.base, "base.", budget))
-    out.extend(group_violations(cm.fiber, "fiber.", budget))
+    out = group_violations(cm.base, "base.", budget, first_only=first_only)
+    if not (out and first_only):
+        out += group_violations(cm.fiber, "fiber.", budget, first_only=first_only)
     if out:
-        return ValidationReport(tuple(out))
+        return ValidationReport(tuple(out[:1] if first_only else out))
     base, fiber = cm.base, cm.fiber
-    found = _module_violations(cm, base.generators, fiber.generators, None)
+    # The base identity's rows hold whenever it acts trivially, which
+    # action.identity checks before them.  The fiber identity's rows stay:
+    # dropping them would change the witness named first for a module with
+    # bdy(1) != 1 or g |> 1 != 1.
+    gens_G = tuple(g for g in base.generators if g != base.identity)
+    found = _module_violations(cm, gens_G, fiber.generators, None)
     if not found or first_only:
         return ValidationReport(tuple(found[:1]))
     return ValidationReport(tuple(
@@ -205,34 +214,40 @@ def _module_violations(
     nG, nE, mG, mE = base.order, fiber.order, len(gens_G), len(gens_E)
     if budget:
         budget.spend(mE * nE + nE + nG * mG * nE + mG * mE * nE + mG * mE + mE * mE)
-    gt, et, bdy, act = base.product, fiber.product, cm.boundary, cm.action
+    rows = row_type(max(nG, nE))
+    gt, et = rows.of(base), rows.of(fiber)
+    bdy, identity_row = rows.convert((cm.boundary, tuple(fiber.elements)))
+    act = rows.convert(cm.action)
     # times_G[h][g] is g h, times_E[f][e] is e f.
-    times_G, times_E = tuple(zip(*gt)), tuple(zip(*et))
+    times_G, times_E = rows.columns(gt), rows.columns(et)
+    (bdy_outer,), act_outer = rows.outers((bdy,)), rows.outers(act)
+    times_G_outer, times_E_outer = rows.outers(times_G), rows.outers(times_E)
+    after = rows.after
     bad: list[tuple[int, tuple]] = []  # (axiom index, witness)
 
     # bdy(e f) = bdy(e) bdy(f), f restricted: the rows over e.
-    boundary_of = entries_at(bdy)
+    boundary_of = after(bdy)
     for f in gens_E:
-        left, right = entries_at(times_E[f])(bdy), boundary_of(times_G[bdy[f]])
+        left, right = after(times_E[f])(bdy_outer), boundary_of(times_G_outer[bdy[f]])
         if left != right:
             bad += [(0, (e, f)) for e in differing(left, right)]
     # 1 |> e = e: the row of the identity.
-    left, right = act[base.identity], tuple(fiber.elements)
+    left, right = act[base.identity], identity_row
     if left != right:
         bad += [(1, (e,)) for e in differing(left, right)]
     # (g h) |> e = g |> (h |> e), h restricted: the rows over e.
     for h in gens_G:
-        after_h = entries_at(act[h])
-        for g, row in enumerate(act):
-            left, right = act[gt[g][h]], after_h(row)
+        after_h = after(act[h])
+        for g, outer in enumerate(act_outer):
+            left, right = act[gt[g][h]], after_h(outer)
             if left != right:
                 bad += [(2, (g, h, e)) for e in differing(left, right)]
     # g |> (e f) = (g |> e)(g |> f), g and f restricted: the rows over e.
     for g in gens_G:
-        row = act[g]
-        moved = entries_at(row)
+        row, outer = act[g], act_outer[g]
+        moved = after(row)
         for f in gens_E:
-            left, right = entries_at(times_E[f])(row), moved(times_E[row[f]])
+            left, right = after(times_E[f])(outer), moved(times_E_outer[row[f]])
             if left != right:
                 bad += [(3, (g, e, f)) for e in differing(left, right)]
     # bdy(g |> e) = g bdy(e) g^-1, g and e restricted.

@@ -4,7 +4,8 @@
 greedy generating sets first, and over whole groups only when that run finds
 a witness.  ``exhaustive_violations`` below is the listing as it was before
 the reduction, kept here as the oracle: on every corruption the validator
-must return exactly its witnesses, in its order.
+must return exactly its witnesses, in its order, on byte rows and on tuple
+rows alike.
 """
 from __future__ import annotations
 
@@ -140,8 +141,25 @@ def corrupt(cm: FiniteCrossedModule, rng: random.Random, entries: int):
     return module(tables["base"], tables["fiber"], tables["boundary"][0], tables["action"])
 
 
+def each_row_type(monkeypatch):
+    """Set ``BYTE_ROWS_FROM`` to 1, 5 and 257 in turn: byte rows for every
+    order up to 256; byte-row module checks after tuple-row group checks of
+    orders below 5; tuple rows for every order."""
+    for threshold in (1, 5, 257):
+        monkeypatch.setattr(groups, "BYTE_ROWS_FROM", threshold)
+        yield
+
+
 def first_axiom(violations: list) -> str | None:
     return violations[0][0] if violations else None
+
+
+def assert_first_witness(first: list, expected: list) -> None:
+    """A first-only report holds one witness of the listing ``expected``,
+    of the listing's first axiom, or none if the listing is empty."""
+    assert len(first) == min(len(expected), 1)
+    if first:
+        assert first[0][0] == expected[0][0] and first[0] in expected
 
 
 def reduced_first_axiom(cm: FiniteCrossedModule) -> str | None:
@@ -151,12 +169,13 @@ def reduced_first_axiom(cm: FiniteCrossedModule) -> str | None:
 
 
 @pytest.mark.parametrize("axiom", sorted(ONE_AXIOM_BROKEN))
-def test_each_reduced_check_catches_its_axiom_alone(axiom):
+def test_each_reduced_check_catches_its_axiom_alone(axiom, monkeypatch):
     cm = ONE_AXIOM_BROKEN[axiom]
     expected = exhaustive_violations(cm)
     assert {name for name, _ in expected} == {axiom}
-    assert list(validate_crossed_module(cm).violations) == expected
-    assert reduced_first_axiom(cm) == axiom
+    for _ in each_row_type(monkeypatch):
+        assert list(validate_crossed_module(cm).violations) == expected
+        assert reduced_first_axiom(cm) == axiom
 
 
 def test_first_failing_reduced_check_names_the_first_witness():
@@ -166,43 +185,68 @@ def test_first_failing_reduced_check_names_the_first_witness():
     assert reduced_first_axiom(IDENTITY_MOVED) == "action.identity"
 
 
-def test_fast_path_equals_exhaustive_listing_on_corruptions():
-    rng = random.Random(2024)
-    pool = corpus()
-    outcomes = {"valid": 0, "groups": 0, "crossed": 0}
-    corrupted = 0
-    for _ in range(1200):
-        name, cm = rng.choice(pool)
-        broken = cm
-        if rng.random() < 0.9:
-            broken = corrupt(cm, rng, rng.randint(1, 3))
-            corrupted += 1
-        expected = exhaustive_violations(broken)
-        assert list(validate_crossed_module(broken).violations) == expected, name
-        if any(axiom.startswith(("base.", "fiber.")) for axiom, _ in expected):
-            outcomes["groups"] += 1
-            continue
-        # Both tables are groups: the first reduced check to fail names the
-        # axiom of the first witness.
-        assert reduced_first_axiom(broken) == first_axiom(expected), name
-        outcomes["crossed" if expected else "valid"] += 1
-    assert corrupted >= 1000
-    assert all(count >= 50 for count in outcomes.values()), outcomes
+def test_fast_path_equals_exhaustive_listing_on_corruptions(monkeypatch):
+    for _ in each_row_type(monkeypatch):
+        rng = random.Random(2024)
+        pool = corpus()
+        outcomes = {"valid": 0, "groups": 0, "crossed": 0}
+        corrupted = 0
+        for _ in range(1200):
+            name, cm = rng.choice(pool)
+            broken = cm
+            if rng.random() < 0.9:
+                broken = corrupt(cm, rng, rng.randint(1, 3))
+                corrupted += 1
+            expected = exhaustive_violations(broken)
+            assert list(validate_crossed_module(broken).violations) == expected, name
+            first = validate_crossed_module(broken, first_only=True).violations
+            assert_first_witness(list(first), expected)
+            if any(axiom.startswith(("base.", "fiber.")) for axiom, _ in expected):
+                outcomes["groups"] += 1
+                continue
+            # Both tables are groups: the first reduced check to fail names the
+            # axiom of the first witness.
+            assert reduced_first_axiom(broken) == first_axiom(expected), name
+            outcomes["crossed" if expected else "valid"] += 1
+        assert corrupted >= 1000
+        assert all(count >= 50 for count in outcomes.values()), outcomes
 
 
-def test_group_fast_path_equals_exhaustive_listing():
-    rng = random.Random(7)
+def test_group_fast_path_equals_exhaustive_listing(monkeypatch):
     tables = [FiniteGroup(5, LOOP5), FiniteGroup(4, V4), build_symmetric_group(3),
               build_symmetric_group(4), build_cyclic_group(8)]
-    for _ in range(300):
-        group = rng.choice(tables)
-        rows = [list(row) for row in group.product]
-        for _ in range(rng.randint(0, 3)):
-            row = rng.choice(rows)
-            i = rng.randrange(len(row))
-            row[i] = rng.choice([v for v in range(group.order) if v != row[i]])
-        table = FiniteGroup(group.order, tuple(map(tuple, rows)))
-        assert groups.group_violations(table, "t.") == table_violations(table, "t.")
+    for _ in each_row_type(monkeypatch):
+        rng = random.Random(7)
+        for _ in range(300):
+            group = rng.choice(tables)
+            rows = [list(row) for row in group.product]
+            for _ in range(rng.randint(0, 3)):
+                row = rng.choice(rows)
+                i = rng.randrange(len(row))
+                row[i] = rng.choice([v for v in range(group.order) if v != row[i]])
+            table = FiniteGroup(group.order, tuple(map(tuple, rows)))
+            expected = table_violations(table, "t.")
+            assert groups.group_violations(table, "t.") == expected
+            assert_first_witness(groups.group_violations(table, "t.", first_only=True),
+                                 expected)
+
+
+@pytest.mark.parametrize("order", [groups.BYTE_ROWS_FROM - 1, groups.BYTE_ROWS_FROM,
+                                   256, 257])
+def test_row_types_meet_at_their_bounds(order):
+    # Tuple rows below BYTE_ROWS_FROM and above 256, byte rows from it to 256.
+    cm = build_conjugation_crossed_module(build_cyclic_group(order))
+    assert validate_crossed_module(cm).ok
+    if order < 256:
+        return
+    # One fiber-table entry changed breaks associativity, and the first
+    # witness over generating sets is refused without the listing.
+    fiber = [list(row) for row in cm.fiber.product]
+    fiber[2][3] = 4
+    broken = module(cm.base.product, fiber, cm.boundary, cm.action)
+    (first,) = validate_crossed_module(broken, work_cap=1, first_only=True).violations
+    (a, b, c), t = first[1], fiber
+    assert first[0] == "fiber.associativity" and t[t[a][b]][c] != t[a][t[b][c]]
 
 
 @pytest.mark.parametrize("group", [build_cyclic_group(n) for n in (1, 2, 7, 64)]

@@ -18,7 +18,7 @@ from xmod.crossed import (
 )
 from xmod.fixtures import fixture_text
 from xmod.fuzz import inversion_module, sign_module
-from xmod.groups import build_cyclic_group
+from xmod.groups import FiniteGroup, build_cyclic_group
 from xmod.presentations import format_presentation_text, stabilize
 from xmod.words import MAX_EXPONENT
 
@@ -440,20 +440,13 @@ def test_validate_work_cap_exit_3(cli_files, tmp_path, capsys):
     assert run_cli(capsys, "validate", cli_files["ga_z3_p2"], "--work-cap", "1") == (0, "ok\n", "")
 
 
-def test_invariant_refuses_an_invalid_module_at_its_first_witness(cli_files, tmp_path,
-                                                                   capsys):
-    # Two entries of one action row swapped: validate lists 484 witnesses,
-    # while invariant names the first axiom with one witness of it, found
-    # on generating sets, so the listing's cost does not meet the cap.
-    cm = build_group_algebra_crossed_module(build_cyclic_group(4), 3)
-    action = [list(row) for row in cm.action]
-    action[1][1], action[1][2] = action[1][2], action[1][1]
-    path = tmp_path / "swapped_ga_z4_p3.xmod"
-    path.write_text(format_crossed_module_text(FiniteCrossedModule(
-        cm.base, cm.fiber, cm.boundary, tuple(map(tuple, action)))), encoding="utf-8")
+def assert_refused_at_first_witness(capsys, cli_files, path, listed: int):
+    """``validate`` lists ``listed`` witnesses of the module at ``path``, and
+    ``invariant`` names the first axiom with one witness of it, found on
+    generating sets, so the listing's cost does not meet the cap."""
     code, listing, _ = run_cli(capsys, "validate", str(path))
     lines = listing.splitlines()
-    assert code == 1 and len(lines) == 484
+    assert code == 1 and len(lines) == listed
     code, out, err = run_cli(capsys, "invariant", cli_files["sphere.pres"], str(path),
                              "--work-cap", "1000")
     assert (code, out) == (1, "")
@@ -463,6 +456,31 @@ def test_invariant_refuses_an_invalid_module_at_its_first_witness(cli_files, tmp
     axiom, witness = match[1], match[2].replace(",", "")
     assert axiom == lines[0].split()[1]
     assert f"violation {axiom} {witness}" in lines
+
+
+def test_invariant_refuses_an_invalid_module_at_its_first_witness(cli_files, tmp_path,
+                                                                   capsys):
+    # Two entries of one action row swapped.
+    cm = build_group_algebra_crossed_module(build_cyclic_group(4), 3)
+    action = [list(row) for row in cm.action]
+    action[1][1], action[1][2] = action[1][2], action[1][1]
+    path = tmp_path / "swapped_ga_z4_p3.xmod"
+    path.write_text(format_crossed_module_text(FiniteCrossedModule(
+        cm.base, cm.fiber, cm.boundary, tuple(map(tuple, action)))), encoding="utf-8")
+    assert_refused_at_first_witness(capsys, cli_files, path, 484)
+
+
+def test_invariant_refuses_a_table_that_is_not_a_group_at_its_first_witness(
+        cli_files, tmp_path, capsys):
+    # Two entries of one fiber-table row swapped: the fiber is not a group.
+    cm = build_group_algebra_crossed_module(build_cyclic_group(4), 3)
+    fiber = [list(row) for row in cm.fiber.product]
+    fiber[1][1], fiber[1][2] = fiber[1][2], fiber[1][1]
+    path = tmp_path / "swapped_fiber_ga_z4_p3.xmod"
+    path.write_text(format_crossed_module_text(FiniteCrossedModule(
+        cm.base, FiniteGroup(cm.fiber.order, tuple(map(tuple, fiber))), cm.boundary,
+        cm.action)), encoding="utf-8")
+    assert_refused_at_first_witness(capsys, cli_files, path, 631)
 
 
 def test_work_cap_env(cli_files, capsys, monkeypatch):
