@@ -23,8 +23,8 @@ row type ``groups.row_type`` picks from the larger order, and share the
 byte rows of the two groups with their group checks.  ``selftest`` runs the
 check on the battery.
 The builders here do not run it: they check their input group with
-``group_violations``, and a group makes both of their tables valid by
-construction.
+``first_violation``, which names the listing's first witness without the
+listing, and a group makes both of their tables valid by construction.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from math import lcm
 from .budget import DEFAULT_WORK_CAP, Budget
 from .errors import FormatError
 from .groups import (FiniteGroup, _unchecked, differing, first_out_of_range,
-                     group_violations, row_type)
+                     first_violation, group_violations, row_type)
 from .words import LineReader, parse_integer, parse_integers
 
 # Largest fiber the group-algebra builder makes.  Its tables have q**2
@@ -267,9 +267,9 @@ def _module_violations(
 
 
 def _require_group(group: FiniteGroup) -> None:
-    violations = group_violations(group)
-    if violations:
-        name, witness = violations[0]
+    violation = first_violation(group)
+    if violation:
+        name, witness = violation
         raise ValueError(f"input table violates {name} at witness {witness}")
 
 

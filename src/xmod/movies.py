@@ -25,17 +25,16 @@ within one class.
 
 Replay tracks labels only, as plain letter tuples ``((gen, +1 or -1), ...)``
 and term tuples ``(letters, cell, sign)``, through the letter-tuple routines
-of ``words`` and ``presentations``; the words become ``FreeWord`` and
-``CrossedWord`` values only when ``compile_movie`` returns.  It checks that
-ids are well formed, fresh and live and that every emitted relation has
-trivial boundary, so it returns a valid presentation, validated again only
-where it is counted.  It does not verify that a script is geometrically
-realizable.
-
-The ``sb`` and ``bb`` crossing rules are the table ``_RULES``.  Replay
-builds at most ``MAX_REPLAY_SIZE`` letters and terms per movie, so a movie
-whose labels grow geometrically is refused instead of running out of time
-or memory.
+of ``words`` and ``presentations``; a death's spanner conjugators come from
+the parser as reduced letter tuples too, which the canonical reader builds
+without a word object.  The words become ``FreeWord`` and ``CrossedWord``
+values only when ``compile_movie`` returns.  It checks that ids are well
+formed, fresh and live and that every emitted relation has trivial
+boundary, so it returns a valid presentation, validated again only where it
+is counted.  It does not verify that a script is geometrically realizable.
+It builds at most ``MAX_REPLAY_SIZE`` letters and terms per movie, so a
+movie whose labels grow geometrically is refused instead of running out of
+time or memory.
 """
 from __future__ import annotations
 
@@ -56,10 +55,10 @@ from .words import (
     _SIGNS,
     _WORD,
     NAME,
-    FreeWord,
+    NAME_RE,
     Letters,
     LineReader,
-    _canonical_word,
+    _canonical_letters,
     _inverse,
     _product,
     _reduced,
@@ -68,11 +67,10 @@ from .words import (
     parse_integer,
     parse_sign,
     parse_word,
-    valid_name,
 )
 
 ArcRef = tuple[str, int]  # (arc id, +1 or -1 for a reversed reading)
-SpannerTerm = tuple[str, FreeWord, int]  # (band id, conjugator, sign)
+SpannerTerm = tuple[str, Letters, int]  # (band id, reduced conjugator letters, sign)
 # A band label or relation during replay: (conjugator letters, cell, sign) terms.
 Terms = tuple[tuple[Letters, str, int], ...]
 
@@ -249,7 +247,7 @@ def _parse_spanner(text: str, line: int) -> tuple[SpannerTerm, ...]:
                 f"spanner term must have 3 fields, got {chunk!r}", line=line
             )
         band = parse_id(parts[0].strip(), "band", line)
-        word = parse_word(parts[1], line=line, field="spanner")
+        word = parse_word(parts[1], line=line, field="spanner").letters
         sign = parse_sign(parts[2].strip(), line)
         terms.append((band, word, sign))
     return tuple(terms)
@@ -293,12 +291,9 @@ def _read_event(content: str, line: int) -> Event:
         if match is None:
             raise FormatError("death needs spanner=[...]", line=line)
         spanner = _parse_spanner(match.group(1), line)
-        head = content[: match.start()].strip()
-        head_tokens = head.split()
+        head_tokens = content[: match.start()].split()
         if len(head_tokens) != 2 or head_tokens[0] != "death":
-            raise FormatError(
-                "death takes circle=<arcs> and spanner=[...]", line=line
-            )
+            raise FormatError("death takes circle=<arcs> and spanner=[...]", line=line)
         key, eq, value = head_tokens[1].partition("=")
         if key != "circle" or not eq or not value:
             raise FormatError("death needs circle=<arc,...>", line=line)
@@ -320,7 +315,6 @@ def _read_event(content: str, line: int) -> Event:
 _ID = f"({NAME})"
 _ARC_REF = rf"({NAME})(\^-1)?"
 _TERM = rf"\(({NAME}),({_WORD}),{_SIGN}\)"
-_TERM_RE = re.compile(_TERM)
 
 
 def _keys_pattern(keys: tuple[str, ...], **values: str) -> str:
@@ -343,16 +337,20 @@ def _canonical_saddle(match: re.Match, line: int) -> SaddleEvent:
 
 
 def _canonical_death(match: re.Match, line: int) -> DeathEvent:
-    spanner = tuple([(band, _canonical_word(word), _SIGNS[sign])
-                     for band, word, sign in _TERM_RE.findall(match[2])])
-    return DeathEvent(tuple(match[1].split(",")), spanner, line)
+    # The pattern matched each term, so the spanner splits into its terms on
+    # ";" and a term into its band, word and sign on ",".
+    terms = []
+    for term in match[2].split(";") if match[2] else ():
+        band, word, sign = term[1:-1].split(",")
+        terms.append((band, _canonical_letters(word), _SIGNS[sign]))
+    return DeathEvent(tuple(match[1].split(",")), tuple(terms), line)
 
 
 # keyword -> (pattern of its canonical lines, event of a match and its line).
 _CANONICAL = {keyword: (re.compile(pattern), build) for keyword, pattern, build in (
     ("birth", f"birth {_ID}", lambda match, line: Birth(match[1], line)),
     ("cross", f"cross {_SIGN}" + _keys_pattern(_CROSS_KEYS),
-     lambda match, line: WirtingerCross(_SIGNS[match[1]], *match.groups()[1:], line)),
+     lambda match, line: WirtingerCross(_SIGNS[match[1]], match[2], match[3], match[4], line)),
     # (?(1) ...) asks for out= exactly where the rule id is one that needs it.
     ("sb", f"sb (?:({_rule_ids('sb', True)})|({_rule_ids('sb', False)}))"
      + _keys_pattern(_SB_KEYS) + f"(?(1) out={_ID})",
@@ -374,18 +372,18 @@ def parse_movie_script(text: str, name: str = "movie") -> MovieScript:
     other line, and every malformed one, by the token reader.
     """
     events: list[Event] = []
-    saw_end = False
     lines = LineReader(text)
     for line, content in lines:
-        if saw_end:
-            raise FormatError("content after 'end'", line=line)
         canonical = _CANONICAL.get(content.partition(" ")[0])
         match = canonical and canonical[0].fullmatch(content)
         event = canonical[1](match, line) if match else _read_event(content, line)
         events.append(event)
-        saw_end = type(event) is EndEvent
-    if not saw_end:
+        if type(event) is EndEvent:
+            break
+    else:
         raise lines.end_error("missing 'end' event")
+    for line, _ in lines:
+        raise FormatError("content after 'end'", line=line)
     return MovieScript(name, tuple(events))
 
 
@@ -405,15 +403,13 @@ class _Replay:
     """Labels of the current diagram plus everything emitted so far: the
     working state one replay folds its events into, in place.
 
-    Every word here is a plain tuple of letters (gen, +1 or -1), freely
-    reduced, and every band label and relation a tuple of terms (conjugator
-    letters, cell, sign).  ``compile_movie`` turns the cell boundaries and
-    relations into ``FreeWord`` and ``CrossedWord`` values once, when it
-    returns; no event builds one.  ``known`` holds the ids of
-    ``generators`` and ``cell_boundary`` is keyed by the ids of ``cells``,
-    so every freshness check is a lookup and each event costs time
-    independent of how many came before it.  ``size`` counts the letters
-    and terms built so far.
+    Words are freely reduced letter tuples, and band labels and relations
+    term tuples.  ``known`` holds the ids of ``generators`` and
+    ``cell_boundary`` is keyed by the ids of ``cells``, so every freshness
+    check is a lookup and each event costs time independent of how many
+    came before it.  ``size`` counts the letters and terms built so far;
+    each step adds what it is about to build and refuses the movie past
+    ``MAX_REPLAY_SIZE`` before building it.
     """
 
     __slots__ = ("arcs", "bands", "generators", "known", "cells",
@@ -431,74 +427,46 @@ class _Replay:
         self.size = 0
 
 
-def _live_arc(work: _Replay, arc: str) -> Letters:
-    try:
-        return work.arcs[arc]
-    except KeyError:
-        raise XmodError(f"arc {arc!r} is not live") from None
-
-
-def _live_band(work: _Replay, band: str) -> Terms:
-    try:
-        return work.bands[band]
-    except KeyError:
-        raise XmodError(f"band {band!r} is not live") from None
-
-
-def _charge(work: _Replay, size: int) -> None:
-    """Count ``size`` letters and terms about to be built; past
-    ``MAX_REPLAY_SIZE`` the movie is refused before they are."""
-    work.size += size
-    if work.size > MAX_REPLAY_SIZE:
-        raise XmodError(f"labels grow past {MAX_REPLAY_SIZE} letters and terms")
-
-
-def _size(label: Terms) -> int:
-    """Terms plus conjugator letters."""
-    return sum([1 + len(word) for word, _, _ in label])
-
-
-def _acted(work: _Replay, label: Terms, word: Letters) -> Terms:
-    """The left action of ``word`` on ``label``: ``word`` prepended to every
-    conjugator, charged before it is built."""
-    _charge(work, _size(label) + len(label) * len(word))
-    if not word:
-        return label
-    return tuple([(_product(word, w), cell, sign) for w, cell, sign in label])
-
-
-def _boundary(work: _Replay, label: Terms) -> Letters:
-    """The boundary letters of ``label``, charged by the letters it joins
-    before reducing them."""
-    cells = work.cell_boundary
-    _charge(work, sum([2 * len(word) + len(cells[cell]) for word, cell, _ in label]))
-    return _boundary_letters(label, cells.__getitem__)
+def _grown() -> XmodError:
+    return XmodError(f"labels grow past {MAX_REPLAY_SIZE} letters and terms")
 
 
 def _birth(work: _Replay, event: Birth) -> None:
-    if not valid_name(event.arc):
-        raise XmodError(f"bad arc id {event.arc!r}")
-    if event.arc in work.known:
-        raise XmodError(f"generator {event.arc!r} already exists")
-    if event.arc in work.cell_boundary:
-        raise XmodError(f"generator {event.arc!r} collides with a cell")
-    if event.arc in work.arcs:
-        raise XmodError(f"arc {event.arc!r} is already live")
-    _charge(work, 1)
-    work.arcs[event.arc] = ((event.arc, 1),)
-    work.generators.append(event.arc)
-    work.known.add(event.arc)
+    arc = event.arc
+    if not NAME_RE.match(arc):
+        raise XmodError(f"bad arc id {arc!r}")
+    if arc in work.known:
+        raise XmodError(f"generator {arc!r} already exists")
+    if arc in work.cell_boundary:
+        raise XmodError(f"generator {arc!r} collides with a cell")
+    if arc in work.arcs:
+        raise XmodError(f"arc {arc!r} is already live")
+    work.size += 1
+    if work.size > MAX_REPLAY_SIZE:
+        raise _grown()
+    work.arcs[arc] = ((arc, 1),)
+    work.generators.append(arc)
+    work.known.add(arc)
 
 
 def _cross(work: _Replay, event: WirtingerCross) -> None:
-    over = _live_arc(work, event.over)
-    into = _live_arc(work, event.under_in)
-    if event.under_out in work.arcs:
+    arcs = work.arcs
+    over = arcs.get(event.over)
+    if over is None:
+        raise XmodError(f"arc {event.over!r} is not live")
+    into = arcs.get(event.under_in)
+    if into is None:
+        raise XmodError(f"arc {event.under_in!r} is not live")
+    if event.under_out in arcs:
         raise XmodError(f"arc {event.under_out!r} is already live")
+    work.size += 2 * len(over) + len(into)
+    if work.size > MAX_REPLAY_SIZE:
+        raise _grown()
+    # x -> over^-1 x over, or over x over^-1 under a negative crossing.
+    left, right = _inverse(over), over
     if event.sign < 0:
-        over = _inverse(over)
-    _charge(work, 2 * len(over) + len(into))
-    work.arcs[event.under_out] = _product(_product(_inverse(over), into), over)
+        left, right = right, left
+    arcs[event.under_out] = _product(_product(left, into), right)
 
 
 def _strand_band(work: _Replay, event: StrandBandCross) -> None:
@@ -506,90 +474,138 @@ def _strand_band(work: _Replay, event: StrandBandCross) -> None:
     if needs_out != (event.out is not None):
         raise XmodError(f"sb rule {event.rule} "
                         f"{'needs' if needs_out else 'takes no'} out=")
-    band_label = _live_band(work, event.band)
-    strand = _live_arc(work, event.strand)
+    band_label = work.bands.get(event.band)
+    if band_label is None:
+        raise XmodError(f"band {event.band!r} is not live")
+    strand = work.arcs.get(event.strand)
+    if strand is None:
+        raise XmodError(f"arc {event.strand!r} is not live")
     if event.out is not None:
         if event.out in work.arcs:
             raise XmodError(f"arc {event.out!r} is already live")
-        b = _boundary(work, band_label)
+        cells = work.cell_boundary
+        work.size += sum([2 * len(w) + len(cells[cell]) for w, cell, _ in band_label])
+        if work.size > MAX_REPLAY_SIZE:
+            raise _grown()
+        b = _boundary_letters(band_label, cells.__getitem__)
         if direction < 0:
             b = _inverse(b)
-        _charge(work, 2 * len(b) + len(strand))
+        work.size += 2 * len(b) + len(strand)
+        if work.size > MAX_REPLAY_SIZE:
+            raise _grown()
         work.arcs[event.out] = _product(_product(b, strand), _inverse(b))
     else:
         mover = strand if direction > 0 else _inverse(strand)
-        work.bands[event.band] = _acted(work, band_label, mover)
+        work.size += len(band_label) * (1 + len(mover)) + sum([len(w) for w, _, _ in band_label])
+        if work.size > MAX_REPLAY_SIZE:
+            raise _grown()
+        work.bands[event.band] = tuple([(_product(mover, w), cell, sign)
+                                        for w, cell, sign in band_label])
 
 
 def _band_band(work: _Replay, event: BandBandCross) -> None:
     direction = _rule("bb", event.rule)[1]
-    mover_label = _live_band(work, event.mover)
-    fixed_label = _live_band(work, event.fixed)
+    mover_label = work.bands.get(event.mover)
+    if mover_label is None:
+        raise XmodError(f"band {event.mover!r} is not live")
+    fixed_label = work.bands.get(event.fixed)
+    if fixed_label is None:
+        raise XmodError(f"band {event.fixed!r} is not live")
     if event.mover == event.fixed:
         raise XmodError("a band cannot cross itself")
     if direction < 0:
         fixed_label = _inverse_terms(fixed_label)
-    _charge(work, _size(mover_label) + 2 * _size(fixed_label))
+    # Terms plus conjugator letters: the mover's once and the fixed band's twice.
+    work.size += sum([1 + len(w) for w, _, _ in mover_label + fixed_label + fixed_label])
+    if work.size > MAX_REPLAY_SIZE:
+        raise _grown()
     work.bands[event.mover] = fixed_label + mover_label + _inverse_terms(fixed_label)
 
 
 def _saddle(work: _Replay, event: SaddleEvent) -> None:
-    u_label = _live_arc(work, event.u[0])
-    v_label = _live_arc(work, event.v[0])
-    if not valid_name(event.cell):
-        raise XmodError(f"bad cell id {event.cell!r}")
-    if event.cell in work.cell_boundary:
-        raise XmodError(f"cell {event.cell!r} already exists")
-    if event.cell in work.known:
-        raise XmodError(f"cell id {event.cell!r} collides with a generator")
-    if event.band in work.bands:
-        raise XmodError(f"band {event.band!r} is already live")
-    wu = u_label if event.u[1] > 0 else _inverse(u_label)
-    wv = v_label if event.v[1] > 0 else _inverse(v_label)
-    if len(set(event.merged)) != len(event.merged):
+    arcs = work.arcs
+    (u, u_sign), (v, v_sign) = event.u, event.v
+    u_label = arcs.get(u)
+    if u_label is None:
+        raise XmodError(f"arc {u!r} is not live")
+    v_label = arcs.get(v)
+    if v_label is None:
+        raise XmodError(f"arc {v!r} is not live")
+    cell, band, merged = event.cell, event.band, event.merged
+    if not NAME_RE.match(cell):
+        raise XmodError(f"bad cell id {cell!r}")
+    if cell in work.cell_boundary:
+        raise XmodError(f"cell {cell!r} already exists")
+    if cell in work.known:
+        raise XmodError(f"cell id {cell!r} collides with a generator")
+    if band in work.bands:
+        raise XmodError(f"band {band!r} is already live")
+    if len(set(merged)) != len(merged):
         raise XmodError("merged arc ids must be distinct")
-    _charge(work, len(wu) + len(wv) + 1)
+    work.size += len(u_label) + len(v_label) + 1
+    if work.size > MAX_REPLAY_SIZE:
+        raise _grown()
     # The consumed arcs go first, so a merged arc may reuse their ids.
-    del work.arcs[event.u[0]]
-    work.arcs.pop(event.v[0], None)
+    del arcs[u]
+    arcs.pop(v, None)
     inherited = (u_label, v_label)
-    for index, arc in enumerate(event.merged):
-        if arc in work.arcs:
+    for index, arc in enumerate(merged):
+        if arc in arcs:
             raise XmodError(f"arc {arc!r} is already live")
-        work.arcs[arc] = inherited[index]
-    work.bands[event.band] = (((), event.cell, 1),)
-    work.cells.append(event.cell)
-    work.cell_boundary[event.cell] = _product(wu, _inverse(wv))
+        arcs[arc] = inherited[index]
+    work.bands[band] = (((), cell, 1),)
+    work.cells.append(cell)
+    # The boundary reads u, then v backwards; each reading may be reversed.
+    work.cell_boundary[cell] = _product(u_label if u_sign > 0 else _inverse(u_label),
+                                        _inverse(v_label) if v_sign > 0 else v_label)
 
 
 def _death(work: _Replay, event: DeathEvent) -> None:
-    if len(set(event.circle)) != len(event.circle):
+    circle = event.circle
+    if len(set(circle)) != len(circle):
         raise XmodError("death circle lists an arc twice")
-    for arc in event.circle:
-        if arc not in work.arcs:
+    arcs = work.arcs
+    for arc in circle:
+        if arc not in arcs:
             raise XmodError(f"arc {arc!r} is not live")
-        del work.arcs[arc]
+        del arcs[arc]
     # A disk meeting no bands yields the empty relation, which is omitted.
     if not event.spanner:
         return
-    known = work.known
+    bands, known, cells = work.bands, work.known, work.cell_boundary
+    size = work.size
     terms: list = []
     for band, conjugator, sign in event.spanner:
-        label = _live_band(work, band)
-        for gen, _ in conjugator.letters:
+        label = bands.get(band)
+        if label is None:
+            raise XmodError(f"band {band!r} is not live")
+        for gen, _ in conjugator:
             if gen not in known:
-                unknown = sorted(conjugator.generators() - known)
-                raise XmodError(
-                    f"spanner conjugator uses unknown generator {unknown[0]!r}"
-                )
-        moved = _acted(work, label, conjugator.letters)
-        terms += moved if sign > 0 else _inverse_terms(moved)
+                unknown = min({gen for gen, _ in conjugator} - known)
+                raise XmodError(f"spanner conjugator uses unknown generator {unknown!r}")
+        # The conjugator acts from the left: each term gets a copy of it.
+        size += len(label) * (1 + len(conjugator))
+        for w, _, _ in label:
+            size += len(w)
+        if size > MAX_REPLAY_SIZE:
+            raise _grown()
+        if conjugator:
+            label = [(_product(conjugator, w), cell, s) for w, cell, s in label]
+        terms += label if sign > 0 else _inverse_terms(label)
     relation = tuple(terms)
-    boundary = _boundary(work, relation)
+    # The boundary joins each conjugator twice and each cell boundary once,
+    # charged before it is reduced; it is empty if the cell boundaries are.
+    joined = 0
+    for w, cell, _ in relation:
+        size += 2 * len(w)
+        joined += len(cells[cell])
+    work.size = size = size + joined
+    if size > MAX_REPLAY_SIZE:
+        raise _grown()
+    boundary = _boundary_letters(relation, cells.__getitem__) if joined else ()
     if boundary:
-        raise XmodError(
-            f"death relation has nontrivial boundary {format_word(_reduced(boundary))}"
-        )
+        raise XmodError("death relation has nontrivial boundary "
+                        + format_word(_reduced(boundary)))
     work.relations.append(relation)
 
 
@@ -602,18 +618,24 @@ _STEPS = {Birth: _birth, WirtingerCross: _cross, StrandBandCross: _strand_band,
           EndEvent: _end}
 
 
-def _step(work: _Replay, event: Event) -> None:
-    """Apply one event to ``work`` in place.
-
-    Checks may follow mutations of the same event, so a raising step leaves
-    ``work`` part-way; callers discard it.
-    """
-    if work.finished:
-        raise XmodError("script already ended")
-    step = _STEPS.get(type(event))
-    if step is None:
-        raise XmodError(f"unknown event type {type(event).__name__}")
-    step(work, event)
+def _replayed(events) -> _Replay:
+    """The working state after ``events``, folded in order into a new one.
+    A refused event raises ``ReplayError`` with its index and line; checks
+    may follow mutations of the same event, so that state is dropped."""
+    work = _Replay()
+    steps = _STEPS
+    try:
+        for index, event in enumerate(events):
+            if work.finished:
+                raise XmodError("script already ended")
+            step = steps.get(type(event))
+            if step is None:
+                raise XmodError(f"unknown event type {type(event).__name__}")
+            step(work, event)
+    except XmodError as exc:
+        raise ReplayError(str(exc), event_index=index,
+                          line=getattr(event, "line", None)) from exc
+    return work
 
 
 def compile_movie(script: MovieScript) -> CrossedPresentation:
@@ -621,16 +643,9 @@ def compile_movie(script: MovieScript) -> CrossedPresentation:
 
     Each ``birth`` event adds one base generator, so ``one_handles`` of the
     result counts those events.  The events are folded into one working
-    state, so replay takes time linear in the number of events.  Replay's
-    checks make the result valid; it is validated again only where counted.
+    state, so replay takes time linear in the number of events.
     """
-    work = _Replay()
-    for index, event in enumerate(script.events):
-        try:
-            _step(work, event)
-        except XmodError as exc:
-            raise ReplayError(str(exc), event_index=index,
-                              line=getattr(event, "line", None)) from exc
+    work = _replayed(script.events)
     if not work.finished:
         raise ReplayError("script has no 'end' event", event_index=len(script.events))
     # Each stored word becomes a FreeWord here, once.

@@ -24,7 +24,7 @@ from .words import (
     Letter,
     Letters,
     LineReader,
-    _canonical_word,
+    _canonical_letters,
     _free_reduction,
     _inverse,
     _reduced,
@@ -335,7 +335,7 @@ class _Words(dict):
     """
 
     def __missing__(self, text: str) -> FreeWord:
-        word = self[text] = _canonical_word(text)
+        word = self[text] = _reduced(_canonical_letters(text))
         return word
 
 

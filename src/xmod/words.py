@@ -40,7 +40,7 @@ EMPTY_WORD_TOKEN = "1"
 # Pattern pieces of the canonical spelling the writers use, for the readers
 # that take a canonical line in one match: a sign ``+`` or ``-`` (one group),
 # and a word ``1`` or letters ``X`` and ``X^-1`` one space apart (no group).
-# ``_canonical_word`` reads a word that ``_WORD`` matched.
+# ``_canonical_letters`` reads a word that ``_WORD`` matched.
 _SIGN = "(" + "|".join(re.escape(sign) for sign in _SIGNS if len(sign) == 1) + ")"
 _LETTER = rf"{NAME}(?:\^-1)?"
 _WORD = rf"{re.escape(EMPTY_WORD_TOKEN)}|{_LETTER}(?: {_LETTER})*"
@@ -269,13 +269,15 @@ def parse_word(text: str, line: int | None = None, field: str | None = None) -> 
     return reduce_free_word(raw)
 
 
-def _canonical_word(text: str) -> FreeWord:
-    """The word of a canonical spelling, one that ``_WORD`` matches."""
+def _canonical_letters(text: str) -> Letters:
+    """The freely reduced letters of a word ``_WORD`` matched.  One token needs
+    no reduction, and a canonical token holds a ^ only in its suffix ^-1."""
+    if " " in text:
+        return _free_reduction([(token[:-3], -1) if "^" in token else (token, 1)
+                                for token in text.split(" ")])
     if text == EMPTY_WORD_TOKEN:
-        return EMPTY_WORD
-    # A canonical token holds a ^ only in its suffix ^-1.
-    return _reduced(_free_reduction([(token[:-3], -1) if "^" in token else (token, 1)
-                                     for token in text.split(" ")]))
+        return ()
+    return ((text[:-3], -1),) if "^" in text else ((text, 1),)
 
 
 def format_word(word: FreeWord) -> str:

@@ -10,6 +10,7 @@ rows alike.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -229,6 +230,39 @@ def test_group_fast_path_equals_exhaustive_listing(monkeypatch):
             assert groups.group_violations(table, "t.") == expected
             assert_first_witness(groups.group_violations(table, "t.", first_only=True),
                                  expected)
+
+
+def test_builders_refuse_at_the_listings_first_witness(monkeypatch):
+    # Seeded corruptions of groups on both sides of the row-type threshold,
+    # and two associative tables without a generating set (constant, and
+    # x y = x) that fail at the identity.
+    tables = [FiniteGroup(5, LOOP5), FiniteGroup(4, V4), build_symmetric_group(3),
+              build_symmetric_group(4), build_cyclic_group(8), build_cyclic_group(24)]
+    unfixed = [FiniteGroup(3, ((0,) * 3,) * 3),
+               FiniteGroup(3, tuple((a,) * 3 for a in range(3)))]
+    for _ in each_row_type(monkeypatch):
+        rng = random.Random(11)
+        named = Counter()
+        for trial in range(300):
+            group = rng.choice(tables)
+            rows = [list(row) for row in group.product]
+            for _ in range(rng.randint(0, 3)):
+                row = rng.choice(rows)
+                i = rng.randrange(len(row))
+                row[i] = rng.choice([v for v in range(group.order) if v != row[i]])
+            table = unfixed[trial % 2] if trial < 2 else FiniteGroup(
+                group.order, tuple(map(tuple, rows)))
+            violations = groups.group_violations(table)
+            first = violations[0] if violations else None
+            assert groups.first_violation(table) == first
+            if first is None:
+                assert build_conjugation_crossed_module(table).base == table
+                continue
+            named[first[0]] += 1
+            with pytest.raises(ValueError) as info:
+                build_conjugation_crossed_module(table)
+            assert str(info.value) == f"input table violates {first[0]} at witness {first[1]}"
+        assert named["associativity"] > 150 and named["identity"] >= 2
 
 
 @pytest.mark.parametrize("order", [groups.BYTE_ROWS_FROM - 1, groups.BYTE_ROWS_FROM,

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from xmod import movies
 from xmod.counting import invariant
@@ -50,10 +51,7 @@ def letters(text: str) -> tuple:
 
 def replay(text: str) -> movies._Replay:
     """The replay state after the events of ``text``, before any ``end``."""
-    work = movies._Replay()
-    for event in parse_movie_script(text + "\nend\n").events[:-1]:
-        movies._step(work, event)
-    return work
+    return movies._replayed(parse_movie_script(text + "\nend\n").events[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +102,7 @@ def event_by_keyword(content: str, line: int):
         circle, _, spanner = rest.removeprefix("circle=").partition(" spanner=")
         terms = [term[1:-1].split(",") for term in spanner[1:-1].split(";") if term]
         return DeathEvent(circle=tuple(circle.split(",")), line=line, spanner=tuple(
-            (band, parse_word(text), 1 if sign == "+" else -1) for band, text, sign in terms))
+            (band, letters(text), 1 if sign == "+" else -1) for band, text, sign in terms))
     tokens = rest.split()
     args = dict(token.split("=") for token in tokens if "=" in token)
 
@@ -655,6 +653,29 @@ def test_token_mutants_parse_alike_on_both_paths(monkeypatch):
     assert outcomes[True] > 1000 and outcomes[False] > 200
 
 
+IDS = st.sampled_from(["X", "Y", "b", "a_1", "c.d", "e'", "f-g"])
+# Letters of two generators in canonical spelling, so runs such as
+# "X X^-1 Y" cancel; or the empty word "1".
+CANONICAL_WORDS = st.one_of(st.just("1"), st.lists(
+    st.sampled_from(["X", "X^-1", "Y", "Y^-1"]), min_size=1, max_size=6).map(" ".join))
+SPANNER_TERMS = st.tuples(IDS, CANONICAL_WORDS, st.sampled_from("+-")).map(
+    lambda term: "(%s,%s,%s)" % term)
+
+
+@given(st.lists(IDS, min_size=1, max_size=3), st.lists(SPANNER_TERMS, max_size=4))
+def test_both_death_readers_read_a_canonical_line_alike(circle, terms):
+    line = f"death circle={','.join(circle)} spanner=[{';'.join(terms)}]"
+    assert on_pattern(line)
+    event = parse_movie_script(line + "\nend\n").events[0]
+    assert event == movies._read_event(line, 1)
+    assert type(event) is DeathEvent and event.circle == tuple(circle)
+    for (band, conjugator, sign), term in zip(event.spanner, terms, strict=True):
+        text_band, text_word, text_sign = term[1:-1].split(",")
+        assert (band, sign) == (text_band, 1 if text_sign == "+" else -1)
+        assert type(conjugator) is tuple and conjugator == letters(text_word)
+        assert all(x != (y[0], -y[1]) for x, y in zip(conjugator, conjugator[1:]))
+
+
 def respelled(text: str) -> str:
     """``text`` with the spaces of every line widened, so no line but
     ``end`` (which has one spelling) is canonical any more."""
@@ -749,10 +770,8 @@ def test_compile_requires_end():
 
 
 def test_step_after_end_rejected():
-    work = movies._Replay()
-    movies._step(work, EndEvent(1))
     with pytest.raises(XmodError):
-        movies._step(work, Birth("X", 2))
+        movies._replayed([EndEvent(1), Birth("X", 2)])
 
 
 @dataclass(frozen=True)
@@ -784,30 +803,146 @@ def test_an_event_of_an_unknown_type_is_refused():
 
 
 def test_compile_fails_where_step_fails():
-    bad = [
-        "birth X\nsaddle cell=e u=X v=X band=b merged=c1,c2\nbirth e\nend\n",
-        "birth X\nsaddle cell=X u=X v=X band=b merged=c1,c2\nend\n",
-        "birth X\nbirth c1\nsaddle cell=e u=X v=X band=b merged=c1,c2\nend\n",
-        "birth X\nsb 1 band=b strand=X out=Z\nend\n",
-        "birth X\nsaddle cell=e u=X v=X band=b merged=c1,c2\nbb 5 mover=b fixed=b\nend\n",
-        "birth X\ndeath circle=X,X spanner=[]\nend\n",
+    bad = {
+        "birth X\nsaddle cell=e u=X v=X band=b merged=c1,c2\nbirth e\nend\n":
+            "event 2 (line 3): generator 'e' collides with a cell",
+        "birth X\nsaddle cell=X u=X v=X band=b merged=c1,c2\nend\n":
+            "event 1 (line 2): cell id 'X' collides with a generator",
+        "birth X\nbirth c1\nsaddle cell=e u=X v=X band=b merged=c1,c2\nend\n":
+            "event 2 (line 3): arc 'c1' is already live",
+        "birth X\nsb 1 band=b strand=X out=Z\nend\n": "event 1 (line 2): band 'b' is not live",
+        "birth X\nsaddle cell=e u=X v=X band=b merged=c1,c2\nbb 5 mover=b fixed=b\nend\n":
+            "event 2 (line 3): a band cannot cross itself",
+        "birth X\ndeath circle=X,X spanner=[]\nend\n":
+            "event 1 (line 2): death circle lists an arc twice",
         "birth X\nbirth Y\nsaddle cell=e u=X v=Y band=b merged=c1,c2\n"
-        "death circle=c1 spanner=[(b,1,+)]\nend\n",
-    ]
-    for text in bad:
-        script = parse_movie_script(text)
-        work = movies._Replay()
-        for index, event in enumerate(script.events):
-            try:
-                movies._step(work, event)
-            except XmodError as exc:
-                expected = f"event {index} (line {event.line}): {exc}"
-                break
-        else:
-            pytest.fail(text)
+        "death circle=c1 spanner=[(b,1,+)]\nend\n":
+            "event 3 (line 4): death relation has nontrivial boundary X Y^-1",
+    }
+    for text, expected in bad.items():
         with pytest.raises(ReplayError) as info:
-            compile_movie(script)
+            compile_movie(parse_movie_script(text))
         assert str(info.value) == expected, text
+
+
+# Movies built in code, with ids that the parser never builds.
+BAD_BIRTH = (Birth("X", 1), Birth("a b", 2))
+BAD_CELL = (Birth("X", 1), SaddleEvent("e=f", ("X", 1), ("X", 1), "b", ("c1",), 2))
+BAD_CELL_ON_DEAD_ARC = (Birth("X", 1), SaddleEvent("e=f", ("Q", 1), ("X", 1), "b", ("c1",), 2))
+SADDLE = "birth X\nsaddle cell=e u=X v=X band=b merged=c1,c2\n"
+# X and Y, and a band b of cell e whose boundary X Y^-1 is not trivial.
+OPEN_SADDLE = "birth X\nbirth Y\nsaddle cell=e u=X v=Y band=b merged=c1,c2\n"
+
+# Every refusal of birth, cross, saddle and death: (movie, the replay bound
+# it runs under or None, event index, line, message).  A movie is text
+# without its "end" or a tuple of events.  Rows with two faults in one event
+# pin which check refuses first, and rows under a small bound pin where
+# each charge sits among the checks.
+REFUSALS = {
+    "birth-bad-id": (BAD_BIRTH, None, 1, 2, "bad arc id 'a b'"),
+    "birth-generator": ("birth X\nbirth X", None, 1, 2, "generator 'X' already exists"),
+    "birth-cell": (SADDLE + "birth e", None, 2, 3, "generator 'e' collides with a cell"),
+    "birth-live-arc": ("birth X\ncross + over=X in=X out=Y\nbirth Y", None, 2, 3,
+                       "arc 'Y' is already live"),
+    "birth-charge": ("birth X\nbirth Y", 1, 1, 2, "labels grow past 1 letters and terms"),
+    "birth-cell-and-live-arc": ("birth X\nsaddle cell=e u=X v=X band=b merged=e\nbirth e",
+                                None, 2, 3, "generator 'e' collides with a cell"),
+    "birth-live-arc-and-charge": ("birth X\ncross + over=X in=X out=Y\nbirth Y", 4, 2, 3,
+                                  "arc 'Y' is already live"),
+    "cross-over-dead": ("birth X\ncross + over=Q in=X out=Z", None, 1, 2,
+                        "arc 'Q' is not live"),
+    "cross-in-dead": ("birth X\ncross + over=X in=Q out=Z", None, 1, 2,
+                      "arc 'Q' is not live"),
+    "cross-out-live": ("birth X\nbirth Y\ncross + over=X in=Y out=X", None, 2, 3,
+                       "arc 'X' is already live"),
+    "cross-charge": ("birth X\nbirth Y\ncross - over=X in=Y out=Z", 4, 2, 3,
+                     "labels grow past 4 letters and terms"),
+    "cross-over-and-in-dead": ("birth X\ncross + over=P in=Q out=Z", None, 1, 2,
+                               "arc 'P' is not live"),
+    "cross-in-dead-and-out-live": ("birth X\ncross + over=X in=Q out=X", None, 1, 2,
+                                   "arc 'Q' is not live"),
+    "cross-out-live-and-charge": ("birth X\nbirth Y\ncross + over=X in=Y out=X", 2, 2, 3,
+                                  "arc 'X' is already live"),
+    "saddle-u-dead": ("birth X\nsaddle cell=e u=Q v=X band=b merged=c1", None, 1, 2,
+                      "arc 'Q' is not live"),
+    "saddle-v-dead": ("birth X\nsaddle cell=e u=X v=Q^-1 band=b merged=c1", None, 1, 2,
+                      "arc 'Q' is not live"),
+    "saddle-bad-cell-id": (BAD_CELL, None, 1, 2, "bad cell id 'e=f'"),
+    "saddle-cell-exists": (SADDLE + "saddle cell=e u=c1 v=c1 band=b2 merged=d1", None, 2, 3,
+                           "cell 'e' already exists"),
+    "saddle-cell-is-generator": ("birth X\nsaddle cell=X u=X v=X band=b merged=c1", None,
+                                 1, 2, "cell id 'X' collides with a generator"),
+    "saddle-band-live": (SADDLE + "saddle cell=f u=c1 v=c1 band=b merged=d1", None, 2, 3,
+                         "band 'b' is already live"),
+    "saddle-merged-repeated": ("birth X\nsaddle cell=e u=X v=X band=b merged=c1,c1", None,
+                               1, 2, "merged arc ids must be distinct"),
+    "saddle-merged-live": ("birth X\nbirth Y\nsaddle cell=e u=X v=X band=b merged=Y", None,
+                           2, 3, "arc 'Y' is already live"),
+    "saddle-charge": ("birth X\nsaddle cell=e u=X^-1 v=X band=b merged=c1", 3, 1, 2,
+                      "labels grow past 3 letters and terms"),
+    "saddle-dead-arc-and-used-cell": (SADDLE + "saddle cell=e u=Q v=c1 band=b2 merged=d1",
+                                      None, 2, 3, "arc 'Q' is not live"),
+    "saddle-dead-arc-and-bad-cell-id": (BAD_CELL_ON_DEAD_ARC, None, 1, 2,
+                                        "arc 'Q' is not live"),
+    "saddle-used-cell-and-live-band": (SADDLE + "saddle cell=e u=c1 v=c1 band=b merged=d1",
+                                       None, 2, 3, "cell 'e' already exists"),
+    "saddle-generator-cell-and-live-band": (
+        SADDLE + "saddle cell=X u=c1 v=c1 band=b merged=d1", None, 2, 3,
+        "cell id 'X' collides with a generator"),
+    "saddle-live-band-and-repeated-merged": (
+        SADDLE + "saddle cell=f u=c1 v=c1 band=b merged=d1,d1", None, 2, 3,
+        "band 'b' is already live"),
+    "saddle-repeated-merged-and-charge": (
+        "birth X\nsaddle cell=e u=X v=X band=b merged=c1,c1", 1, 1, 2,
+        "merged arc ids must be distinct"),
+    "saddle-charge-and-live-merged": (
+        "birth X\nbirth Y\nsaddle cell=e u=X v=X band=b merged=Y", 2, 2, 3,
+        "labels grow past 2 letters and terms"),
+    "death-arc-repeated": ("birth X\ndeath circle=X,X spanner=[]", None, 1, 2,
+                           "death circle lists an arc twice"),
+    "death-arc-dead": ("birth X\ndeath circle=X,Q spanner=[]", None, 1, 2,
+                       "arc 'Q' is not live"),
+    "death-band-dead": (SADDLE + "death circle=c1 spanner=[(b,1,+);(Q,1,+)]", None, 2, 3,
+                        "band 'Q' is not live"),
+    "death-unknown-generator": (SADDLE + "death circle=c1 spanner=[(b,Q P,+)]", None, 2, 3,
+                                "spanner conjugator uses unknown generator 'P'"),
+    "death-term-charge": (SADDLE + "death circle=c1 spanner=[(b,X,+)]", 5, 2, 3,
+                          "labels grow past 5 letters and terms"),
+    "death-boundary-charge": (SADDLE + "death circle=c1 spanner=[(b,X,+)]", 7, 2, 3,
+                              "labels grow past 7 letters and terms"),
+    "death-boundary": (OPEN_SADDLE + "death circle=c1 spanner=[(b,1,+)]", None, 3, 4,
+                       "death relation has nontrivial boundary X Y^-1"),
+    "death-repeated-arc-and-dead-band": ("birth X\ndeath circle=X,X spanner=[(Q,1,+)]",
+                                         None, 1, 2, "death circle lists an arc twice"),
+    "death-dead-arc-and-dead-band": (SADDLE + "death circle=Q spanner=[(Q,1,+)]", None,
+                                     2, 3, "arc 'Q' is not live"),
+    "death-dead-band-and-unknown-generator": (
+        SADDLE + "death circle=c1 spanner=[(Q,P,+)]", None, 2, 3, "band 'Q' is not live"),
+    "death-unknown-generator-and-charge": (
+        SADDLE + "death circle=c1 spanner=[(b,Q,+)]", 4, 2, 3,
+        "spanner conjugator uses unknown generator 'Q'"),
+    "death-charge-and-dead-band": (
+        SADDLE + "death circle=c1 spanner=[(b,1,+);(Q,1,+)]", 4, 2, 3,
+        "labels grow past 4 letters and terms"),
+    "death-boundary-charge-and-boundary": (
+        OPEN_SADDLE + "death circle=c1 spanner=[(b,1,+)]", 7, 3, 4,
+        "labels grow past 7 letters and terms"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_every_replay_refusal(name, monkeypatch):
+    movie, bound, index, line, message = REFUSALS[name]
+    if bound is not None:
+        # The events before the last fit under the bound.
+        assert replay_charge(movie.rpartition("\n")[0] + "\nend\n") <= bound
+        monkeypatch.setattr(movies, "MAX_REPLAY_SIZE", bound)
+    script = (MovieScript("m", movie + (EndEvent(len(movie) + 1),)) if isinstance(movie, tuple)
+              else parse_movie_script(movie + "\nend\n"))
+    with pytest.raises(ReplayError) as info:
+        compile_movie(script)
+    assert (info.value.event_index, info.value.line) == (index, line)
+    assert str(info.value) == f"event {index} (line {line}): {message}"
 
 
 # ---------------------------------------------------------------------------
@@ -885,9 +1020,7 @@ def test_replay_refuses_labels_that_blow_up(name, tmp_path, capsys):
 
 def replay_charge(text: str) -> int:
     """``_Replay.size`` after every event of ``text``."""
-    work = movies._Replay()
-    for event in parse_movie_script(text).events:
-        movies._step(work, event)
+    work = movies._replayed(parse_movie_script(text).events)
     assert work.finished
     return work.size
 
@@ -1009,12 +1142,14 @@ def test_replay_builds_each_stored_word_once(monkeypatch):
     # Replay works on letter tuples, so one compile builds a FreeWord for
     # each cell boundary and relation conjugator and a CrossedWord for each
     # relation, when it returns, and none per product, inverse or action.
+    # The canonical reader hands replay letter tuples too, so parsing builds
+    # no word at all.
     monkeypatch.syspath_prepend(str(ROOT))
     from perfbench.inputs import long_movie
     from xmod import presentations, words
 
-    def built(events: int) -> tuple[Counter, CrossedPresentation]:
-        script = parse_movie_script(long_movie(random.Random(1), events))
+    def built(events: int) -> tuple[Counter, Counter, CrossedPresentation]:
+        text = long_movie(random.Random(1), events)
         counts: Counter = Counter()
         with monkeypatch.context() as patch:
             for kind, name, modules in (("words", "_reduced", (words, presentations, movies)),
@@ -1029,11 +1164,14 @@ def test_replay_builds_each_stored_word_once(monkeypatch):
                     counts[_kind] += 1
                     _check(self)
                 patch.setattr(cls, "__post_init__", checked)
+            script = parse_movie_script(text)
+            parsed = counts.copy()
             pres = compile_movie(script)
-        return counts, pres
+        return parsed, counts, pres
 
     for events in (500, 4000):
-        counts, pres = built(events)
+        parsed, counts, pres = built(events)
+        assert parsed == Counter()
         terms = sum(len(relation.terms) for relation in pres.relations)
         assert counts["words"] <= len(pres.cells) + terms
         assert counts["crossed words"] == len(pres.relations) > 0

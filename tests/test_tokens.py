@@ -86,7 +86,7 @@ def test_accepted_token_spellings():
     sb, bb, plus, minus, death, _ = script.events
     assert (sb.rule, bb.rule, plus.sign, minus.sign) == (4, 2, 1, -1)
     assert death.spanner == (
-        ("b", parse_word("X X"), 1), ("c", parse_word("X^-1 X^-1"), -1)
+        ("b", parse_word("X X").letters, 1), ("c", parse_word("X^-1 X^-1").letters, -1)
     )
 
 
