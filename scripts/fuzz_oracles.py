@@ -3,8 +3,9 @@
 Generates seeded random presentations and checks each with
 ``xmod.fuzz.engine_mismatch``: the engine ``count_report`` picks and the
 linear engine against the naive oracle, and the linear engine again after
-``add_cancelling_pair`` on one of the instance's cells, which must change
-no count.  It prints each instance where they disagree, with its
+two moves that must change no count: ``add_cancelling_pair`` on one of the
+instance's cells, and ``free_product`` with ``DISK``, the presentation of
+Pi2(D^2, S^1), whose count is divided by |E|.  It prints each instance where they disagree, with its
 presentation.  This is the seeded engine check: ``xmod selftest`` runs the
 first 25 instances of seed 7, and this script runs any seed and count.
 Exits 1 if any instance disagrees and 0 otherwise, so it doubles as a

@@ -42,9 +42,7 @@ from .presentations import (
     CrossedWord,
     boundary_of_crossed_word,
     format_presentation_text,
-    free_product,
     parse_presentation_text,
-    stabilize,
     validate_presentation,
 )
 from .words import FreeWord, parse_word, reduce_free_word
@@ -79,7 +77,6 @@ __all__ = [
     "fixture_text",
     "format_crossed_module_text",
     "format_presentation_text",
-    "free_product",
     "invariant",
     "load_fixture",
     "parse_crossed_module_text",
@@ -87,7 +84,6 @@ __all__ = [
     "parse_presentation_text",
     "parse_word",
     "reduce_free_word",
-    "stabilize",
     "validate_crossed_module",
     "validate_presentation",
 ]

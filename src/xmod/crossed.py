@@ -22,9 +22,10 @@ to list every witness.  Both runs compose and compare whole rows, of the
 row type ``groups.row_type`` picks from the larger order, and share the
 byte rows of the two groups with their group checks.  ``selftest`` runs the
 check on the battery.
-The builders here do not run it: they check their input group with
-``first_violation``, which names the listing's first witness without the
-listing, and a group makes both of their tables valid by construction.
+The builders here do not run it: they refuse an input table that is not a
+group at the first witness of ``group_violations(group, first_only=True)``,
+the rule a module file read for counting is refused by, and a group makes
+both of their tables valid by construction.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from math import lcm
 from .budget import DEFAULT_WORK_CAP, Budget
 from .errors import FormatError
 from .groups import (FiniteGroup, _unchecked, differing, first_out_of_range,
-                     first_violation, group_violations, row_type)
+                     group_violations, row_type)
 from .words import LineReader, parse_integer, parse_integers
 
 # Largest fiber the group-algebra builder makes.  Its tables have q**2
@@ -267,9 +268,9 @@ def _module_violations(
 
 
 def _require_group(group: FiniteGroup) -> None:
-    violation = first_violation(group)
-    if violation:
-        name, witness = violation
+    violations = group_violations(group, first_only=True)
+    if violations:
+        name, witness = violations[0]
         raise ValueError(f"input table violates {name} at witness {witness}")
 
 

@@ -1,4 +1,10 @@
-"""Seeded random instances for property tests and the selftest command.
+"""Seeded random instances and presentation moves, for property tests and
+the selftest command.
+
+The moves are ``free_product``, ``stabilize`` (a free product with
+Pi2(D^2, S^1), the presentation ``DISK``) and ``add_cancelling_pair``.  By
+the paper's main theorem the first multiplies the count by the other
+factor's, the second by |E|, and the third keeps it.
 
 Random presentations keep every relation boundary-trivial by construction:
 each relation is a product of blocks of the form
@@ -14,6 +20,7 @@ boundary-triviality invariant.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Iterator
 
 from .counting import count_homomorphisms_naive, count_linear_fastpath, count_report
@@ -30,6 +37,7 @@ from .groups import (
     build_symmetric_group,
 )
 from .presentations import (
+    EMPTY_PRESENTATION,
     CrossedPresentation,
     CrossedWord,
     validate_presentation,
@@ -146,6 +154,65 @@ def random_presentation(rng: random.Random) -> CrossedPresentation:
     return pres
 
 
+def _suffix_renaming(p1: CrossedPresentation, p2: CrossedPresentation) -> dict[str, str]:
+    """Deterministic renaming of every p2 id: append _2, bumping on collision."""
+    k = 2
+    while True:
+        gen_map = {name: f"{name}_{k}" for name in p2.generators}
+        cell_map = {name: f"{name}_{k}" for name in p2.cells}
+        if set(gen_map.values()).isdisjoint(p1.generators) and set(
+            cell_map.values()
+        ).isdisjoint(p1.cells):
+            return {**gen_map, **cell_map}
+        k += 1
+
+
+def _rename_word(word: FreeWord, mapping: dict[str, str]) -> FreeWord:
+    return FreeWord(tuple((mapping.get(g, g), s) for g, s in word.letters))
+
+
+def _rename_crossed(crossed: CrossedWord, mapping: dict[str, str]) -> CrossedWord:
+    return CrossedWord(
+        tuple(
+            (_rename_word(w, mapping), mapping.get(cell, cell), sign)
+            for w, cell, sign in crossed.terms
+        )
+    )
+
+
+def free_product(
+    p1: CrossedPresentation, p2: CrossedPresentation
+) -> CrossedPresentation:
+    """Disjoint union of two presentations; p2 ids get a numeric suffix."""
+    mapping = _suffix_renaming(p1, p2)
+    generators = p1.generators + tuple(mapping[g] for g in p2.generators)
+    cells = p1.cells + tuple(mapping[c] for c in p2.cells)
+    cell_boundary = dict(p1.cell_boundary)
+    for cell in p2.cells:
+        cell_boundary[mapping[cell]] = _rename_word(p2.cell_boundary[cell], mapping)
+    relations = p1.relations + tuple(
+        _rename_crossed(r, mapping) for r in p2.relations
+    )
+    return CrossedPresentation(generators, cells, cell_boundary, relations)
+
+
+def stabilize(pres: CrossedPresentation) -> CrossedPresentation:
+    """Add one fresh base generator and one fresh cell whose boundary is it."""
+    primes = 1
+    while "X" + "'" * primes in pres.generators or "e" + "'" * primes in pres.cells:
+        primes += 1
+    gen = "X" + "'" * primes
+    cell = "e" + "'" * primes
+    cell_boundary = dict(pres.cell_boundary)
+    cell_boundary[cell] = FreeWord(((gen, 1),))
+    return CrossedPresentation(
+        pres.generators + (gen,),
+        pres.cells + (cell,),
+        cell_boundary,
+        pres.relations,
+    )
+
+
 def add_cancelling_pair(pres: CrossedPresentation, cell: str) -> CrossedPresentation:
     """Add a fresh cell c with the boundary of ``cell`` and the relation
     (1 ; c ; +) (1 ; cell ; -): a 2-handle and a 3-handle that cancel.
@@ -163,21 +230,29 @@ def add_cancelling_pair(pres: CrossedPresentation, cell: str) -> CrossedPresenta
                                pres.relations + (relation,))
 
 
+# Pi2(D^2, S^1): one generator and one cell bounding it.  A free product with
+# it scales every count by |E| and keeps the invariant.
+DISK = stabilize(EMPTY_PRESENTATION)
+
+
 def engine_mismatch(
     index: int, pres: CrossedPresentation, cm: FiniteCrossedModule
-) -> dict[str, int] | None:
+) -> dict[str, int | Fraction] | None:
     """The seeded engine check on one instance: the counts by engine if they
     disagree, else None.
 
     The engine ``count_report`` picks and the linear engine are checked
-    against the naive oracle.  An instance with a cell is counted again by
-    the linear engine after ``add_cancelling_pair`` on cell ``index`` (mod
-    the number of cells), which must change no count.
+    against the naive oracle.  The linear engine also counts two moves that
+    must change no count: ``add_cancelling_pair`` on cell ``index`` (mod the
+    number of cells), for an instance with a cell, and ``free_product`` with
+    ``DISK``, whose count is divided by |E| exactly.
     """
     counts = {
         "report": count_report(pres, cm).count,
         "linear": count_linear_fastpath(pres, cm),
         "naive": count_homomorphisms_naive(pres, cm),
+        "disk linear": Fraction(count_linear_fastpath(free_product(pres, DISK), cm),
+                                cm.fiber.order),
     }
     if pres.cells:
         moved = add_cancelling_pair(pres, pres.cells[index % len(pres.cells)])

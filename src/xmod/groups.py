@@ -4,10 +4,10 @@ Elements are the indices 0..order-1.  The table is trusted for shape at
 construction time only; the group axioms are checked by ``group_violations``,
 so a structurally well-formed table that is not a group can still be
 represented and reported.  That check runs where a table comes in: the
-crossed-module builders run it on their input group up to its first
-witness (``first_violation``), and ``validate_crossed_module`` on both
-tables of a module read from a file.  The builders below make groups by
-construction and do not run it.
+crossed-module builders run it on their input group up to its first witness
+(``first_only=True``), as ``xmod invariant`` does on a module file, and
+``validate_crossed_module`` on both tables of a module read from a file.
+The builders below make groups by construction and do not run it.
 
 ``group_violations`` runs one routine, ``_table_violations``, over two
 domains for the middle variable of associativity.  Over a greedy generating
@@ -251,31 +251,6 @@ def group_violations(
             return found[:1]
     return _table_violations(group, prefix, group.elements,
                              budget or Budget(DEFAULT_WORK_CAP))
-
-
-def first_violation(group: FiniteGroup) -> tuple[str, tuple] | None:
-    """``group_violations(group)[0]``, or None for a group, without listing
-    the rest.  A table with no associativity witness over its greedy
-    generating set is associative, so its first witness there is the
-    listing's.  Any other is charged the listing's steps, and its rows are
-    compared in (a, b) order up to its least witness (a, b, c)."""
-    gens = group.generators
-    if gens is not None:
-        found = _table_violations(group, "", gens, None)
-        if not found or found[0][0] != "associativity":
-            return found[0] if found else None
-    n, e = group.order, find_identity(group)
-    Budget(DEFAULT_WORK_CAP).spend(n ** 3 + (0 if e is None else n * n))
-    rows = row_type(n)
-    table = rows.of(group)
-    times = [(b, rows.after(table[b])) for b in group.elements if b != e]
-    for a, (row, outer) in enumerate(zip(table, rows.outers(table))):
-        for b, times_b in times:
-            left, right = table[row[b]], times_b(outer)
-            if left != right:
-                return ("associativity", (a, b, differing(left, right)[0]))
-    # Associative with no generating set, so not a group.
-    return _table_violations(group, "", (), None)[0]
 
 
 def _table_violations(

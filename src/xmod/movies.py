@@ -211,6 +211,9 @@ _CROSS_KEYS = ("over", "in", "out")
 _SB_KEYS = ("band", "strand")
 _BB_KEYS = ("mover", "fixed")
 _SADDLE_KEYS = ("cell", "u", "v", "band", "merged")
+# The refusal of a saddle whose merged= lists no arc or more than two, by
+# the parser and by replay alike.
+_MERGED_COUNT = "merged= must list one or two fresh arcs"
 
 
 def _keyed(tokens: list[str], line: int, keys: tuple[str, ...]) -> list:
@@ -284,7 +287,7 @@ def _read_event(content: str, line: int) -> Event:
     if keyword == "saddle":
         cell, u, v, band, merged = _keyed(tokens[1:], line, _SADDLE_KEYS)
         if not 1 <= len(merged) <= 2:
-            raise FormatError("merged= must list one or two fresh arcs", line=line)
+            raise FormatError(_MERGED_COUNT, line=line)
         return SaddleEvent(cell, u, v, band, merged, line)
     if keyword == "death":
         match = _SPANNER_RE.search(content)
@@ -540,6 +543,8 @@ def _saddle(work: _Replay, event: SaddleEvent) -> None:
         raise XmodError(f"cell id {cell!r} collides with a generator")
     if band in work.bands:
         raise XmodError(f"band {band!r} is already live")
+    if not 1 <= len(merged) <= 2:
+        raise XmodError(_MERGED_COUNT)
     if len(set(merged)) != len(merged):
         raise XmodError("merged arc ids must be distinct")
     work.size += len(u_label) + len(v_label) + 1

@@ -6,6 +6,11 @@ and relations (one per 3-handle).  A relation is a crossed word: a product of
 conjugated cells (conjugator word, cell, sign), never normalised beyond free
 reduction of the conjugators.  No Peiffer-style normal form is computed here
 or anywhere else; relations are evaluated pointwise against finite targets.
+
+This module holds the values, their check and their text format, and no
+algebra on crossed words: replay builds relations on letter tuples, and the
+moves on presentations (``free_product``, ``stabilize``,
+``add_cancelling_pair``) live in ``xmod.fuzz``.
 """
 from __future__ import annotations
 
@@ -53,16 +58,6 @@ class CrossedWord:
             if not isinstance(cell, str):
                 raise TypeError("cell id must be a string")
 
-    def __mul__(self, other: CrossedWord) -> CrossedWord:
-        return _crossed(self.terms + other.terms)
-
-    def inverse(self) -> CrossedWord:
-        return _crossed(_inverse_terms(self.terms))
-
-    def act(self, word: FreeWord) -> CrossedWord:
-        """Left action of a base word: prepend it to every conjugator."""
-        return _crossed(tuple([(word * w, cell, sign) for w, cell, sign in self.terms]))
-
     def cells(self) -> set[str]:
         return {cell for _, cell, _ in self.terms}
 
@@ -74,7 +69,8 @@ EMPTY_CROSSED_WORD = CrossedWord()
 
 
 def _crossed(terms: tuple[Term, ...]) -> CrossedWord:
-    """A ``CrossedWord`` of terms taken from checked crossed words, unchecked."""
+    """A ``CrossedWord`` of terms whose conjugators are ``FreeWord`` values
+    and whose signs are +1 or -1, unchecked."""
     crossed = object.__new__(CrossedWord)
     object.__setattr__(crossed, "terms", terms)
     return crossed
@@ -203,65 +199,6 @@ def validate_presentation(pres: CrossedPresentation) -> ValidationReport:
                     ("relation.nontrivial_boundary", (index, format_word(boundary)))
                 )
     return ValidationReport(tuple(out))
-
-
-def _suffix_renaming(p1: CrossedPresentation, p2: CrossedPresentation) -> dict[str, str]:
-    """Deterministic renaming of every p2 id: append _2, bumping on collision."""
-    k = 2
-    while True:
-        gen_map = {name: f"{name}_{k}" for name in p2.generators}
-        cell_map = {name: f"{name}_{k}" for name in p2.cells}
-        if set(gen_map.values()).isdisjoint(p1.generators) and set(
-            cell_map.values()
-        ).isdisjoint(p1.cells):
-            return {**gen_map, **cell_map}
-        k += 1
-
-
-def _rename_word(word: FreeWord, mapping: dict[str, str]) -> FreeWord:
-    return FreeWord(tuple((mapping.get(g, g), s) for g, s in word.letters))
-
-
-def _rename_crossed(crossed: CrossedWord, mapping: dict[str, str]) -> CrossedWord:
-    return CrossedWord(
-        tuple(
-            (_rename_word(w, mapping), mapping.get(cell, cell), sign)
-            for w, cell, sign in crossed.terms
-        )
-    )
-
-
-def free_product(
-    p1: CrossedPresentation, p2: CrossedPresentation
-) -> CrossedPresentation:
-    """Disjoint union of two presentations; p2 ids get a numeric suffix."""
-    mapping = _suffix_renaming(p1, p2)
-    generators = p1.generators + tuple(mapping[g] for g in p2.generators)
-    cells = p1.cells + tuple(mapping[c] for c in p2.cells)
-    cell_boundary = dict(p1.cell_boundary)
-    for cell in p2.cells:
-        cell_boundary[mapping[cell]] = _rename_word(p2.cell_boundary[cell], mapping)
-    relations = p1.relations + tuple(
-        _rename_crossed(r, mapping) for r in p2.relations
-    )
-    return CrossedPresentation(generators, cells, cell_boundary, relations)
-
-
-def stabilize(pres: CrossedPresentation) -> CrossedPresentation:
-    """Add one fresh base generator and one fresh cell whose boundary is it."""
-    primes = 1
-    while "X" + "'" * primes in pres.generators or "e" + "'" * primes in pres.cells:
-        primes += 1
-    gen = "X" + "'" * primes
-    cell = "e" + "'" * primes
-    cell_boundary = dict(pres.cell_boundary)
-    cell_boundary[cell] = FreeWord(((gen, 1),))
-    return CrossedPresentation(
-        pres.generators + (gen,),
-        pres.cells + (cell,),
-        cell_boundary,
-        pres.relations,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@
 A word is a sequence of letters (generator id, sign) with sign +1 or -1.
 A ``FreeWord`` value is always freely reduced; reduction by adjacent
 cancellation is confluent, hence canonical.  Only the public constructor
-checks this.  Products, inverses and ``reduce_free_word`` results are
-reduced by construction, so they skip the check.
+checks this.  Products and ``reduce_free_word`` results are reduced by
+construction, so they skip the check.
 
 Product, inverse and free reduction are computed on plain letter tuples by
-``_product``, ``_inverse`` and ``_free_reduction``; the ``FreeWord`` methods
-wrap them, and movie replay calls them directly.
+``_product``, ``_inverse`` and ``_free_reduction``; ``FreeWord.__mul__``
+wraps the first, and movie replay calls them directly.
 """
 from __future__ import annotations
 
@@ -176,9 +176,6 @@ class FreeWord:
 
     def __mul__(self, other: FreeWord) -> FreeWord:
         return _reduced(_product(self.letters, other.letters))
-
-    def inverse(self) -> FreeWord:
-        return _reduced(_inverse(self.letters))
 
     def generators(self) -> set[str]:
         return {gen for gen, _ in self.letters}

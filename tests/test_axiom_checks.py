@@ -233,9 +233,12 @@ def test_group_fast_path_equals_exhaustive_listing(monkeypatch):
 
 
 def test_builders_refuse_at_the_listings_first_witness(monkeypatch):
-    # Seeded corruptions of groups on both sides of the row-type threshold,
-    # and two associative tables without a generating set (constant, and
-    # x y = x) that fail at the identity.
+    # The builders name the first witness of group_violations(first_only=True),
+    # as a module file read for counting is refused: a witness the listing
+    # holds, of the axiom it names first.  Seeded corruptions of groups on
+    # both sides of the row-type threshold, and two associative tables
+    # without a generating set (constant, and x y = x), which are listed in
+    # full and fail at the identity.
     tables = [FiniteGroup(5, LOOP5), FiniteGroup(4, V4), build_symmetric_group(3),
               build_symmetric_group(4), build_cyclic_group(8), build_cyclic_group(24)]
     unfixed = [FiniteGroup(3, ((0,) * 3,) * 3),
@@ -252,16 +255,16 @@ def test_builders_refuse_at_the_listings_first_witness(monkeypatch):
                 row[i] = rng.choice([v for v in range(group.order) if v != row[i]])
             table = unfixed[trial % 2] if trial < 2 else FiniteGroup(
                 group.order, tuple(map(tuple, rows)))
-            violations = groups.group_violations(table)
-            first = violations[0] if violations else None
-            assert groups.first_violation(table) == first
-            if first is None:
+            first = groups.group_violations(table, first_only=True)[:1]
+            assert_first_witness(first, groups.group_violations(table))
+            if not first:
                 assert build_conjugation_crossed_module(table).base == table
                 continue
-            named[first[0]] += 1
+            (axiom, witness), = first
+            named[axiom] += 1
             with pytest.raises(ValueError) as info:
                 build_conjugation_crossed_module(table)
-            assert str(info.value) == f"input table violates {first[0]} at witness {first[1]}"
+            assert str(info.value) == f"input table violates {axiom} at witness {witness}"
         assert named["associativity"] > 150 and named["identity"] >= 2
 
 

@@ -17,9 +17,9 @@ from xmod.crossed import (
     format_crossed_module_text,
 )
 from xmod.fixtures import fixture_text
-from xmod.fuzz import inversion_module, sign_module
+from xmod.fuzz import inversion_module, sign_module, stabilize
 from xmod.groups import FiniteGroup, build_cyclic_group
-from xmod.presentations import format_presentation_text, stabilize
+from xmod.presentations import format_presentation_text
 from xmod.words import MAX_EXPONENT
 
 
@@ -709,6 +709,25 @@ def test_module_entry_point(cli_files):
     )
     assert result.returncode == 0
     assert "trivial1 ga_z3_p2 3/8" in result.stdout
+
+
+def test_xmod_uses_only_the_standard_library():
+    # pyproject declares dependencies = []: importing xmod and running a
+    # command in a fresh interpreter loads no module outside the standard
+    # library.  What the interpreter loaded at start-up (site hooks of the
+    # environment) is left out.
+    program = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "import xmod, xmod.cli",
+        "xmod.cli.main(['examples', 'trivial1'])",
+        "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))",
+    ])
+    result = subprocess.run([sys.executable, "-c", program],
+                            capture_output=True, text=True, check=True)
+    loaded = set(result.stdout.splitlines()[-1].split())
+    assert "xmod" in loaded
+    assert loaded - sys.stdlib_module_names == {"xmod"}
 
 
 def test_benchmark_tracer_still_fits(cli_files, capsys, monkeypatch):

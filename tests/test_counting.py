@@ -40,15 +40,16 @@ from xmod.errors import (
     WorkCapExceeded,
 )
 from xmod.fixtures import FIXTURE_NAMES
-from xmod.fuzz import inversion_module, module_pool, random_instances, sign_module
-from xmod.groups import FiniteGroup, build_cyclic_group, build_symmetric_group
-from xmod.presentations import (
-    CrossedPresentation,
-    CrossedWord,
+from xmod.fuzz import (
     free_product,
-    parse_presentation_text,
+    inversion_module,
+    module_pool,
+    random_instances,
+    sign_module,
     stabilize,
 )
+from xmod.groups import FiniteGroup, build_cyclic_group, build_symmetric_group
+from xmod.presentations import CrossedPresentation, CrossedWord, parse_presentation_text
 from xmod.words import EMPTY_WORD, FreeWord, parse_word
 
 from conftest import chain

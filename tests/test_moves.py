@@ -27,7 +27,7 @@ from xmod.errors import NaiveCapExceeded
 from xmod.fixtures import FIXTURE_NAMES
 from xmod.fuzz import add_cancelling_pair, module_pool, random_presentation
 from xmod.presentations import CrossedPresentation, CrossedWord, validate_presentation
-from xmod.words import FreeWord, reduce_free_word
+from xmod.words import FreeWord, _inverse, reduce_free_word
 
 SEED = 11
 COUNT = 64
@@ -47,7 +47,7 @@ def substitute(pres, images, generators=None, cells=None, cell_names=None):
         letters = []
         for gen, sign in word.letters:
             target = images.get(gen, FreeWord(((gen, 1),)))
-            letters.extend(target.letters if sign > 0 else target.inverse().letters)
+            letters.extend(target.letters if sign > 0 else _inverse(target.letters))
         return reduce_free_word(letters)
 
     moved = CrossedPresentation(
@@ -124,8 +124,10 @@ def peiffer_swap(pres, rng):
     r, i = rng.choice(places)
     terms = list(pres.relations[r].terms)
     (u, a, s), (v, b, t) = terms[i], terms[i + 1]
-    bnd = pres.cell_boundary[a] if s > 0 else pres.cell_boundary[a].inverse()
-    terms[i:i + 2] = [(u * bnd * u.inverse() * v, b, t), (u, a, s)]
+    bnd = pres.cell_boundary[a].letters
+    moved_v = reduce_free_word(u.letters + (bnd if s > 0 else _inverse(bnd))
+                               + _inverse(u.letters) + v.letters)
+    terms[i:i + 2] = [(moved_v, b, t), (u, a, s)]
     relations = list(pres.relations)
     relations[r] = CrossedWord(tuple(terms))
     moved = CrossedPresentation(pres.generators, pres.cells, pres.cell_boundary,

@@ -876,6 +876,11 @@ REFUSALS = {
                          "band 'b' is already live"),
     "saddle-merged-repeated": ("birth X\nsaddle cell=e u=X v=X band=b merged=c1,c1", None,
                                1, 2, "merged arc ids must be distinct"),
+    "saddle-merged-none": ((Birth("X", 1), SaddleEvent("e", ("X", 1), ("X", 1), "b", (), 2)),
+                           None, 1, 2, "merged= must list one or two fresh arcs"),
+    "saddle-merged-three": ((Birth("X", 1),
+                             SaddleEvent("e", ("X", 1), ("X", 1), "b", ("c1", "c2", "c3"), 2)),
+                            None, 1, 2, "merged= must list one or two fresh arcs"),
     "saddle-merged-live": ("birth X\nbirth Y\nsaddle cell=e u=X v=X band=b merged=Y", None,
                            2, 3, "arc 'Y' is already live"),
     "saddle-charge": ("birth X\nsaddle cell=e u=X^-1 v=X band=b merged=c1", 3, 1, 2,
