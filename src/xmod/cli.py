@@ -15,12 +15,14 @@ take no options.
 
 ``main(argv)`` returns the exit code rather than exiting, and may be called
 any number of times in one process: the parser and its subcommand handlers
-are built on the first call and reused.
+are built on the first call and reused.  A command runs with the cyclic
+garbage collector paused, and the caller's setting is restored after it.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 import time
 from fractions import Fraction
@@ -266,9 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    # Reference counting frees a command's data, which hold no reference
+    # cycles, so the cyclic collector would find nothing; its scans of a
+    # 7000-event movie took 12 to 16 % of the command.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if hasattr(args, "work_cap"):
             args.work_cap = _work_cap(args.work_cap)
         return args.func(args)
@@ -284,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
     except XmodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def run() -> None:

@@ -179,7 +179,7 @@ def validate_crossed_module(
     if not (out and first_only):
         out += group_violations(cm.fiber, "fiber.", budget, first_only=first_only)
     if out:
-        return ValidationReport(tuple(out[:1] if first_only else out))
+        return ValidationReport(tuple(out))
     base, fiber = cm.base, cm.fiber
     # The base identity's rows hold whenever it acts trivially, which
     # action.identity checks before them.  The fiber identity's rows stay:

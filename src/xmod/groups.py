@@ -21,10 +21,10 @@ table's own tuples, composed by ``itemgetter``, for the others.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -240,63 +240,62 @@ def group_violations(
     A table with no witness when the middle variable of associativity runs
     over its greedy generating set is a group.  Any other is listed with it
     running over every element, spending one step of ``budget`` per entry
-    compared.  With ``first_only`` a table with a greedy generating set is
-    not listed: the result holds the first witness over that set, of the
-    axiom the listing names first.
+    compared.  With ``first_only`` the result holds one witness at most: for
+    a table with a greedy generating set, the first over that set, of the
+    axiom the listing names first; for any other, the listing's first,
+    found without listing the rest.
     """
     gens = group.generators
     if gens is not None:
-        found = _table_violations(group, prefix, gens, None)
+        found = list(islice(_table_violations(group, prefix, gens, None), 1))
         if first_only or not found:
-            return found[:1]
-    return _table_violations(group, prefix, group.elements,
-                             budget or Budget(DEFAULT_WORK_CAP))
+            return found
+    listing = _table_violations(group, prefix, group.elements,
+                                budget or Budget(DEFAULT_WORK_CAP))
+    return list(islice(listing, 1 if first_only else None))
 
 
 def _table_violations(
     group: FiniteGroup, prefix: str, middle, budget: Budget | None
-) -> list[tuple[str, tuple]]:
+) -> Iterator[tuple[str, tuple]]:
     """The group-axiom witnesses with b of (a b) c = a (b c) in ``middle``.
 
-    Associativity witnesses come first, in (a, b, c) order, then the
+    Associativity witnesses come first, in ascending (a, b, c), then the
     identity or, given one, each element without a two-sided inverse.  Over
     a generating set this is Light's test: the elements b that pass are
     closed under products, so none fails there only if the table is
     associative, and with an identity and inverses it is a group.  The
-    identity passes by definition and is not run.
+    identity passes by definition and is not run.  ``middle`` must be
+    ascending.  The budget is charged for the whole run before the first
+    witness, so a caller that stops early spends what the listing does.
     """
     n = group.order
-    if budget:
-        budget.spend(len(middle) * n * n)
     # The cached identity and inverses serve every later use of the group.
     try:
         e = group.identity
     except ValueError:
         e = None
+    if budget:
+        budget.spend(len(middle) * n * n + (0 if e is None else n * n))
     rows = row_type(n)
     table = rows.of(group)
-    outers = rows.outers(table)
-    found = []
-    for b in middle:
-        if b == e:
-            continue
-        times_b = rows.after(table[b])
-        for a, (row, outer) in enumerate(zip(table, outers)):
+    composers = [(b, rows.after(table[b])) for b in middle if b != e]
+    for a, (row, outer) in enumerate(zip(table, rows.outers(table))):
+        for b, times_b in composers:
             # The rows over c of (a b) c and a (b c).
             left, right = table[row[b]], times_b(outer)
             if left != right:
-                found += [(a, b, c) for c in differing(left, right)]
-    out = [(prefix + "associativity", witness) for witness in sorted(found)]
+                for c in differing(left, right):
+                    yield prefix + "associativity", (a, b, c)
     if e is None:
-        return out + [(prefix + "identity", ())]
-    if budget:
-        budget.spend(n * n)
+        yield prefix + "identity", ()
+        return
     try:
         group.inverse
     except ValueError:
-        out += [(prefix + "inverse", (a,))
-                for a, inverse in enumerate(_inverses(group.product, e)) if inverse is None]
-    return out
+        for a, inverse in enumerate(_inverses(group.product, e)):
+            if inverse is None:
+                yield prefix + "inverse", (a,)
 
 
 def build_cyclic_group(n: int) -> FiniteGroup:

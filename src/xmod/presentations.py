@@ -58,14 +58,8 @@ class CrossedWord:
             if not isinstance(cell, str):
                 raise TypeError("cell id must be a string")
 
-    def cells(self) -> set[str]:
-        return {cell for _, cell, _ in self.terms}
-
     def __str__(self) -> str:
         return format_crossed_word(self)
-
-
-EMPTY_CROSSED_WORD = CrossedWord()
 
 
 def _crossed(terms: tuple[Term, ...]) -> CrossedWord:

@@ -223,7 +223,7 @@ def test_criterion_06_spun_trefoil_knotted(compiled_fixtures, battery_by_name):
         assert pres.cell_boundary[first] == reduce_free_word([(X, 1)] + A_inverse)
         assert pres.cell_boundary[second].is_empty
         assert len(pres.relations) == 1
-        assert pres.relations[0].cells() == {second}
+        assert {cell for _, cell, _ in pres.relations[0].terms} == {second}
 
         cm = battery_by_name["ga_z3_p2"]
         direct = Fraction(trefoil_relation_count(cm), cm.fiber.order)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import random
 import re
 import subprocess
 import sys
@@ -11,15 +13,19 @@ import xmod
 from xmod import cli, counting, fuzz, movies
 from xmod.battery import standard_battery
 from xmod.cli import main
+from xmod.counting import count_report
 from xmod.crossed import (
     FiniteCrossedModule,
     build_group_algebra_crossed_module,
     format_crossed_module_text,
+    parse_crossed_module_text,
+    validate_crossed_module,
 )
-from xmod.fixtures import fixture_text
+from xmod.fixtures import FIXTURE_NAMES, fixture_text
 from xmod.fuzz import inversion_module, sign_module, stabilize
 from xmod.groups import FiniteGroup, build_cyclic_group
-from xmod.presentations import format_presentation_text
+from xmod.movies import compile_movie, parse_movie_script
+from xmod.presentations import format_presentation_text, parse_presentation_text
 from xmod.words import MAX_EXPONENT
 
 
@@ -700,6 +706,78 @@ def test_parser_reuse_leaks_no_state(cli_files, capsys):
               for argv in argvs[3:] + argvs[:3]}
     assert first == second
     assert [first[tuple(argv)][0] for argv in argvs] == [2, 0, 1, 0, 2]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_commands_run_with_the_collector_paused(enabled, cli_files, tmp_path, capsys,
+                                                monkeypatch):
+    # main pauses the cyclic collector for the whole command and gives the
+    # caller back the setting it had, on every exit: codes 0 to 3, --help,
+    # and an exception that escapes the handler.
+    seen = []
+    read = cli._read_file
+
+    def reading(path):
+        seen.append(gc.isenabled())
+        if path == "raise":
+            raise RuntimeError("handler failed")
+        return read(path)
+
+    monkeypatch.setattr(cli, "_read_file", reading)
+    cases = [
+        (["compile", cli_files["trivial1"]], 0),
+        (["validate", cli_files["corrupt"]], 1),
+        (["compile", str(tmp_path / "missing.movie")], 2),
+        (["invariant", cli_files["spun_hopf"], cli_files["conj_s3"], "--work-cap", "14"], 3),
+        (["--help"], 0),
+    ]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in cases:
+            assert run_cli(capsys, *argv)[0] == code, argv
+            assert gc.isenabled() is enabled, argv
+        with pytest.raises(RuntimeError, match="handler failed"):
+            main(["compile", "raise"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    # One read per file argument; --help reads none.
+    assert seen == [False] * 6
+
+
+@pytest.mark.parametrize("source", [*FIXTURE_NAMES, "long_movie"])
+def test_the_command_path_builds_no_reference_cycles(source, battery, monkeypatch):
+    # main may pause the cyclic collector only because a command's data hold
+    # no reference cycles: reference counting frees them all.  Each stage of
+    # the path from movie to count is followed by a collection that must
+    # find nothing.  The long movie is counted against the order-1 module
+    # only: against a nontrivial one it reaches the engines' walls.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.inputs import long_movie
+
+    if source == "long_movie":
+        text = long_movie(random.Random(1), 1000)
+        trivial = FiniteGroup(1, ((0,),))
+        modules = [("order1", FiniteCrossedModule(trivial, trivial, (0,), ((0,),)))]
+    else:
+        text, modules = fixture_text(source), battery
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        pres = compile_movie(parse_movie_script(text, name=source))
+        assert gc.collect() == 0
+        copy = parse_presentation_text(format_presentation_text(pres))
+        assert copy == pres and gc.collect() == 0
+        for name, cm in modules:
+            module = parse_crossed_module_text(format_crossed_module_text(cm))
+            assert validate_crossed_module(module, first_only=True).ok
+            count_report(copy, module)
+            assert gc.collect() == 0, name
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_module_entry_point(cli_files):

@@ -10,7 +10,6 @@ from xmod.crossed import ValidationReport
 from xmod.errors import FormatError, UnknownIdError
 from xmod.fuzz import free_product, random_instances, stabilize
 from xmod.presentations import (
-    EMPTY_CROSSED_WORD,
     EMPTY_PRESENTATION,
     CrossedPresentation,
     CrossedWord,
@@ -101,7 +100,7 @@ def test_built_crossed_words_pass_the_checked_constructor(c, d):
 def test_crossed_word_str_is_the_canonical_text():
     crossed = CrossedWord(((parse_word("X"), "e", 1), (EMPTY_WORD, "f", -1)))
     assert str(crossed) == "(X ; e ; +) (1 ; f ; -)"
-    assert str(EMPTY_CROSSED_WORD) == ""
+    assert str(CrossedWord()) == ""
 
 
 def test_crossed_word_rejects_bad_sign():
@@ -445,7 +444,7 @@ def test_stabilize_adds_fresh_pair():
 
 
 def test_format_crossed_word_examples():
-    assert format_crossed_word(EMPTY_CROSSED_WORD) == ""
+    assert format_crossed_word(CrossedWord()) == ""
     crossed = CrossedWord(((word("X Y^-1"), "e", 1), (EMPTY_WORD, "f", -1)))
     assert format_crossed_word(crossed) == "(X Y^-1 ; e ; +) (1 ; f ; -)"
 
@@ -457,7 +456,7 @@ def test_presentation_round_trip():
         {"e": word("X Y X^-1 Y^-1"), "f": EMPTY_WORD},
         (
             CrossedWord(((EMPTY_WORD, "e", 1), (word("X"), "f", -1))),
-            EMPTY_CROSSED_WORD,
+            CrossedWord(),
         ),
     )
     text = format_presentation_text(pres)
