@@ -5,9 +5,12 @@ Generates seeded random presentations and checks each with
 linear engine against the naive oracle, and the linear engine again after
 two moves that must change no count: ``add_cancelling_pair`` on one of the
 instance's cells, and ``free_product`` with ``DISK``, the presentation of
-Pi2(D^2, S^1), whose count is divided by |E|.  It prints each instance where they disagree, with its
-presentation.  This is the seeded engine check: ``xmod selftest`` runs the
-first 25 instances of seed 7, and this script runs any seed and count.
+Pi2(D^2, S^1), whose count is divided by |E|.  The ``square`` check counts
+the free product of the instance with itself, two parts, which must give
+the square of the naive count.  It prints each instance where they
+disagree, with its presentation.  This is the seeded engine check:
+``xmod selftest`` runs the first 25 instances of seed 7, and this script
+runs any seed and count.
 Exits 1 if any instance disagrees and 0 otherwise, so it doubles as a
 long-running CI check; the summary line gives the number of mismatches.
 

@@ -70,9 +70,12 @@ MAX_ONE_HANDLES = 10**4
 
 
 def _read_file(path: str) -> str:
+    """The text of ``path`` without one leading byte-order mark, which would
+    hide a file's header line.  Not the ``utf-8-sig`` codec: after a mark it
+    reports a decoding error's byte offset 3 too low."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            return handle.read().removeprefix("\ufeff")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

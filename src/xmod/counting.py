@@ -12,7 +12,8 @@ and a cell assignment psi (cell -> fiber element) such that
 ``count_report(pres, cm)`` and ``invariant(pres, cm)`` take a presentation
 and a module.  The invariant is the exact rational count / (#fiber)**n1,
 where n1 is ``pres.one_handles``, the number of base generators (1-handles).
-Every count runs one loop, ``_count``, over the kernel K of the boundary.
+Every count runs one loop, ``_count``, over the kernel K of the boundary,
+on each part of the presentation.
 K is central in the fiber and stable under the action, so once phi is fixed
 each cell ranges over one coset e_c K of its boundary fiber, and each
 relation is a constant R_r of the fiber times a signed sum of the g |> k_c
@@ -37,6 +38,17 @@ the relations, in relation r.  Once phi and the other cells are fixed, r
 fixes psi(c), since phi(w) |> - is an automorphism of the fiber; and then
 the boundary of psi(c) is phi(bnd c), since r's boundary word is trivial.
 So dropping c and r changes no count, for any module.
+
+The doors then split that form into connected parts, ``_parts``: a cell is
+joined to its boundary's generators, a relation to its cells and its
+conjugators' generators.  A homomorphism out of a free product is one out
+of each factor, so the count is the product of the parts' counts,
+stopping at the first 0.  A generator in no boundary and no conjugator
+counts |base|, a cell of empty boundary in no relation counts |K|, and
+every other part runs the loop on its own.  Where ``phi_classes`` yields
+one phi (K trivial and im = base) the split buys nothing and is skipped;
+it is not part of ``compile_presentation`` for the same reason, as every
+count compiles.
 
 A naive full-product oracle, which evaluates the presentation as given,
 checks the loop.  All arithmetic is exact; counts are arbitrary-precision
@@ -349,7 +361,7 @@ def count_homomorphisms(
     ``backtracking`` door of ``_count``; ``ValueError`` on any other module."""
     if cm.kernel.order != 1:
         raise ValueError("count_homomorphisms needs an injective boundary")
-    return _count(compile_presentation(pres), cm, Budget(work_cap))
+    return _count_parts(compile_presentation(pres), cm, Budget(work_cap))
 
 
 def count_linear_fastpath(
@@ -360,7 +372,100 @@ def count_linear_fastpath(
 ) -> int:
     """Count homomorphisms into any module, by the ``linear`` door of
     ``_count``."""
-    return _count(compile_presentation(pres), cm, Budget(work_cap))
+    return _count_parts(compile_presentation(pres), cm, Budget(work_cap))
+
+
+def _count_parts(compiled: CompiledPresentation, cm: FiniteCrossedModule,
+                 budget: Budget) -> int:
+    """|base| per free generator and |K| per free cell, one step each, times
+    ``_count`` of each part, stopping at the first 0 (module docstring).
+    Where ``phi_classes`` yields one phi ``compiled`` is counted whole."""
+    kernel = cm.kernel
+    # K trivial makes the boundary injective, so im = base iff |E| = |base|.
+    if kernel.order == 1 and cm.fiber.order == cm.base.order:
+        return _count(compiled, cm, budget)
+    free_gens, free_cells, parts = _parts(compiled)
+    budget.spend(free_gens + free_cells)
+    total = cm.base.order**free_gens * kernel.order**free_cells
+    for part in parts:
+        total *= _count(part, cm, budget)
+        if not total:
+            break
+    return total
+
+
+def _parts(compiled: CompiledPresentation) -> tuple[int, int, list[CompiledPresentation]]:
+    """(free generators, free cells, parts) of ``compiled``.
+
+    Generators and cells are the nodes of a graph: a cell is joined to the
+    generators of its boundary, and the cells and conjugator generators of
+    one relation are joined together.  A free generator is in no boundary
+    and no conjugator, a free cell has an empty boundary and is in no
+    relation.  Every other connected part is renumbered into its own
+    compiled form, its generators, cells and relations in their order in
+    ``compiled``, and parts are ordered by their first generator or cell; a
+    relation with no term, which counts 1, is in none.  With nothing free
+    and fewer than two parts, ``compiled`` itself, empty relations and all,
+    is the one part.
+    """
+    n_gens = len(compiled.generators)
+    parent = list(range(n_gens + len(compiled.cells)))  # generators, then cells
+    used = [False] * len(parent)
+
+    def root(node: int) -> int:
+        while parent[node] != node:
+            parent[node] = node = parent[parent[node]]
+        return node
+
+    def join(nodes: set[int]) -> None:
+        roots = {root(node) for node in nodes}
+        top = roots.pop()
+        for other in roots:
+            parent[other] = top
+        for node in nodes:
+            used[node] = True
+
+    for pos, word in enumerate(compiled.boundaries):
+        if word:
+            join({n_gens + pos, *[gen for gen, _ in word]})
+    for terms in compiled.relations:
+        if terms:
+            nodes = {n_gens + pos for _, pos, _ in terms}
+            for w, _, _ in terms:
+                if w:
+                    nodes.update([gen for gen, _ in w])
+            join(nodes)
+    part_of: dict[int, int] = {}  # root -> part
+    for node, is_used in enumerate(used):
+        if is_used:
+            part_of.setdefault(root(node), len(part_of))
+    free_gens, free_cells = used[:n_gens].count(False), used[n_gens:].count(False)
+    if not free_gens and not free_cells and len(part_of) < 2:
+        return 0, 0, [compiled]
+    # Each part's generators and cells, numbered within the part.
+    members: list[tuple[list[int], list[int]]] = [([], []) for _ in part_of]
+    local = [0] * len(parent)
+    for node, is_used in enumerate(used):
+        if is_used:
+            nodes = members[part_of[root(node)]][node >= n_gens]
+            local[node] = len(nodes)
+            nodes.append(node)
+    relations: list[list] = [[] for _ in part_of]
+    for terms in compiled.relations:
+        if terms:
+            relations[part_of[root(n_gens + terms[0][1])]].append(tuple([
+                (tuple([(local[g], s) for g, s in w]), local[n_gens + pos], sign)
+                for w, pos, sign in terms]))
+    parts = []
+    for (gens, cells), rels in zip(members, relations):
+        parts.append(CompiledPresentation(
+            tuple([compiled.generators[g] for g in gens]),
+            tuple([compiled.cells[c - n_gens] for c in cells]),
+            tuple([tuple([(local[g], s) for g, s in compiled.boundaries[c - n_gens]])
+                   for c in cells]),
+            tuple(rels),
+        ))
+    return free_gens, free_cells, parts
 
 
 def _count(compiled: CompiledPresentation, cm: FiniteCrossedModule, budget: Budget) -> int:

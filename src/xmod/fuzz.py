@@ -245,7 +245,9 @@ def engine_mismatch(
     against the naive oracle.  The linear engine also counts two moves that
     must change no count: ``add_cancelling_pair`` on cell ``index`` (mod the
     number of cells), for an instance with a cell, and ``free_product`` with
-    ``DISK``, whose count is divided by |E| exactly.
+    ``DISK``, whose count is divided by |E| exactly.  Last, its count of the
+    free product of the instance with itself, ``square``, must be the
+    square of the naive count: the two copies are counted as separate parts.
     """
     counts = {
         "report": count_report(pres, cm).count,
@@ -257,7 +259,9 @@ def engine_mismatch(
     if pres.cells:
         moved = add_cancelling_pair(pres, pres.cells[index % len(pres.cells)])
         counts["moved linear"] = count_linear_fastpath(moved, cm)
-    return counts if len(set(counts.values())) > 1 else None
+    agree = len(set(counts.values())) == 1
+    counts["square"] = count_linear_fastpath(free_product(pres, pres), cm)
+    return None if agree and counts["square"] == counts["naive"] ** 2 else counts
 
 
 def random_instances(

@@ -128,6 +128,32 @@ def test_non_utf8_file_exit_2(command, cli_files, tmp_path, capsys):
     assert err == f"error: cannot read {path}: not UTF-8 at byte 17\n"
 
 
+def test_a_byte_order_mark_is_read_past(cli_files, tmp_path, capsys):
+    # A leading U+FEFF would hide a pres file's header, so that it read as a
+    # movie, and a module's: a copy with the mark answers as its original.
+    def marked(name: str) -> str:
+        original = Path(cli_files[name])
+        path = tmp_path / original.name
+        path.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        return str(path)
+
+    for command, *names in (["invariant", "sphere.pres", "ga_z2_p2"],
+                            ["invariant", "spun_trefoil", "ga_z3_p2"],
+                            ["compile", "spun_hopf"],
+                            ["validate", "ga_z2_p2"], ["validate", "corrupt"]):
+        code, out, _ = without_elapsed(run_cli(capsys, command,
+                                               *[cli_files[name] for name in names]))
+        assert code in (0, 1) and out, (command, names)
+        copy = without_elapsed(run_cli(capsys, command, *[marked(name) for name in names]))
+        assert copy[:2] == (code, out), (command, names)
+    # The offset of a byte that is not UTF-8 still counts the mark's 3 bytes.
+    path = tmp_path / "marked_latin1.txt"
+    path.write_bytes(b"\xef\xbb\xbfxmod v1\nbase 1\n0 \xff\n")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {path}: not UTF-8 at byte 20\n"
+
+
 # ---------------------------------------------------------------------------
 # compile
 # ---------------------------------------------------------------------------
@@ -625,6 +651,24 @@ def test_selftest_checks_the_cancelling_pair(capsys, monkeypatch):
     # a "cancelling pair" that stabilizes instead multiplies some count
     # by |E|.
     monkeypatch.setattr(fuzz, "add_cancelling_pair", lambda pres, cell: stabilize(pres))
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL counting oracles agree"
+
+
+@pytest.mark.parametrize("broken", ["no_free_generators", "first_part_only"])
+def test_selftest_checks_the_split_into_parts(broken, capsys, monkeypatch):
+    # A split that loses a free generator's |G| or every part after the
+    # first changes some count of the selftest's instances.
+    split = counting._parts
+
+    def broken_split(compiled):
+        free_gens, free_cells, parts = split(compiled)
+        if broken == "no_free_generators":
+            return 0, free_cells, parts
+        return free_gens, free_cells, parts[:1]
+
+    monkeypatch.setattr(counting, "_parts", broken_split)
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 1
     assert out.splitlines()[-1] == "FAIL counting oracles agree"

@@ -173,6 +173,31 @@ def test_compile_presentation_cancels_pairs():
         ("X",), ("p", "s"), ((), ()), ((((), 0, 1), ((), 0, -1), (((0, 1),), 1, 1), ((), 1, -1)),))
 
 
+def test_parts_split_free_generators_free_cells_and_connected_parts():
+    # Y and the free cell f are free.  Z's boundary word joins it to g;
+    # the relation joins e and h, and its conjugator W joins them to X.
+    # The empty relation is in no part.
+    pres = parse_presentation_text(
+        "pres v1\ngens X Y Z W\ncells e f g h\nbnd e = X\nbnd f = 1\nbnd g = Z Z\n"
+        "bnd h = 1\nrel =\nrel = (1 ; e ; +) (W ; h ; +) (1 ; e ; -) (1 ; h ; -)\n")
+    free_gens, free_cells, parts = counting._parts(compile_presentation(pres))
+    assert (free_gens, free_cells) == (1, 1)
+    assert parts == [
+        CompiledPresentation(("X", "W"), ("e", "h"), (((0, 1),), ()), (
+            (((), 0, 1), (((1, 1),), 1, 1), ((), 0, -1), ((), 1, -1)),)),
+        CompiledPresentation(("Z",), ("g",), (((0, 1), (0, 1)),), ()),
+    ]
+    # The count is the product of the free factors and of the parts' counts,
+    # each part counted whole as a presentation of its own.
+    for name, cm in module_pool():
+        kernel = cm.kernel.order
+        product_of_parts = cm.base.order * kernel * count_linear_fastpath(
+            CrossedPresentation(("X", "W"), ("e", "h"), {"e": word("X"), "h": EMPTY_WORD},
+                                pres.relations[1:]), cm) * count_linear_fastpath(
+            CrossedPresentation(("Z",), ("g",), {"g": word("Z Z")}), cm)
+        assert count_linear_fastpath(pres, cm) == product_of_parts, name
+
+
 @pytest.mark.parametrize("target, shape", [
     ("trivial1", (0, 0)), ("trivial2", (1, 0)), ("trivial3", (1, 0)), ("trivial4", (0, 0)),
     ("two_spheres", (0, 0)), ("two_tori", (4, 0)), ("spun_hopf", (4, 2)),
@@ -282,9 +307,12 @@ def test_relation_order_does_not_change_count(compiled_fixtures, battery_by_name
 
 
 def test_work_cap_raises():
-    # A nonabelian base with K nontrivial: phi runs over the 49 conjugation
-    # orbits of S3**3, so the cap is reached inside the phi loop.
-    pres = free_product(sphere(), free_product(sphere(), sphere()))
+    # A nonabelian base with K nontrivial: the one part's phi runs over the
+    # 49 conjugation orbits of S3**3, so the cap is reached inside the phi
+    # loop.
+    pres = CrossedPresentation(("X", "Y", "Z"), ("e",), {"e": word("X Y Z")})
+    free_gens, free_cells, parts = counting._parts(compile_presentation(pres))
+    assert (free_gens, free_cells, len(parts)) == (0, 0, 1)
     with pytest.raises(WorkCapExceeded):
         count_linear_fastpath(pres, sign_module(), work_cap=10)
 
@@ -314,8 +342,9 @@ EMPTY_RELATION_PRES = (
                      id="count_linear_fastpath-empty_relation-ga_z2_p2-24"),
         # K = Z4 is not elementary abelian.
         (count_linear_fastpath, "spun_hopf", "inv_z2_z4", 130),
-        # The chain cancels to one cell and no relation.
-        (count_linear_fastpath, "deep_chain", "inv_z2_z8", 4),
+        # The chain cancels to one cell and no relation: a free generator
+        # and a free cell, one step each.
+        (count_linear_fastpath, "deep_chain", "inv_z2_z8", 2),
         # Nothing cancels, and with K = Z2 x Z4 each column leaves over a
         # row equal to one already waiting two columns on.
         (count_linear_fastpath, "padded_chain", "inv_z2_z2z4", 91104),
@@ -380,6 +409,22 @@ def test_group_algebra_over_s3_counts_conjugation_orbits(compiled_fixtures):
     cm = build_group_algebra_crossed_module(build_symmetric_group(3), 2)
     report = count_report(trefoils(compiled_fixtures, 3), cm)
     assert (report.count, report.method) == (56623104000, METHOD_LINEAR)
+
+
+@pytest.mark.parametrize("module, count, steps", [
+    ("ga_s3_p2", 217432719360000, 828), ("sign_s3_z3", 65610000, 380),
+    ("cq_q8_v4", 1048576, 464),
+])
+def test_a_free_product_is_counted_part_by_part(module, count, steps, compiled_fixtures):
+    # P4 is four parts, each a spun trefoil counted on its own for a quarter
+    # of the steps.
+    cm = {"ga_s3_p2": build_group_algebra_crossed_module(build_symmetric_group(3), 2),
+          **dict(module_pool())}[module]
+    pres = trefoils(compiled_fixtures, 4)
+    assert count_report(pres, cm, work_cap=steps).count == count
+    with pytest.raises(WorkCapExceeded):
+        count_report(pres, cm, work_cap=steps - 1)
+    assert count_report(compiled_fixtures["spun_trefoil"], cm).count ** 4 == count
 
 
 def boundaries_in_image(pres: CrossedPresentation, cm: FiniteCrossedModule) -> int:
